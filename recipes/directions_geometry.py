@@ -25,24 +25,27 @@ lp = StandardLP(
 
 x = np.array([0.5, 0.5])
 p = GaugeParams(r=0.0, upper=lp.upper)
-F = factor(assemble_normal(lp.A, 1.0 / scaling_diagonals(x, p).h))
+hinv = 1.0 / scaling_diagonals(x, p).h
+F = factor(assemble_normal(lp.A, hinv))
 
-d, y, s = descent_direction(lp, x, p, F)
+d, y, s = descent_direction(lp, hinv, F)
 print("descent d =", d, "  A d =", lp.A @ d, "  <c, d> =", lp.c @ d)
 print("duals y =", y, "  s =", s)
 print("wall distance along d:", max_step(x, lp.upper, d))
 
 # from an infeasible point the feasibility direction cancels the residual
 x_bad = np.array([1.0, 1.0])
-F_bad = factor(assemble_normal(lp.A, 1.0 / scaling_diagonals(x_bad, p).h))
-dx = feasibility_direction(lp, x_bad, p, F_bad)
+hinv_bad = 1.0 / scaling_diagonals(x_bad, p).h
+F_bad = factor(assemble_normal(lp.A, hinv_bad))
+dx = feasibility_direction(lp, x_bad, hinv_bad, F_bad)
 print("\nresidual before:", lp.b - lp.A @ x_bad)
 print("residual after a full step:", lp.b - lp.A @ (x_bad + dx))
 
 # the Newton direction approaches the descent direction as mu -> 0
 p5 = GaugeParams(r=0.5, upper=lp.upper)
-F5 = factor(assemble_normal(lp.A, 1.0 / scaling_diagonals(x, p5).h))
-d5, _, _ = descent_direction(lp, x, p5, F5)
+hinv5 = 1.0 / scaling_diagonals(x, p5).h
+F5 = factor(assemble_normal(lp.A, hinv5))
+d5, _, _ = descent_direction(lp, hinv5, F5)
 print("\nr = 0.5 descent:", d5)
 for mu in (1.0, 1e-2, 1e-4):
     dn = newton_direction(lp, x, mu, p5)

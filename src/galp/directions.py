@@ -1,6 +1,7 @@
 """Search directions for the affine scaling iteration.
 
-All directions share one Cholesky factor of A H^-1 A^t per iterate:
+All directions share one Cholesky factor of A H^-1 A^t and one diagonal
+H^-1 (``hinv``) per iterate, both computed once by the caller:
 
 * descent:     y = (A H^-1 A^t)^-1 A H^-1 c,  s = c - A^t y,  d = -H^-1 s,
   which equals -H^(-1/2) P H^(-1/2) c with P the orthogonal projector onto
@@ -17,8 +18,6 @@ at a given mu; the production path only ever uses its mu-independent limit d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import CholeskyFactor, assemble_normal, factor, solve
@@ -26,34 +25,22 @@ from .model import StandardLP
 from .penalty import GaugeParams, scaling_diagonals
 
 
-@dataclass
-class DirectionBundle:
-    d: np.ndarray
-    dx: np.ndarray
-    y: np.ndarray
-    s: np.ndarray
-    reprojected: bool
-
-
-def descent_direction(lp: StandardLP, x, p: GaugeParams, F: CholeskyFactor):
+def descent_direction(lp: StandardLP, hinv, F: CholeskyFactor):
     """Affine scaling descent direction; returns (d, y, s)."""
-    hinv = 1.0 / scaling_diagonals(x, p).h
     y = solve(F, lp.A @ (hinv * lp.c))
     s = lp.c - lp.A.T @ y
     d = -hinv * s
     return d, y, s
 
 
-def feasibility_direction(lp: StandardLP, x, p: GaugeParams, F: CholeskyFactor):
+def feasibility_direction(lp: StandardLP, x, hinv, F: CholeskyFactor):
     """Residual-canceling direction with A dx = b - A x."""
-    hinv = 1.0 / scaling_diagonals(x, p).h
     resid = lp.b - lp.A @ x
     return hinv * (lp.A.T @ solve(F, resid))
 
 
-def reproject(d, lp: StandardLP, F: CholeskyFactor, p: GaugeParams, x):
+def reproject(d, lp: StandardLP, F: CholeskyFactor, hinv):
     """Remove the numerical row-space component from d."""
-    hinv = 1.0 / scaling_diagonals(x, p).h
     return d - hinv * (lp.A.T @ solve(F, lp.A @ d))
 
 

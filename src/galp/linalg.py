@@ -1,11 +1,26 @@
 """Normal-equations kernel: assemble A diag(dinv) A^t and solve by Cholesky.
 
+Assembly runs from a symbolic plan of A built once per solve
+(``normal_plan``).  The plan lists, for every column j, each pair of stored
+entries (i, j), (k, j) with i >= k, sorted by the flat lower-triangle
+position i*m + k and then by j, together with the distinct positions and
+their mirrors in the upper triangle.  Each ``assemble_normal`` then does
+numeric work only: one product (A[i,j]*dinv[j])*A[k,j] per pair, one
+``np.bincount`` that sums the pairs of each position, and two scatters into
+a dense m x m array.
+
+The summation order is fixed on purpose.  Every entry is summed over
+ascending j with the product association of scipy's
+``A.multiply(dinv) @ A.T``, so M is bit-for-bit the matrix that product
+gives and the iterates, and with them the iteration table, stay
+byte-identical.  ``tests/test_linalg.py`` keeps that product as its oracle
+and compares with ``np.array_equal``, so a scipy release that changes the
+order of its sparse product is flagged there.
+
 The factorization escalates a relative diagonal regularization
 rho in {0, 1e-12, 1e-10, 1e-8, 1e-6} until every pivot stays above 1e-30;
 the rho actually applied is recorded on the factor so the solver trace can
-surface it.  Dense storage throughout: the solver targets desk-scale
-problems and the API isolates this kernel so a sparse backend could be
-swapped in behind the same two calls.
+surface it.  M and L are dense: the solver targets desk-scale problems.
 """
 
 from __future__ import annotations
@@ -14,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 REGULARIZATIONS = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
 _MIN_PIVOT = 1e-30
@@ -35,27 +51,95 @@ class CholeskyFactor:
     rho: float
 
 
+@dataclass
+class NormalPlan:
+    """Symbolic structure of A diag(dinv) A^t for one constraint matrix A.
+
+    Pair p contributes (left[p] * dinv[col[p]]) * right[p] to the distinct
+    lower-triangle position ``target[p]``, whose flat index in the m x m
+    array is ``lower[target[p]]`` and whose mirror is ``upper[target[p]]``.
+    Pairs are ordered by position and then by column.
+    """
+
+    m: int
+    left: np.ndarray  # A[i, j] of each pair
+    right: np.ndarray  # A[k, j] of each pair
+    col: np.ndarray  # j of each pair
+    target: np.ndarray  # index into lower/upper of each pair
+    lower: np.ndarray  # flat positions i*m + k, i >= k, ascending
+    upper: np.ndarray  # flat positions k*m + i of the same entries
+
+
+def normal_plan(A) -> NormalPlan:
+    """Build the assembly plan of a sparse m x n matrix A."""
+    A = sp.csc_matrix(A)
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    m, n = A.shape
+    counts = np.diff(A.indptr)
+    start = np.repeat(A.indptr[:-1], counts)  # first stored entry of each entry's column
+    # entry e pairs with itself and every entry above it in its column
+    npairs = np.arange(A.nnz) - start + 1
+    first_pair = np.cumsum(npairs) - npairs
+    e_left = np.repeat(np.arange(A.nnz), npairs)
+    e_right = np.arange(e_left.size) - np.repeat(first_pair - start, npairs)
+    col = np.repeat(np.arange(n), counts)[e_left]
+    flat = A.indices[e_left].astype(np.int64) * m + A.indices[e_right]
+    # (position, column) keys are distinct; m*m*n stays below 2**63 for any m
+    # whose dense m x m matrix fits in memory
+    order = np.argsort(flat * n + col)
+    e_left, e_right, col, flat = e_left[order], e_right[order], col[order], flat[order]
+    new = np.empty(flat.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=new[1:])
+    lower = flat[new]
+    i, k = np.divmod(lower, m)
+    return NormalPlan(
+        m=m,
+        left=A.data[e_left],
+        right=A.data[e_right],
+        col=col,
+        target=np.cumsum(new) - 1,
+        lower=lower,
+        upper=k * m + i,
+    )
+
+
 def assemble_normal(A, dinv: np.ndarray) -> np.ndarray:
     """Dense symmetric M with M[i, k] = sum_j A[i, j] * dinv[j] * A[k, j].
 
-    The lower triangle is computed and mirrored, so M is exactly symmetric.
+    ``A`` is the sparse constraint matrix or, for repeated assembly with
+    the same A, its ``normal_plan``.  Both triangles are written from the
+    same sums, so M is exactly symmetric.
     """
     dinv = np.asarray(dinv, dtype=float)
     if not np.all(np.isfinite(dinv)) or np.any(dinv < 0):
         raise NonFiniteInput("dinv must be finite and nonnegative")
-    M = np.asarray((A.multiply(dinv) @ A.T).todense())
-    lower = np.tril(M)
-    return lower + np.tril(M, -1).T
+    plan = A if isinstance(A, NormalPlan) else normal_plan(A)
+    sums = np.bincount(
+        plan.target, (plan.left * dinv[plan.col]) * plan.right, minlength=plan.lower.size
+    )
+    M = np.zeros(plan.m * plan.m)
+    M[plan.lower] = sums
+    M[plan.upper] = sums
+    return M.reshape(plan.m, plan.m)
 
 
 def factor(M: np.ndarray) -> CholeskyFactor:
     """Cholesky-factor M, escalating the diagonal regularization as needed."""
     if not np.all(np.isfinite(M)):
         raise NonFiniteInput("normal matrix has non-finite entries")
-    diag = np.diag(M).copy()
+    diag = np.diag(M)
     for rho in REGULARIZATIONS:
+        if rho == 0.0:
+            shifted = M
+        else:
+            # the same sums as M + rho*np.diag(diag), without an m x m diagonal
+            shifted = M.copy()
+            np.fill_diagonal(shifted, diag + rho * diag)
         try:
-            L = np.linalg.cholesky(M + rho * np.diag(diag))
+            L = np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             continue
         if np.min(np.diag(L)) ** 2 > _MIN_PIVOT:
@@ -66,5 +150,9 @@ def factor(M: np.ndarray) -> CholeskyFactor:
 
 
 def solve(F: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
-    """Forward/back substitution with the stored factor."""
-    return scipy.linalg.cho_solve((F.L, True), rhs, check_finite=False)
+    """Forward/back substitution with the stored factor.
+
+    L^t of a C-ordered L is the Fortran-ordered upper factor LAPACK reads
+    in place; passing L itself as the lower factor makes it copy L first.
+    """
+    return scipy.linalg.cho_solve((F.L.T, False), rhs, check_finite=False)

@@ -26,10 +26,6 @@ class InfeasibleBounds(Exception):
     pass
 
 
-class UnsupportedBound(Exception):
-    pass
-
-
 @dataclass
 class StandardLP:
     """LP data in standard form; ``bounded`` indexes the set I."""
@@ -103,7 +99,8 @@ def to_standard_form(raw: RawMps):
             cols[k].append((row_index[rname], value))
         # coefficients on extra free (N) rows are ignored
 
-    # Bounds: defaults lb=0, ub=+inf, applied in file order.
+    # Bounds: defaults lb=0, ub=+inf, applied in file order; the parser
+    # admits only the six kinds below.
     lb = np.zeros(ncols)
     ub = np.full(ncols, np.inf)
     for kind, col, value in raw.bounds:
@@ -122,8 +119,6 @@ def to_standard_form(raw: RawMps):
             lb[k] = -np.inf
         elif kind == "PL":
             ub[k] = np.inf
-        else:
-            raise UnsupportedBound(kind)
 
     b = np.array([rhs.get(name, 0.0) for name, _ in constraint_rows])
     # An RHS entry on the objective row is the negated objective constant.

@@ -41,10 +41,6 @@ class GaugeParams:
         self.upper = np.asarray(self.upper, dtype=float)
         self.bounded = np.isfinite(self.upper)
 
-    @property
-    def n_bounded(self):
-        return int(np.count_nonzero(self.bounded))
-
 
 @dataclass
 class ScalingDiagonals:

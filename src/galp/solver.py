@@ -1,12 +1,13 @@
 """Main affine scaling loop: starting point, combined feasibility/descent
 steps, dual recovery, stopping, and per-iteration trace capture.
 
-Each iteration factorizes A H^-1 A^t once at the current point and reuses
-the factor for the feasibility direction, the descent direction, and the
-dual estimates (y, w, s).  The feasibility move uses step factor 0.95 while
-the residual is large and 0.65 once it is small; the descent move swaps the
-two factors.  Reported duals therefore lag the reported primal point by one
-move.
+Each iteration computes H^-1 once and factorizes A H^-1 A^t once at the
+current point, and reuses both for the feasibility direction, the descent
+direction, and the dual estimates (y, w, s).  The penalty parameters and
+the assembly plan of A H^-1 A^t are built once per solve.  The
+feasibility move uses step factor 0.95 while the residual is large and 0.65
+once it is small; the descent move swaps the two factors.  Reported duals
+therefore lag the reported primal point by one move.
 
 Stopping declares optimality only when the feasibility measure Rf, the
 expected relative duality gap Rgap, and a sign safeguard on s all hold;
@@ -114,9 +115,9 @@ def starting_point_x1(lp: StandardLP) -> np.ndarray:
     return np.minimum(base, frac * lp.upper)
 
 
-def starting_point_x2(lp: StandardLP) -> np.ndarray:
+def starting_point_x2(lp: StandardLP, plan: linalg.NormalPlan) -> np.ndarray:
     """Minimum-norm solution of Ax = b shifted into the open box."""
-    F = linalg.factor(linalg.assemble_normal(lp.A, np.ones(lp.n)))
+    F = linalg.factor(linalg.assemble_normal(plan, np.ones(lp.n)))
     xhat = lp.A.T @ linalg.solve(F, lp.b)
     xnorm = np.linalg.norm(xhat, np.inf) if lp.n else 0.0
     delta = max(-1.5 * float(xhat.min(initial=0.0)), 0.01 * (1.0 + xnorm))
@@ -126,23 +127,26 @@ def starting_point_x2(lp: StandardLP) -> np.ndarray:
     return x
 
 
-def choose_start(lp: StandardLP) -> np.ndarray:
+def choose_start(lp: StandardLP, plan: linalg.NormalPlan) -> np.ndarray:
     x1 = starting_point_x1(lp)
-    x2 = starting_point_x2(lp)
+    x2 = starting_point_x2(lp, plan)
     if x2.min() > x1.min() or x1.min() < 1.0:
         return x2
     return x1
 
 
-def recover_duals(lp: StandardLP, x, p: GaugeParams, F: linalg.CholeskyFactor):
-    """Expected dual estimates (y, w, s) at the point x."""
-    hinv = 1.0 / scaling_diagonals(x, p).h
-    y = linalg.solve(F, lp.A @ (hinv * lp.c))
-    reduced = lp.c - lp.A.T @ y
+def _bound_duals(lp: StandardLP, x, reduced):
+    """Dual estimates (w, s) at x from the reduced costs c - A^t y."""
     w = np.zeros(lp.n)
     idx = lp.bounded
     w[idx] = -(x[idx] / lp.upper[idx]) * reduced[idx]
-    s = reduced + w
+    return w, reduced + w
+
+
+def recover_duals(lp: StandardLP, x, hinv, F: linalg.CholeskyFactor):
+    """Expected dual estimates (y, w, s) at the point x."""
+    y = linalg.solve(F, lp.A @ (hinv * lp.c))
+    w, s = _bound_duals(lp, x, lp.c - lp.A.T @ y)
     return y, w, s
 
 
@@ -168,23 +172,29 @@ def _record(state: IterateState, lp: StandardLP) -> TraceRecord:
     )
 
 
-def iterate_once(state: IterateState, lp: StandardLP, cfg: SolverConfig) -> IterateState:
-    """One combined feasibility + descent pass of the main loop."""
-    p = GaugeParams(r=cfg.r, upper=lp.upper)
+def iterate_once(
+    state: IterateState,
+    lp: StandardLP,
+    cfg: SolverConfig,
+    p: GaugeParams,
+    plan: linalg.NormalPlan,
+) -> IterateState:
+    """One combined feasibility + descent pass of the main loop.
+
+    ``p`` and ``plan`` are built once per solve from ``cfg.r`` and ``lp.A``.
+    """
     x = state.x
     sd = scaling_diagonals(x, p)
-    F = linalg.factor(linalg.assemble_normal(lp.A, 1.0 / sd.h))
+    hinv = 1.0 / sd.h
+    F = linalg.factor(linalg.assemble_normal(plan, hinv))
 
-    dx = feasibility_direction(lp, x, p, F)
-    d, y, s_reduced = descent_direction(lp, x, p, F)
+    dx = feasibility_direction(lp, x, hinv, F)
+    d, y, reduced = descent_direction(lp, hinv, F)
     if state.rgap < cfg.reproject_gap_threshold or state.iteration > cfg.reproject_iteration_threshold:
-        d = reproject(d, lp, F, p, x)
+        d = reproject(d, lp, F, hinv)
 
     # duals at the pre-move point, from the same factorization
-    w = np.zeros(lp.n)
-    idx = lp.bounded
-    w[idx] = -(x[idx] / lp.upper[idx]) * s_reduced[idx]
-    s = s_reduced + w
+    w, s = _bound_duals(lp, x, reduced)
 
     infeasible = state.rf > cfg.epsilon
 
@@ -235,6 +245,7 @@ def solve(lp: StandardLP, cfg: SolverConfig | None = None, offset: float = 0.0) 
     """Run the full affine scaling iteration; never raises past this API."""
     cfg = cfg or SolverConfig()
     p = GaugeParams(r=cfg.r, upper=lp.upper)
+    plan = linalg.normal_plan(lp.A)
     trace: list[TraceRecord] = []
 
     def report(state, status):
@@ -257,12 +268,13 @@ def solve(lp: StandardLP, cfg: SolverConfig | None = None, offset: float = 0.0) 
         if cfg.start_policy == "x1":
             x0 = starting_point_x1(lp)
         elif cfg.start_policy == "x2":
-            x0 = starting_point_x2(lp)
+            x0 = starting_point_x2(lp, plan)
         else:
-            x0 = choose_start(lp)
+            x0 = choose_start(lp, plan)
 
-        F0 = linalg.factor(linalg.assemble_normal(lp.A, 1.0 / scaling_diagonals(x0, p).h))
-        y0, w0, s0 = recover_duals(lp, x0, p, F0)
+        hinv0 = 1.0 / scaling_diagonals(x0, p).h
+        F0 = linalg.factor(linalg.assemble_normal(plan, hinv0))
+        y0, w0, s0 = recover_duals(lp, x0, hinv0, F0)
         state = IterateState(
             x=x0,
             y=y0,
@@ -277,7 +289,7 @@ def solve(lp: StandardLP, cfg: SolverConfig | None = None, offset: float = 0.0) 
         while not _converged(state, lp, cfg):
             if state.iteration >= cfg.max_iterations:
                 return report(state, Status.ITERATION_LIMIT)
-            state = iterate_once(state, lp, cfg)
+            state = iterate_once(state, lp, cfg, p, plan)
             trace.append(_record(state, lp))
         return report(state, Status.OPTIMAL)
 

@@ -115,8 +115,9 @@ def test_criterion_4_directions_match_dense_oracles():
             r = float(rng.uniform(0.05, 0.9))
             p = GaugeParams(r=r, upper=lp.upper)
             h = scaling_diagonals(x, p).h
-            F = linalg.factor(linalg.assemble_normal(lp.A, 1.0 / h))
-            d, _, _ = descent_direction(lp, x, p, F)
+            hinv = 1.0 / h
+            F = linalg.factor(linalg.assemble_normal(lp.A, hinv))
+            d, _, _ = descent_direction(lp, hinv, F)
 
             # dense projector oracle
             hs = np.sqrt(h)
@@ -162,11 +163,9 @@ def test_criterion_5_solver_invariants():
             x = random_interior_point(rng, lp)
 
             def direction_at(r):
-                p = GaugeParams(r=r, upper=lp.upper)
-                F = linalg.factor(
-                    linalg.assemble_normal(lp.A, 1.0 / scaling_diagonals(x, p).h)
-                )
-                return descent_direction(lp, x, p, F)[0]
+                hinv = 1.0 / scaling_diagonals(x, GaugeParams(r=r, upper=lp.upper)).h
+                F = linalg.factor(linalg.assemble_normal(lp.A, hinv))
+                return descent_direction(lp, hinv, F)[0]
 
             assert_allclose(direction_at(1e-6), direction_at(0.0), rtol=CONTINUITY_RTOL, atol=1e-8)
 
@@ -190,9 +189,9 @@ def test_criterion_5_solver_invariants():
         for _ in range(10):
             lp, _ = random_lp(rng, m=4, n=9)
             x = random_interior_point(rng, lp)
-            p = GaugeParams(r=0.2, upper=lp.upper)
-            F = linalg.factor(linalg.assemble_normal(lp.A, 1.0 / scaling_diagonals(x, p).h))
-            d, _, _ = descent_direction(lp, x, p, F)
+            hinv = 1.0 / scaling_diagonals(x, GaugeParams(r=0.2, upper=lp.upper)).h
+            F = linalg.factor(linalg.assemble_normal(lp.A, hinv))
+            d, _, _ = descent_direction(lp, hinv, F)
             bound = 1e-6 * (1.0 + np.abs(lp.A).max() * np.linalg.norm(d, np.inf))
             assert np.linalg.norm(lp.A @ d, np.inf) <= bound
 

@@ -31,14 +31,14 @@ def make_lp(A, b, c, upper=None):
 
 
 def factor_at(lp, x, r):
-    p = GaugeParams(r=r, upper=lp.upper)
-    F = factor(assemble_normal(lp.A, 1.0 / scaling_diagonals(x, p).h))
-    return p, F
+    hinv = 1.0 / scaling_diagonals(x, GaugeParams(r=r, upper=lp.upper)).h
+    F = factor(assemble_normal(lp.A, hinv))
+    return hinv, F
 
 
-def dense_projected_direction(lp, x, p):
+def dense_projected_direction(lp, x, r):
     """Dense oracle: d = -H^(-1/2) P H^(-1/2) c with an explicit projector."""
-    h = scaling_diagonals(x, p).h
+    h = scaling_diagonals(x, GaugeParams(r=r, upper=lp.upper)).h
     hs = np.sqrt(h)
     B = lp.A.toarray() / hs  # A H^(-1/2)
     P = np.eye(lp.n) - B.T @ np.linalg.pinv(B @ B.T) @ B
@@ -48,8 +48,8 @@ def dense_projected_direction(lp, x, p):
 def test_descent_hand_case():
     lp = make_lp([[1.0, 1.0]], [1.0], [1.0, 0.0])
     x = np.array([0.5, 0.5])
-    p, F = factor_at(lp, x, 0.0)
-    d, y, s = descent_direction(lp, x, p, F)
+    hinv, F = factor_at(lp, x, 0.0)
+    d, y, s = descent_direction(lp, hinv, F)
     assert_allclose(y, [0.5])
     assert_allclose(s, [0.5, -0.5])
     assert_allclose(d, [-0.125, 0.125])
@@ -60,8 +60,8 @@ def test_descent_zero_when_c_in_row_space():
     # c = A^t y means s = 0 at the exact minimizer over the affine set
     lp = make_lp([[1.0, 1.0]], [1.0], [2.0, 2.0])
     x = np.array([0.3, 0.7])
-    p, F = factor_at(lp, x, 0.4)
-    d, _, s = descent_direction(lp, x, p, F)
+    hinv, F = factor_at(lp, x, 0.4)
+    d, _, s = descent_direction(lp, hinv, F)
     assert_allclose(s, np.zeros(2), atol=1e-12)
     assert_allclose(d, np.zeros(2), atol=1e-12)
 
@@ -71,9 +71,9 @@ def test_descent_matches_dense_projector(rng):
         lp, _ = random_lp(rng, m=3, n=6)
         x = random_interior_point(rng, lp)
         r = rng.uniform(0.0, 0.9)
-        p, F = factor_at(lp, x, r)
-        d, _, _ = descent_direction(lp, x, p, F)
-        assert_allclose(d, dense_projected_direction(lp, x, p), rtol=1e-8, atol=1e-10)
+        hinv, F = factor_at(lp, x, r)
+        d, _, _ = descent_direction(lp, hinv, F)
+        assert_allclose(d, dense_projected_direction(lp, x, r), rtol=1e-8, atol=1e-10)
 
 
 def test_descent_is_nonascent(rng):
@@ -82,8 +82,8 @@ def test_descent_is_nonascent(rng):
         n = int(rng.integers(m + 1, 9))
         lp, _ = random_lp(rng, m=m, n=n)
         x = random_interior_point(rng, lp)
-        p, F = factor_at(lp, x, float(rng.uniform(0.0, 0.95)))
-        d, _, _ = descent_direction(lp, x, p, F)
+        hinv, F = factor_at(lp, x, float(rng.uniform(0.0, 0.95)))
+        d, _, _ = descent_direction(lp, hinv, F)
         assert lp.c @ d <= 1e-10 * (1.0 + np.linalg.norm(lp.c) * np.linalg.norm(d))
 
 
@@ -91,8 +91,8 @@ def test_descent_stays_in_kernel(rng):
     for _ in range(50):
         lp, _ = random_lp(rng, m=4, n=8)
         x = random_interior_point(rng, lp)
-        p, F = factor_at(lp, x, float(rng.uniform(0.0, 0.9)))
-        d, _, _ = descent_direction(lp, x, p, F)
+        hinv, F = factor_at(lp, x, float(rng.uniform(0.0, 0.9)))
+        d, _, _ = descent_direction(lp, hinv, F)
         bound = 1e-6 * (1.0 + np.abs(lp.A).max() * np.linalg.norm(d, np.inf))
         assert np.linalg.norm(lp.A @ d, np.inf) <= bound
 
@@ -100,8 +100,8 @@ def test_descent_stays_in_kernel(rng):
 def test_feasibility_hand_case():
     lp = make_lp([[1.0, 1.0]], [1.0], [0.0, 0.0])
     x = np.array([1.0, 1.0])  # residual b - Ax = -1
-    p, F = factor_at(lp, x, 0.0)
-    dx = feasibility_direction(lp, x, p, F)
+    hinv, F = factor_at(lp, x, 0.0)
+    dx = feasibility_direction(lp, x, hinv, F)
     assert_allclose(dx, [-0.5, -0.5])
     assert_allclose(lp.A @ dx, lp.b - lp.A @ x)
 
@@ -110,8 +110,8 @@ def test_feasibility_residual_contraction(rng):
     for _ in range(30):
         lp, _ = random_lp(rng, m=3, n=7)
         x = random_interior_point(rng, lp)
-        p, F = factor_at(lp, x, float(rng.uniform(0.0, 0.9)))
-        dx = feasibility_direction(lp, x, p, F)
+        hinv, F = factor_at(lp, x, float(rng.uniform(0.0, 0.9)))
+        dx = feasibility_direction(lp, x, hinv, F)
         resid = lp.b - lp.A @ x
         for t in (0.25, 0.65, 1.0):
             after = lp.b - lp.A @ (x + t * dx)
@@ -121,11 +121,11 @@ def test_feasibility_residual_contraction(rng):
 def test_reproject_annihilates_row_space(rng):
     lp, _ = random_lp(rng, m=3, n=6)
     x = random_interior_point(rng, lp)
-    p, F = factor_at(lp, x, 0.3)
+    hinv, F = factor_at(lp, x, 0.3)
     # contaminate a kernel direction with a row-space component
-    d, _, _ = descent_direction(lp, x, p, F)
-    bad = d + 0.1 * (lp.A.T @ rng.normal(size=lp.m)) / scaling_diagonals(x, p).h
-    fixed = reproject(bad, lp, F, p, x)
+    d, _, _ = descent_direction(lp, hinv, F)
+    bad = d + 0.1 * hinv * (lp.A.T @ rng.normal(size=lp.m))
+    fixed = reproject(bad, lp, F, hinv)
     assert np.linalg.norm(lp.A @ fixed, np.inf) <= 1e-10 * (1.0 + np.linalg.norm(fixed))
     assert_allclose(fixed, d, rtol=1e-8, atol=1e-10)
 
@@ -133,9 +133,9 @@ def test_reproject_annihilates_row_space(rng):
 def test_reproject_does_not_grow_clean_direction(rng):
     lp, _ = random_lp(rng, m=3, n=6)
     x = random_interior_point(rng, lp)
-    p, F = factor_at(lp, x, 0.0)
-    d, _, _ = descent_direction(lp, x, p, F)
-    fixed = reproject(d, lp, F, p, x)
+    hinv, F = factor_at(lp, x, 0.0)
+    d, _, _ = descent_direction(lp, hinv, F)
+    fixed = reproject(d, lp, F, hinv)
     assert np.linalg.norm(fixed) <= np.linalg.norm(d) * (1.0 + 1e-12)
     assert_allclose(fixed, d, rtol=1e-10, atol=1e-12)
 
@@ -144,11 +144,11 @@ def test_newton_limit_recovers_descent(rng):
     lp, _ = random_lp(rng, m=3, n=6)
     x = random_interior_point(rng, lp)
     r = 0.4
-    p, F = factor_at(lp, x, r)
-    d, _, _ = descent_direction(lp, x, p, F)
+    hinv, F = factor_at(lp, x, r)
+    d, _, _ = descent_direction(lp, hinv, F)
     errs = []
     for mu in (1e-4, 1e-6):
-        dn = newton_direction(lp, x, mu, p)
+        dn = newton_direction(lp, x, mu, GaugeParams(r=r, upper=lp.upper))
         errs.append(np.linalg.norm(mu * (1.0 - r) * dn - d, np.inf))
     assert errs[1] <= 1e-4 * (1.0 + np.linalg.norm(d, np.inf))
     # the gap to the limit closes at first order in mu
@@ -206,8 +206,8 @@ def test_max_step_boundary_consistency(rng):
 def test_direction_r_continuity(rng):
     lp, _ = random_lp(rng, m=3, n=6)
     x = random_interior_point(rng, lp)
-    p0, F0 = factor_at(lp, x, 0.0)
-    d0, _, _ = descent_direction(lp, x, p0, F0)
-    pe, Fe = factor_at(lp, x, 1e-6)
-    de, _, _ = descent_direction(lp, x, pe, Fe)
+    hinv0, F0 = factor_at(lp, x, 0.0)
+    d0, _, _ = descent_direction(lp, hinv0, F0)
+    hinve, Fe = factor_at(lp, x, 1e-6)
+    de, _, _ = descent_direction(lp, hinve, Fe)
     assert_allclose(de, d0, rtol=1e-4, atol=1e-8)

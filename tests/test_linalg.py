@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
@@ -8,6 +9,7 @@ from galp.linalg import (
     NonFiniteInput,
     assemble_normal,
     factor,
+    normal_plan,
     solve,
 )
 
@@ -20,6 +22,28 @@ def dense_triple_loop(A, dinv):
             for j in range(n):
                 M[i, k] += A[i, j] * dinv[j] * A[k, j]
     return M
+
+
+def sparse_product_normal(A, dinv):
+    """The scipy sparse product the planned assembly must reproduce bit for bit."""
+    M = np.asarray((A.multiply(dinv) @ A.T).todense())
+    return np.tril(M) + np.tril(M, -1).T
+
+
+def kernel_test_matrices(rng):
+    """Sparse matrices with empty rows and columns, single-entry columns, and m = 1."""
+    yield sp.csc_matrix(np.array([[0.0, 2.5, -1.0, 0.0]]))
+    yield sp.csc_matrix(rng.uniform(-1, 1, size=(1, 7)))
+    yield sp.csc_matrix(np.diag([1.0, -3.0, 0.5]))
+    for m, n, density in ((5, 9, 0.3), (12, 30, 0.1), (40, 25, 0.05), (60, 180, 0.04), (150, 400, 0.02)):
+        A = sp.random(m, n, density=density, format="lil", random_state=rng)
+        A[m // 2, :] = 0.0  # an empty row
+        A[:, n // 3] = 0.0  # an empty column
+        A[:, n // 2] = 0.0
+        A[m - 1, n // 2] = 1.7  # a single-entry column
+        A = sp.csc_matrix(A)
+        A.data = rng.uniform(-3, 3, size=A.nnz)
+        yield A
 
 
 def gaussian_elimination(M, rhs):
@@ -64,6 +88,16 @@ def test_assemble_exactly_symmetric(rng):
     assert np.array_equal(M, M.T)  # bit-identical
 
 
+def test_assemble_bit_identical_to_sparse_product(rng):
+    for A in kernel_test_matrices(rng):
+        plan = normal_plan(A)
+        for lo, hi in ((1.0, 1.0), (1e-3, 1e3), (1e-30, 1e30)):
+            dinv = np.exp(rng.uniform(np.log(lo), np.log(hi), size=A.shape[1]))
+            expected = sparse_product_normal(A, dinv)
+            assert np.array_equal(assemble_normal(plan, dinv), expected)
+            assert np.array_equal(assemble_normal(A, dinv), expected)
+
+
 def test_assemble_rejects_nonfinite():
     A = sp.csc_matrix(np.eye(2))
     with pytest.raises(NonFiniteInput):
@@ -91,6 +125,20 @@ def test_factor_singular_regularizes():
     assert_allclose(F.L @ F.L.T, regularized, rtol=1e-8)
 
 
+def test_factor_bit_identical_to_shifted_cholesky(rng):
+    for m in (2, 5, 60, 300):
+        B = rng.uniform(-1, 1, size=(m, m + 3))
+        M = B @ B.T
+        F = factor(M)
+        assert F.rho == 0.0
+        assert np.array_equal(F.L, np.linalg.cholesky(M))
+        # slightly indefinite: only a regularized factorization succeeds
+        M -= (np.linalg.eigvalsh(M)[0] + 1e-9 * np.trace(M) / m) * np.eye(m)
+        F = factor(M)
+        assert F.rho > 0.0
+        assert np.array_equal(F.L, np.linalg.cholesky(M + F.rho * np.diag(np.diag(M))))
+
+
 def test_factor_hopeless_matrix_fails():
     with pytest.raises(FactorizationFailed):
         factor(np.zeros((2, 2)))
@@ -105,6 +153,16 @@ def test_solve_identity(rng):
     F = factor(np.eye(4))
     rhs = rng.normal(size=4)
     assert_allclose(solve(F, rhs), rhs)
+
+
+def test_solve_bit_identical_to_lower_cho_solve(rng):
+    for m in (1, 5, 60, 300):
+        B = rng.uniform(-1, 1, size=(m, m))
+        F = factor(B @ B.T + 0.1 * np.eye(m))
+        for _ in range(3):
+            rhs = rng.normal(size=m) * 10.0 ** rng.uniform(-8, 8)
+            expected = scipy.linalg.cho_solve((F.L, True), rhs, check_finite=False)
+            assert np.array_equal(solve(F, rhs), expected)
 
 
 def test_solve_matches_gaussian_oracle(rng):

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from galp import linalg
-from galp.model import StandardLP, primal_infeasibility
+from galp import directions, linalg
+from galp.model import StandardLP, primal_infeasibility, to_standard_form
+from galp.mps import read_mps
 from galp.penalty import GaugeParams, scaling_diagonals
 from galp.solver import (
     IterateState,
@@ -19,7 +23,7 @@ from galp.solver import (
     starting_point_x2,
 )
 
-from conftest import random_lp
+from conftest import NETLIB_PROBLEMS, netlib_path, random_lp
 
 
 def make_lp(A, b, c, upper=None):
@@ -36,9 +40,22 @@ def make_lp(A, b, c, upper=None):
 
 
 def factor_at(lp, x, r):
-    p = GaugeParams(r=r, upper=lp.upper)
-    F = linalg.factor(linalg.assemble_normal(lp.A, 1.0 / scaling_diagonals(x, p).h))
-    return p, F
+    hinv = 1.0 / scaling_diagonals(x, GaugeParams(r=r, upper=lp.upper)).h
+    F = linalg.factor(linalg.assemble_normal(lp.A, hinv))
+    return hinv, F
+
+
+def x2(lp):
+    return starting_point_x2(lp, linalg.normal_plan(lp.A))
+
+
+def start(lp):
+    return choose_start(lp, linalg.normal_plan(lp.A))
+
+
+def step(state, lp, cfg):
+    p = GaugeParams(r=cfg.r, upper=lp.upper)
+    return iterate_once(state, lp, cfg, p, linalg.normal_plan(lp.A))
 
 
 def test_config_validation():
@@ -65,40 +82,40 @@ def test_starting_point_x1_values():
 
 def test_starting_point_x2_values():
     lp = make_lp([[1.0, 1.0]], [1.0], [0.0, 0.0])
-    assert_allclose(starting_point_x2(lp), [0.515, 0.515])
+    assert_allclose(x2(lp), [0.515, 0.515])
 
     lp = make_lp([[1.0, 1.0]], [0.0], [0.0, 0.0])
-    assert_allclose(starting_point_x2(lp), [0.01, 0.01])
+    assert_allclose(x2(lp), [0.01, 0.01])
 
     # min-norm solution (1, -1): the shift is driven by the negative entry
     lp = make_lp([[1.0, -1.0]], [2.0], [0.0, 0.0])
-    assert_allclose(starting_point_x2(lp), [2.5, 0.5])
+    assert_allclose(x2(lp), [2.5, 0.5])
 
 
 def test_starting_point_x2_respects_bounds():
     lp = make_lp([[1.0, 1.0]], [100.0], [0.0, 0.0], upper=[2.0, np.inf])
-    x = starting_point_x2(lp)
+    x = x2(lp)
     assert 0.0 < x[0] <= 0.99 * 2.0
 
 
 def test_choose_start_branches():
     # min x1 = 2 >= 1 and min x2 = 0.515 < 2: keep x1
     lp = make_lp([[1.0, 1.0]], [1.0], [-1.0, -1.0])
-    assert_allclose(choose_start(lp), starting_point_x1(lp))
+    assert_allclose(start(lp), starting_point_x1(lp))
     # min x2 ~ 5 beats min x1 = 2: switch to x2
     lp = make_lp([[1.0, 1.0]], [10.0], [-1.0, -1.0])
-    assert_allclose(choose_start(lp), starting_point_x2(lp))
+    assert_allclose(start(lp), x2(lp))
     # min x1 = 0.1 < 1 forces x2 regardless
     lp = make_lp([[1.0, 1.0]], [1.0], [1.0, 1.0], upper=[1.0, 1.0])
     assert starting_point_x1(lp).min() < 1.0
-    assert_allclose(choose_start(lp), starting_point_x2(lp))
+    assert_allclose(start(lp), x2(lp))
 
 
 def test_recover_duals_unbounded_case():
     lp = make_lp([[1.0, 1.0]], [1.0], [1.0, 0.0])
     x = np.array([0.5, 0.5])
-    p, F = factor_at(lp, x, 0.0)
-    y, w, s = recover_duals(lp, x, p, F)
+    hinv, F = factor_at(lp, x, 0.0)
+    y, w, s = recover_duals(lp, x, hinv, F)
     assert_allclose(y, [0.5])
     assert_allclose(w, [0.0, 0.0])
     assert_allclose(s, [0.5, -0.5])
@@ -107,8 +124,8 @@ def test_recover_duals_unbounded_case():
 def test_recover_duals_bounded_case():
     lp = make_lp([[1.0, 1.0]], [1.0], [1.0, 0.0], upper=[1.0, np.inf])
     x = np.array([0.5, 0.5])
-    p, F = factor_at(lp, x, 0.0)
-    y, w, s = recover_duals(lp, x, p, F)
+    hinv, F = factor_at(lp, x, 0.0)
+    y, w, s = recover_duals(lp, x, hinv, F)
     assert_allclose(y, [1.0 / 3.0])
     assert_allclose(w, [-1.0 / 3.0, 0.0])
     assert_allclose(s, [1.0 / 3.0, -1.0 / 3.0])
@@ -118,8 +135,8 @@ def test_relative_gap_identity(rng):
     # at a feasible x the gap equals <s, x> + <w_I, u_I - x_I>
     for _ in range(20):
         lp, x = random_lp(rng, m=3, n=6, bounded="some")
-        p, F = factor_at(lp, x, 0.3)
-        y, w, s = recover_duals(lp, x, p, F)
+        hinv, F = factor_at(lp, x, 0.3)
+        y, w, s = recover_duals(lp, x, hinv, F)
         idx = lp.bounded
         direct = float(s @ x) + float(w[idx] @ (lp.upper[idx] - x[idx]))
         expected = direct / (abs(float(lp.c @ x)) + 1.0)
@@ -127,8 +144,8 @@ def test_relative_gap_identity(rng):
 
 
 def _fresh_state(lp, x, r=0.0):
-    p, F = factor_at(lp, x, r)
-    y, w, s = recover_duals(lp, x, p, F)
+    hinv, F = factor_at(lp, x, r)
+    y, w, s = recover_duals(lp, x, hinv, F)
     return IterateState(
         x=x, y=y, w=w, s=s,
         rf=primal_infeasibility(lp, x),
@@ -141,7 +158,7 @@ def test_iterate_once_descent_step_hand_case():
     cfg = SolverConfig(r=0.0)
     state = _fresh_state(lp, np.array([0.5, 0.5]))
     assert state.rf == 0.0
-    out = iterate_once(state, lp, cfg)
+    out = step(state, lp, cfg)
     # feasible point: residual move is a no-op, descent uses the 0.95 factor
     # on d = (-0.125, 0.125) with wall at t = 4
     assert out.step_desc == pytest.approx(0.95 * 4.0)
@@ -153,7 +170,7 @@ def test_iterate_once_feasibility_step_hand_case():
     lp = make_lp([[1.0, 1.0]], [1.0], [0.0, 0.0])
     cfg = SolverConfig(r=0.0)
     state = _fresh_state(lp, np.array([1.0, 1.0]))  # residual -1, Rf = 0.5
-    out = iterate_once(state, lp, cfg)
+    out = step(state, lp, cfg)
     # infeasible: dx = (-0.5, -0.5), cap at 1 binds, factor 0.95
     assert out.step_feas == pytest.approx(0.95)
     assert out.rf == pytest.approx(0.05 * 0.5)
@@ -166,7 +183,7 @@ def test_iterate_once_swaps_step_factors(rng):
     # infeasible start: feasibility gets the aggressive factor
     state = _fresh_state(lp, np.full(lp.n, 2.0), r=cfg.r)
     assert state.rf > cfg.epsilon
-    out = iterate_once(state, lp, cfg)
+    out = step(state, lp, cfg)
     tmax_feas = out.step_feas / cfg.step_aggressive
     assert 0.0 < tmax_feas <= 1.0 + 1e-12
 
@@ -174,11 +191,11 @@ def test_iterate_once_swaps_step_factors(rng):
 def test_iterate_preserves_interiority(rng):
     lp, _ = random_lp(rng, m=3, n=7, bounded="all")
     cfg = SolverConfig(r=0.2)
-    state = _fresh_state(lp, choose_start(lp), r=cfg.r)
+    state = _fresh_state(lp, start(lp), r=cfg.r)
     for _ in range(40):
         if state.rf <= cfg.epsilon and state.rgap <= cfg.epsilon:
             break
-        state = iterate_once(state, lp, cfg)
+        state = step(state, lp, cfg)
         assert state.x.min() > 0.0
         assert np.all(state.x < lp.upper)
 
@@ -190,7 +207,7 @@ def test_residual_contracts_across_iterations(rng):
     state = _fresh_state(lp, x0, r=cfg.r)
     prev = state.rf
     for _ in range(10):
-        state = iterate_once(state, lp, cfg)
+        state = step(state, lp, cfg)
         if prev > cfg.epsilon:
             assert state.rf <= prev * 0.06  # (1 - 0.95) with slack
         prev = state.rf
@@ -274,10 +291,10 @@ def test_duals_lag_primal_by_one_move():
     lp = make_lp([[1.0, 1.0]], [1.0], [1.0, 0.0])
     cfg = SolverConfig(r=0.0)
     state = _fresh_state(lp, np.array([0.5, 0.5]))
-    out = iterate_once(state, lp, cfg)
+    out = step(state, lp, cfg)
     # reported duals were computed at the pre-move point
-    p, F = factor_at(lp, state.x, 0.0)
-    y_pre, w_pre, s_pre = recover_duals(lp, state.x, p, F)
+    hinv, F = factor_at(lp, state.x, 0.0)
+    y_pre, w_pre, s_pre = recover_duals(lp, state.x, hinv, F)
     assert_allclose(out.y, y_pre)
     assert_allclose(out.s, s_pre)
 
@@ -287,4 +304,45 @@ def test_start_policy_override():
     r1 = solve(lp, SolverConfig(r=0.2, start_policy="x1", max_iterations=0))
     r2 = solve(lp, SolverConfig(r=0.2, start_policy="x2", max_iterations=0))
     assert_allclose(r1.x, starting_point_x1(lp))
-    assert_allclose(r2.x, starting_point_x2(lp))
+    assert_allclose(r2.x, x2(lp))
+
+
+def sparse_product_assemble(A, dinv):
+    """Normal matrix from scipy's sparse product, lower triangle mirrored."""
+    M = np.asarray((A.multiply(dinv) @ A.T).todense())
+    return np.tril(M) + np.tril(M, -1).T
+
+
+def shifted_matrix_factor(M):
+    """Cholesky of M + rho*diag(M) with the m x m diagonal matrix formed."""
+    diag = np.diag(M).copy()
+    for rho in linalg.REGULARIZATIONS:
+        try:
+            L = np.linalg.cholesky(M + rho * np.diag(diag))
+        except np.linalg.LinAlgError:
+            continue
+        if np.min(np.diag(L)) ** 2 > 1e-30:
+            return linalg.CholeskyFactor(L=L, rho=rho)
+    raise linalg.FactorizationFailed("rank deficient")
+
+
+def lower_factor_solve(F, rhs):
+    return scipy.linalg.cho_solve((F.L, True), rhs, check_finite=False)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5])
+def test_solve_bit_identical_to_sparse_product_kernel(monkeypatch, r):
+    cfg = SolverConfig(r=r)
+    lps = [to_standard_form(read_mps(netlib_path(name)))[0] for name in NETLIB_PROBLEMS]
+    planned = [solve(lp, cfg) for lp in lps]
+
+    monkeypatch.setattr(linalg, "normal_plan", lambda A: A)
+    monkeypatch.setattr(linalg, "assemble_normal", sparse_product_assemble)
+    monkeypatch.setattr(linalg, "factor", shifted_matrix_factor)
+    monkeypatch.setattr(linalg, "solve", lower_factor_solve)
+    monkeypatch.setattr(directions, "solve", lower_factor_solve)
+    for lp, new in zip(lps, planned):
+        old = solve(lp, cfg)
+        assert new.status == old.status == Status.OPTIMAL
+        assert [dataclasses.astuple(t) for t in new.trace] == [dataclasses.astuple(t) for t in old.trace]
+        assert np.array_equal(new.x, old.x)
