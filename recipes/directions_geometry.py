@@ -14,7 +14,7 @@ import scipy.sparse as sp
 
 from galp import StandardLP, GaugeParams, scaling_diagonals
 from galp.directions import descent_direction, feasibility_direction, max_step, newton_direction
-from galp.linalg import assemble_normal, factor
+from galp.linalg import assemble_normal, factor, normal_plan
 
 lp = StandardLP(
     A=sp.csc_matrix(np.array([[1.0, 1.0]])),
@@ -26,7 +26,8 @@ lp = StandardLP(
 x = np.array([0.5, 0.5])
 p = GaugeParams(r=0.0, upper=lp.upper)
 hinv = 1.0 / scaling_diagonals(x, p).h
-F = factor(assemble_normal(lp.A, hinv))
+plan = normal_plan(lp.A)
+F = factor(assemble_normal(plan, hinv))
 
 d, y, s = descent_direction(lp, hinv, F)
 print("descent d =", d, "  A d =", lp.A @ d, "  <c, d> =", lp.c @ d)
@@ -36,7 +37,7 @@ print("wall distance along d:", max_step(x, lp.upper, d))
 # from an infeasible point the feasibility direction cancels the residual
 x_bad = np.array([1.0, 1.0])
 hinv_bad = 1.0 / scaling_diagonals(x_bad, p).h
-F_bad = factor(assemble_normal(lp.A, hinv_bad))
+F_bad = factor(assemble_normal(plan, hinv_bad))
 dx = feasibility_direction(lp, x_bad, hinv_bad, F_bad)
 print("\nresidual before:", lp.b - lp.A @ x_bad)
 print("residual after a full step:", lp.b - lp.A @ (x_bad + dx))
@@ -44,7 +45,7 @@ print("residual after a full step:", lp.b - lp.A @ (x_bad + dx))
 # the Newton direction approaches the descent direction as mu -> 0
 p5 = GaugeParams(r=0.5, upper=lp.upper)
 hinv5 = 1.0 / scaling_diagonals(x, p5).h
-F5 = factor(assemble_normal(lp.A, hinv5))
+F5 = factor(assemble_normal(plan, hinv5))
 d5, _, _ = descent_direction(lp, hinv5, F5)
 print("\nr = 0.5 descent:", d5)
 for mu in (1.0, 1e-2, 1e-4):

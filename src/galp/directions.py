@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import CholeskyFactor, assemble_normal, factor, solve
+from .linalg import CholeskyFactor, assemble_normal, factor, normal_plan, solve
 from .model import StandardLP
 from .penalty import GaugeParams, scaling_diagonals
 
@@ -54,7 +54,7 @@ def newton_direction(lp: StandardLP, x, mu: float, p: GaugeParams):
         raise ValueError("newton_direction needs r in (0, 1) and mu > 0")
     sd = scaling_diagonals(x, p)
     hinv = 1.0 / sd.h
-    F = factor(assemble_normal(lp.A, hinv))
+    F = factor(assemble_normal(normal_plan(lp.A), hinv))
 
     def project(v):
         # H^(-1/2) P H^(-1/2) v, via the normal equations

@@ -1,21 +1,29 @@
 """Normal-equations kernel: assemble A diag(dinv) A^t and solve by Cholesky.
 
-Assembly runs from a symbolic plan of A built once per solve
-(``normal_plan``).  The plan lists, for every column j, each pair of stored
-entries (i, j), (k, j) with i >= k, sorted by the flat lower-triangle
-position i*m + k and then by j, together with the distinct positions and
-their mirrors in the upper triangle.  Each ``assemble_normal`` then does
-numeric work only: one product (A[i,j]*dinv[j])*A[k,j] per pair, one
-``np.bincount`` that sums the pairs of each position, and two scatters into
-a dense m x m array.
+Assembly runs from a plan of A built once per solve (``normal_plan``), so
+each ``assemble_normal`` does numeric work only.  The usual plan is a
+``PairPlan``: for every column j it lists each pair of stored entries
+(i, j), (k, j) with i >= k, sorted by the flat lower-triangle position
+i*m + k and then by j, together with the distinct positions and their
+mirrors in the upper triangle.  Assembly is one product
+(A[i,j]*dinv[j])*A[k,j] per pair, one ``np.bincount`` that sums the pairs of
+each position, and two scatters into a dense m x m array.
 
-The summation order is fixed on purpose.  Every entry is summed over
-ascending j with the product association of scipy's
-``A.multiply(dinv) @ A.T``, so M is bit-for-bit the matrix that product
-gives and the iterates, and with them the iteration table, stay
-byte-identical.  ``tests/test_linalg.py`` keeps that product as its oracle
-and compares with ``np.array_equal``, so a scipy release that changes the
-order of its sparse product is flagged there.
+The pair table costs memory per pair, and a column with c entries has
+c(c+1)/2 pairs, so dense columns blow it up: a fully dense 200 x 600 A has
+12M pairs.  When the pairs outnumber nnz(A) + m^2, the plan is a
+``ProductPlan`` that forms scipy's sparse product each time instead, whose
+memory stays of order nnz(A) + m^2.  Below that bound the table keeps 32
+bytes per pair, within a small factor of A and of the dense M that every
+assembly fills anyway.
+
+The summation order is fixed on purpose.  The pair plan sums every entry
+over ascending j with the product association of scipy's
+``A.multiply(dinv) @ A.T``, so both plans give M bit for bit and the
+iterates, and with them the iteration table, stay byte-identical.
+``tests/test_linalg.py`` keeps that product as its oracle and compares with
+``np.array_equal``, so a scipy release that changes the order of its sparse
+product is flagged there.
 
 The factorization escalates a relative diagonal regularization
 rho in {0, 1e-12, 1e-10, 1e-8, 1e-6} until every pivot stays above 1e-30;
@@ -52,8 +60,8 @@ class CholeskyFactor:
 
 
 @dataclass
-class NormalPlan:
-    """Symbolic structure of A diag(dinv) A^t for one constraint matrix A.
+class PairPlan:
+    """Pair table of A diag(dinv) A^t for one constraint matrix A.
 
     Pair p contributes (left[p] * dinv[col[p]]) * right[p] to the distinct
     lower-triangle position ``target[p]``, whose flat index in the m x m
@@ -69,61 +77,101 @@ class NormalPlan:
     lower: np.ndarray  # flat positions i*m + k, i >= k, ascending
     upper: np.ndarray  # flat positions k*m + i of the same entries
 
+    @classmethod
+    def build(cls, A) -> "PairPlan":
+        """Pair table of a sparse m x n matrix A."""
+        A = _canonical_csc(A)
+        m, n = A.shape
+        counts = np.diff(A.indptr)
+        start = np.repeat(A.indptr[:-1], counts)  # first stored entry of each entry's column
+        # entry e pairs with itself and every entry above it in its column
+        npairs = np.arange(A.nnz) - start + 1
+        first_pair = np.cumsum(npairs) - npairs
+        e_left = np.repeat(np.arange(A.nnz), npairs)
+        e_right = np.arange(e_left.size) - np.repeat(first_pair - start, npairs)
+        col = np.repeat(np.arange(n), counts)[e_left]
+        flat = A.indices[e_left].astype(np.int64) * m + A.indices[e_right]
+        # (position, column) keys are distinct; m*m*n stays below 2**63 for
+        # any m whose dense m x m matrix fits in memory
+        order = np.argsort(flat * n + col)
+        # one reordered copy at a time keeps the peak at six arrays per pair
+        e_left = e_left[order]
+        e_right = e_right[order]
+        col = col[order]
+        flat = flat[order]
+        del order
+        new = np.empty(flat.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(flat[1:], flat[:-1], out=new[1:])
+        lower = flat[new]
+        del flat
+        i, k = np.divmod(lower, m)
+        return cls(
+            m=m,
+            left=A.data[e_left],
+            right=A.data[e_right],
+            col=col,
+            target=np.cumsum(new) - 1,
+            lower=lower,
+            upper=k * m + i,
+        )
 
-def normal_plan(A) -> NormalPlan:
-    """Build the assembly plan of a sparse m x n matrix A."""
+    def assemble(self, dinv: np.ndarray) -> np.ndarray:
+        sums = np.bincount(
+            self.target, (self.left * dinv[self.col]) * self.right, minlength=self.lower.size
+        )
+        M = np.zeros(self.m * self.m)
+        M[self.lower] = sums
+        M[self.upper] = sums
+        return M.reshape(self.m, self.m)
+
+
+@dataclass
+class ProductPlan:
+    """Assembly by scipy's sparse product, for A whose pair table is too large."""
+
+    A: sp.spmatrix
+
+    def assemble(self, dinv: np.ndarray) -> np.ndarray:
+        M = np.asarray((self.A.multiply(dinv) @ self.A.T).todense())
+        return np.tril(M) + np.tril(M, -1).T
+
+
+NormalPlan = PairPlan | ProductPlan
+
+
+def _canonical_csc(A):
     A = sp.csc_matrix(A)
     if not A.has_canonical_format:
         A = A.copy()
         A.sum_duplicates()
-    m, n = A.shape
-    counts = np.diff(A.indptr)
-    start = np.repeat(A.indptr[:-1], counts)  # first stored entry of each entry's column
-    # entry e pairs with itself and every entry above it in its column
-    npairs = np.arange(A.nnz) - start + 1
-    first_pair = np.cumsum(npairs) - npairs
-    e_left = np.repeat(np.arange(A.nnz), npairs)
-    e_right = np.arange(e_left.size) - np.repeat(first_pair - start, npairs)
-    col = np.repeat(np.arange(n), counts)[e_left]
-    flat = A.indices[e_left].astype(np.int64) * m + A.indices[e_right]
-    # (position, column) keys are distinct; m*m*n stays below 2**63 for any m
-    # whose dense m x m matrix fits in memory
-    order = np.argsort(flat * n + col)
-    e_left, e_right, col, flat = e_left[order], e_right[order], col[order], flat[order]
-    new = np.empty(flat.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(flat[1:], flat[:-1], out=new[1:])
-    lower = flat[new]
-    i, k = np.divmod(lower, m)
-    return NormalPlan(
-        m=m,
-        left=A.data[e_left],
-        right=A.data[e_right],
-        col=col,
-        target=np.cumsum(new) - 1,
-        lower=lower,
-        upper=k * m + i,
-    )
+    return A
 
 
-def assemble_normal(A, dinv: np.ndarray) -> np.ndarray:
+def normal_plan(A) -> NormalPlan:
+    """Plan for assembling A diag(dinv) A^t repeatedly with the same A.
+
+    A pair table when it has at most nnz(A) + m^2 pairs, else the sparse
+    product; the count is taken before anything per pair is allocated.
+    """
+    C = _canonical_csc(A)
+    m = C.shape[0]
+    counts = np.diff(C.indptr).astype(np.int64)
+    if int(counts @ (counts + 1)) // 2 > C.nnz + m * m:
+        return ProductPlan(sp.csc_matrix(A))
+    return PairPlan.build(C)
+
+
+def assemble_normal(plan: NormalPlan, dinv: np.ndarray) -> np.ndarray:
     """Dense symmetric M with M[i, k] = sum_j A[i, j] * dinv[j] * A[k, j].
 
-    ``A`` is the sparse constraint matrix or, for repeated assembly with
-    the same A, its ``normal_plan``.  Both triangles are written from the
+    ``plan`` is ``normal_plan(A)``.  Both triangles are written from the
     same sums, so M is exactly symmetric.
     """
     dinv = np.asarray(dinv, dtype=float)
     if not np.all(np.isfinite(dinv)) or np.any(dinv < 0):
         raise NonFiniteInput("dinv must be finite and nonnegative")
-    plan = A if isinstance(A, NormalPlan) else normal_plan(A)
-    sums = np.bincount(
-        plan.target, (plan.left * dinv[plan.col]) * plan.right, minlength=plan.lower.size
-    )
-    M = np.zeros(plan.m * plan.m)
-    M[plan.lower] = sums
-    M[plan.upper] = sums
-    return M.reshape(plan.m, plan.m)
+    return plan.assemble(dinv)
 
 
 def factor(M: np.ndarray) -> CholeskyFactor:

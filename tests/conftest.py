@@ -29,6 +29,15 @@ def netlib_path(name):
     return os.path.join(NETLIB, f"{name}.mps")
 
 
+def sparse_product_normal(A, dinv):
+    """A diag(dinv) A^t by scipy's sparse product, lower triangle mirrored.
+
+    The assembly kernel must reproduce this bit for bit.
+    """
+    M = np.asarray((A.multiply(dinv) @ A.T).todense())
+    return np.tril(M) + np.tril(M, -1).T
+
+
 def random_lp(rng, m=3, n=6, bounded="some"):
     """Feasible random instance: b = A @ x_feas for an interior x_feas.
 

@@ -116,7 +116,7 @@ def test_criterion_4_directions_match_dense_oracles():
             p = GaugeParams(r=r, upper=lp.upper)
             h = scaling_diagonals(x, p).h
             hinv = 1.0 / h
-            F = linalg.factor(linalg.assemble_normal(lp.A, hinv))
+            F = linalg.factor(linalg.assemble_normal(linalg.normal_plan(lp.A), hinv))
             d, _, _ = descent_direction(lp, hinv, F)
 
             # dense projector oracle
@@ -164,7 +164,7 @@ def test_criterion_5_solver_invariants():
 
             def direction_at(r):
                 hinv = 1.0 / scaling_diagonals(x, GaugeParams(r=r, upper=lp.upper)).h
-                F = linalg.factor(linalg.assemble_normal(lp.A, hinv))
+                F = linalg.factor(linalg.assemble_normal(linalg.normal_plan(lp.A), hinv))
                 return descent_direction(lp, hinv, F)[0]
 
             assert_allclose(direction_at(1e-6), direction_at(0.0), rtol=CONTINUITY_RTOL, atol=1e-8)
@@ -190,7 +190,7 @@ def test_criterion_5_solver_invariants():
             lp, _ = random_lp(rng, m=4, n=9)
             x = random_interior_point(rng, lp)
             hinv = 1.0 / scaling_diagonals(x, GaugeParams(r=0.2, upper=lp.upper)).h
-            F = linalg.factor(linalg.assemble_normal(lp.A, hinv))
+            F = linalg.factor(linalg.assemble_normal(linalg.normal_plan(lp.A), hinv))
             d, _, _ = descent_direction(lp, hinv, F)
             bound = 1e-6 * (1.0 + np.abs(lp.A).max() * np.linalg.norm(d, np.inf))
             assert np.linalg.norm(lp.A @ d, np.inf) <= bound

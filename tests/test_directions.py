@@ -10,7 +10,7 @@ from galp.directions import (
     newton_direction,
     reproject,
 )
-from galp.linalg import assemble_normal, factor
+from galp.linalg import assemble_normal, factor, normal_plan
 from galp.model import StandardLP
 from galp.penalty import GaugeParams, scaling_diagonals
 
@@ -32,7 +32,7 @@ def make_lp(A, b, c, upper=None):
 
 def factor_at(lp, x, r):
     hinv = 1.0 / scaling_diagonals(x, GaugeParams(r=r, upper=lp.upper)).h
-    F = factor(assemble_normal(lp.A, hinv))
+    F = factor(assemble_normal(normal_plan(lp.A), hinv))
     return hinv, F
 
 

@@ -7,11 +7,15 @@ from numpy.testing import assert_allclose
 from galp.linalg import (
     FactorizationFailed,
     NonFiniteInput,
+    PairPlan,
+    ProductPlan,
     assemble_normal,
     factor,
     normal_plan,
     solve,
 )
+
+from conftest import sparse_product_normal
 
 
 def dense_triple_loop(A, dinv):
@@ -22,12 +26,6 @@ def dense_triple_loop(A, dinv):
             for j in range(n):
                 M[i, k] += A[i, j] * dinv[j] * A[k, j]
     return M
-
-
-def sparse_product_normal(A, dinv):
-    """The scipy sparse product the planned assembly must reproduce bit for bit."""
-    M = np.asarray((A.multiply(dinv) @ A.T).todense())
-    return np.tril(M) + np.tril(M, -1).T
 
 
 def kernel_test_matrices(rng):
@@ -67,43 +65,57 @@ def gaussian_elimination(M, rhs):
 
 def test_assemble_row_vector():
     A = sp.csc_matrix(np.array([[1.0, 1.0]]))
-    assert_allclose(assemble_normal(A, np.array([1.0, 1.0])), [[2.0]])
+    assert_allclose(assemble_normal(normal_plan(A), np.array([1.0, 1.0])), [[2.0]])
 
 
 def test_assemble_identity():
     A = sp.csc_matrix(np.eye(2))
-    assert_allclose(assemble_normal(A, np.array([3.0, 5.0])), np.diag([3.0, 5.0]))
+    assert_allclose(assemble_normal(normal_plan(A), np.array([3.0, 5.0])), np.diag([3.0, 5.0]))
 
 
 def test_assemble_matches_triple_loop(rng):
     A = rng.uniform(-1, 1, size=(3, 5))
     dinv = rng.uniform(0.1, 2.0, size=5)
-    M = assemble_normal(sp.csc_matrix(A), dinv)
+    M = assemble_normal(normal_plan(sp.csc_matrix(A)), dinv)
     assert_allclose(M, dense_triple_loop(A, dinv), rtol=1e-12, atol=1e-14)
 
 
 def test_assemble_exactly_symmetric(rng):
     A = sp.csc_matrix(rng.uniform(-1, 1, size=(6, 9)))
-    M = assemble_normal(A, rng.uniform(1e-8, 1e8, size=9))
+    M = assemble_normal(normal_plan(A), rng.uniform(1e-8, 1e8, size=9))
     assert np.array_equal(M, M.T)  # bit-identical
 
 
 def test_assemble_bit_identical_to_sparse_product(rng):
     for A in kernel_test_matrices(rng):
-        plan = normal_plan(A)
+        assert isinstance(normal_plan(A), PairPlan)
+        plans = (PairPlan.build(A), ProductPlan(A))
         for lo, hi in ((1.0, 1.0), (1e-3, 1e3), (1e-30, 1e30)):
             dinv = np.exp(rng.uniform(np.log(lo), np.log(hi), size=A.shape[1]))
             expected = sparse_product_normal(A, dinv)
-            assert np.array_equal(assemble_normal(plan, dinv), expected)
-            assert np.array_equal(assemble_normal(A, dinv), expected)
+            for plan in plans:
+                assert np.array_equal(assemble_normal(plan, dinv), expected)
+
+
+def test_dense_columns_assemble_by_sparse_product(rng):
+    # 8 full columns give 8 * 60 * 61 / 2 = 14640 pairs, above nnz + m^2 = 4120
+    A = sp.random(60, 40, density=0.05, format="lil", random_state=rng)
+    A[:, :8] = rng.uniform(-1, 1, size=(60, 8))
+    A = sp.csc_matrix(A)
+    plan = normal_plan(A)
+    assert isinstance(plan, ProductPlan)
+    dinv = np.exp(rng.uniform(np.log(1e-30), np.log(1e30), size=40))
+    M = assemble_normal(plan, dinv)
+    assert np.array_equal(M, sparse_product_normal(A, dinv))
+    assert np.array_equal(M, assemble_normal(PairPlan.build(A), dinv))
 
 
 def test_assemble_rejects_nonfinite():
-    A = sp.csc_matrix(np.eye(2))
+    plan = normal_plan(sp.csc_matrix(np.eye(2)))
     with pytest.raises(NonFiniteInput):
-        assemble_normal(A, np.array([1.0, np.inf]))
+        assemble_normal(plan, np.array([1.0, np.inf]))
     with pytest.raises(NonFiniteInput):
-        assemble_normal(A, np.array([1.0, -1.0]))
+        assemble_normal(plan, np.array([1.0, -1.0]))
 
 
 def test_factor_scalar():

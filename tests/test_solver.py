@@ -23,7 +23,7 @@ from galp.solver import (
     starting_point_x2,
 )
 
-from conftest import NETLIB_PROBLEMS, netlib_path, random_lp
+from conftest import NETLIB_PROBLEMS, netlib_path, random_lp, sparse_product_normal
 
 
 def make_lp(A, b, c, upper=None):
@@ -41,7 +41,7 @@ def make_lp(A, b, c, upper=None):
 
 def factor_at(lp, x, r):
     hinv = 1.0 / scaling_diagonals(x, GaugeParams(r=r, upper=lp.upper)).h
-    F = linalg.factor(linalg.assemble_normal(lp.A, hinv))
+    F = linalg.factor(linalg.assemble_normal(linalg.normal_plan(lp.A), hinv))
     return hinv, F
 
 
@@ -307,12 +307,6 @@ def test_start_policy_override():
     assert_allclose(r2.x, x2(lp))
 
 
-def sparse_product_assemble(A, dinv):
-    """Normal matrix from scipy's sparse product, lower triangle mirrored."""
-    M = np.asarray((A.multiply(dinv) @ A.T).todense())
-    return np.tril(M) + np.tril(M, -1).T
-
-
 def shifted_matrix_factor(M):
     """Cholesky of M + rho*diag(M) with the m x m diagonal matrix formed."""
     diag = np.diag(M).copy()
@@ -337,7 +331,7 @@ def test_solve_bit_identical_to_sparse_product_kernel(monkeypatch, r):
     planned = [solve(lp, cfg) for lp in lps]
 
     monkeypatch.setattr(linalg, "normal_plan", lambda A: A)
-    monkeypatch.setattr(linalg, "assemble_normal", sparse_product_assemble)
+    monkeypatch.setattr(linalg, "assemble_normal", sparse_product_normal)
     monkeypatch.setattr(linalg, "factor", shifted_matrix_factor)
     monkeypatch.setattr(linalg, "solve", lower_factor_solve)
     monkeypatch.setattr(directions, "solve", lower_factor_solve)
