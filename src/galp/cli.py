@@ -5,7 +5,7 @@
 penalty exponents and emits a CSV iteration table (cells: iteration count,
 "**" for the iteration cap, "err" for parse/numeric failures) plus a per-r
 solved-percentage summary.  Wall times go to a separate CSV so the main
-table is byte-reproducible.  GALP_THREADS caps bench parallelism.
+table is byte-reproducible.
 
 Exit codes: 0 Optimal, 2 IterationLimit, 3 Unbounded, 4 parse/numeric error.
 """
@@ -17,7 +17,6 @@ import csv
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .model import InfeasibleBounds, map_back, to_standard_form
 from .mps import MpsError, read_mps
@@ -130,13 +129,8 @@ def cmd_bench(args) -> int:
     if not paths:
         print(f"warning: no .mps files in {args.dir}", file=sys.stderr)
 
-    threads = max(1, int(os.environ.get("GALP_THREADS", "1")))
     jobs = [(path, r) for path in paths for r in grid]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda job: _bench_cell(job[0], job[1], args), jobs))
-    else:
-        results = [_bench_cell(path, r, args) for path, r in jobs]
+    results = [_bench_cell(path, r, args) for path, r in jobs]
     cells = {job: res[0] for job, res in zip(jobs, results)}
     times = {job: res[1] for job, res in zip(jobs, results)}
 

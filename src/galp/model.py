@@ -44,6 +44,7 @@ class StandardLP:
         finite = np.isfinite(self.upper)
         if np.any(self.upper[finite] <= 0):
             raise InfeasibleBounds("finite upper bounds must be positive")
+        self.bounded = np.flatnonzero(finite)
 
     @property
     def m(self):
@@ -52,10 +53,6 @@ class StandardLP:
     @property
     def n(self):
         return self.A.shape[1]
-
-    @property
-    def bounded(self):
-        return np.flatnonzero(np.isfinite(self.upper))
 
 
 @dataclass

@@ -5,9 +5,9 @@ Each iteration computes H^-1 once and factorizes A H^-1 A^t once at the
 current point, and reuses both for the feasibility direction, the descent
 direction, and the dual estimates (y, w, s).  The penalty parameters and
 the assembly plan of A H^-1 A^t are built once per solve.  The
-feasibility move uses step factor 0.95 while the residual is large and 0.65
-once it is small; the descent move swaps the two factors.  Reported duals
-therefore lag the reported primal point by one move.
+feasibility move uses step factor STEP_AGGRESSIVE while the residual is
+large and STEP_CONSERVATIVE once it is small; the descent move swaps the two
+factors.  Reported duals therefore lag the reported primal point by one move.
 
 Stopping declares optimality only when the feasibility measure Rf, the
 expected relative duality gap Rgap, and a sign safeguard on s all hold;
@@ -28,6 +28,13 @@ from .model import StandardLP, primal_infeasibility
 from .penalty import GaugeParams, NotInterior, scaling_diagonals
 
 
+STEP_AGGRESSIVE = 0.95
+STEP_CONSERVATIVE = 0.65
+REPROJECT_GAP = 1e-3  # reproject the descent direction once rgap is below this
+REPROJECT_AFTER = 20  # ... or once this many iterations have run
+DUAL_SAFEGUARD = 1e-6  # relative tolerance on negative reduced costs s
+
+
 class Status(enum.Enum):
     OPTIMAL = "Optimal"
     ITERATION_LIMIT = "IterationLimit"
@@ -40,18 +47,11 @@ class SolverConfig:
     r: float = 0.2
     epsilon: float = 1e-8
     max_iterations: int = 300
-    step_aggressive: float = 0.95
-    step_conservative: float = 0.65
-    reproject_gap_threshold: float = 1e-3
-    reproject_iteration_threshold: int = 20
     start_policy: str = "auto"  # auto | x1 | x2
-    dual_safeguard: float = 1e-6
 
     def __post_init__(self):
         if not 0.0 <= self.r < 1.0:
             raise ValueError("r must lie in [0, 1)")
-        if not 0.0 < self.step_conservative < self.step_aggressive < 1.0:
-            raise ValueError("need 0 < conservative < aggressive < 1")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.start_policy not in ("auto", "x1", "x2"):
@@ -84,7 +84,6 @@ class IterateState:
     rho: float = 0.0
     step_feas: float = 0.0
     step_desc: float = 0.0
-    status: Status | None = None
 
 
 @dataclass
@@ -190,7 +189,7 @@ def iterate_once(
 
     dx = feasibility_direction(lp, x, hinv, F)
     d, y, reduced = descent_direction(lp, hinv, F)
-    if state.rgap < cfg.reproject_gap_threshold or state.iteration > cfg.reproject_iteration_threshold:
+    if state.rgap < REPROJECT_GAP or state.iteration > REPROJECT_AFTER:
         d = reproject(d, lp, F, hinv)
 
     # duals at the pre-move point, from the same factorization
@@ -198,7 +197,7 @@ def iterate_once(
 
     infeasible = state.rf > cfg.epsilon
 
-    t_feas = (cfg.step_aggressive if infeasible else cfg.step_conservative) * max_step(
+    t_feas = (STEP_AGGRESSIVE if infeasible else STEP_CONSERVATIVE) * max_step(
         x, lp.upper, dx, cap=1.0
     )
     x = x + t_feas * dx
@@ -209,7 +208,7 @@ def iterate_once(
             raise UnboundedDirection("descent ray is unconstrained and strictly decreasing")
         t_desc = 0.0  # cannot certify unboundedness at an infeasible point; skip the move
     else:
-        t_desc = (cfg.step_conservative if infeasible else cfg.step_aggressive) * (
+        t_desc = (STEP_CONSERVATIVE if infeasible else STEP_AGGRESSIVE) * (
             tmax if np.isfinite(tmax) else 0.0
         )
     x = x + t_desc * d
@@ -231,7 +230,7 @@ def iterate_once(
 
 def _converged(state: IterateState, lp: StandardLP, cfg: SolverConfig) -> bool:
     cnorm = np.linalg.norm(lp.c, np.inf) if lp.n else 0.0
-    safeguard = -cfg.dual_safeguard * (1.0 + cnorm)
+    safeguard = -DUAL_SAFEGUARD * (1.0 + cnorm)
     # |rgap|: a strongly negative gap means the dual estimate is infeasible
     # and the point may be far from optimal even though rf is tiny
     return (

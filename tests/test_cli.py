@@ -144,15 +144,6 @@ def test_bench_isolates_bad_file(tmp_path, capsys):
     assert "r=0.2: 50.0%" in capsys.readouterr().err
 
 
-def test_bench_threaded_matches_serial(tmp_path, capsys, monkeypatch):
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    main(["bench", NETLIB, "--r-grid", "0,0.2", "--out", str(serial)])
-    monkeypatch.setenv("GALP_THREADS", "4")
-    main(["bench", NETLIB, "--r-grid", "0,0.2", "--out", str(threaded)])
-    assert serial.read_bytes() == threaded.read_bytes()
-
-
 def test_bench_stdout_default(tmp_path, capsys, monkeypatch):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

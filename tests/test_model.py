@@ -124,6 +124,13 @@ def test_negative_upper_on_default_lower_rejected():
         to_standard_form(raw)
 
 
+def test_bounded_indexes_finite_upper():
+    upper = np.array([np.inf, 2.0, np.inf, 0.5, 3.0])
+    lp = StandardLP(A=sp.csc_matrix(np.ones((1, 5))), b=[1.0], c=np.zeros(5), upper=upper)
+    assert lp.bounded.tolist() == [1, 3, 4]
+    assert lp.bounded is lp.bounded  # computed once, not per access
+
+
 def test_objective_rhs_becomes_offset():
     raw = build(
         " E  R1\n",

@@ -11,6 +11,7 @@ from galp.model import StandardLP, primal_infeasibility, to_standard_form
 from galp.mps import read_mps
 from galp.penalty import GaugeParams, scaling_diagonals
 from galp.solver import (
+    STEP_AGGRESSIVE,
     IterateState,
     SolverConfig,
     Status,
@@ -61,8 +62,6 @@ def step(state, lp, cfg):
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(r=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(step_aggressive=0.5, step_conservative=0.65)
     with pytest.raises(ValueError):
         SolverConfig(epsilon=0.0)
     with pytest.raises(ValueError):
@@ -184,7 +183,7 @@ def test_iterate_once_swaps_step_factors(rng):
     state = _fresh_state(lp, np.full(lp.n, 2.0), r=cfg.r)
     assert state.rf > cfg.epsilon
     out = step(state, lp, cfg)
-    tmax_feas = out.step_feas / cfg.step_aggressive
+    tmax_feas = out.step_feas / STEP_AGGRESSIVE
     assert 0.0 < tmax_feas <= 1.0 + 1e-12
 
 
