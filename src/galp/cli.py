@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 import time
 
 from .model import InfeasibleBounds, map_back, to_standard_form
 from .mps import MpsError, read_mps
-from .solver import SolverConfig, Status, solve
+from .solver import SolverConfig, Status, TraceRecord, solve
 
 EXIT_OPTIMAL = 0
 EXIT_ITERATION_LIMIT = 2
@@ -34,26 +35,10 @@ _STATUS_EXIT = {
     Status.NUMERICAL_FAILURE: EXIT_ERROR,
 }
 
-TRACE_FIELDS = [
-    "iter",
-    "objective",
-    "rf",
-    "rgap",
-    "step_feas",
-    "step_desc",
-    "min_x",
-    "clamps",
-    "regularization",
-]
 
-
-def _config(args) -> SolverConfig:
-    return SolverConfig(
-        r=args.r,
-        epsilon=args.eps,
-        max_iterations=args.max_iter,
-        start_policy=args.start,
-    )
+def _error(exc) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 def _solve_file(path, cfg):
@@ -63,31 +48,25 @@ def _solve_file(path, cfg):
 
 
 def _write_trace(path, trace):
+    """One row per TraceRecord, its fields as columns; ints verbatim, other values as repr(float)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRACE_FIELDS)
+        writer.writerow(f.name for f in dataclasses.fields(TraceRecord))
         for rec in trace:
             writer.writerow(
-                [
-                    rec.iteration,
-                    repr(float(rec.objective)),
-                    repr(float(rec.rf)),
-                    repr(float(rec.rgap)),
-                    repr(float(rec.step_feas)),
-                    repr(float(rec.step_desc)),
-                    repr(float(rec.min_x)),
-                    rec.clamps,
-                    repr(float(rec.regularization)),
-                ]
+                v if isinstance(v, int) else repr(float(v)) for v in dataclasses.astuple(rec)
             )
 
 
 def cmd_solve(args) -> int:
     try:
-        report, lp, vmap, raw = _solve_file(args.path, _config(args))
+        cfg = SolverConfig(r=args.r, epsilon=args.eps, max_iterations=args.max_iter)
+    except ValueError as exc:
+        return _error(exc)
+    try:
+        report, lp, vmap, raw = _solve_file(args.path, cfg)
     except (OSError, MpsError, InfeasibleBounds) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return _error(exc)
     if args.trace:
         _write_trace(args.trace, report.trace)
     if not args.quiet:
@@ -104,8 +83,7 @@ def cmd_solve(args) -> int:
     return _STATUS_EXIT[report.status]
 
 
-def _bench_cell(path, r, args):
-    cfg = SolverConfig(r=r, epsilon=args.eps, max_iterations=args.max_iter)
+def _bench_cell(path, cfg):
     start = time.perf_counter()
     try:
         report, _, _, _ = _solve_file(path, cfg)
@@ -120,25 +98,22 @@ def _bench_cell(path, r, args):
 
 
 def cmd_bench(args) -> int:
-    grid = [float(tok) for tok in args.r_grid.split(",") if tok.strip() != ""]
-    paths = sorted(
-        os.path.join(args.dir, name)
-        for name in os.listdir(args.dir)
-        if name.lower().endswith(".mps")
-    )
-    if not paths:
+    try:
+        grid = [float(tok) for tok in args.r_grid.split(",") if tok.strip() != ""]
+        cfgs = [SolverConfig(r=r, epsilon=args.eps, max_iterations=args.max_iter) for r in grid]
+        names = sorted(name for name in os.listdir(args.dir) if name.lower().endswith(".mps"))
+    except (OSError, ValueError) as exc:
+        return _error(exc)
+    if not names:
         print(f"warning: no .mps files in {args.dir}", file=sys.stderr)
 
-    jobs = [(path, r) for path in paths for r in grid]
-    results = [_bench_cell(path, r, args) for path, r in jobs]
-    cells = {job: res[0] for job, res in zip(jobs, results)}
-    times = {job: res[1] for job, res in zip(jobs, results)}
-
     header = ["problem"] + [f"r={r:g}" for r in grid]
-    rows = []
-    for path in paths:
-        name = os.path.splitext(os.path.basename(path))[0]
-        rows.append([name] + [cells[(path, r)] for r in grid])
+    rows, time_rows = [], []
+    for name in names:
+        cells = [_bench_cell(os.path.join(args.dir, name), cfg) for cfg in cfgs]
+        stem = os.path.splitext(name)[0]
+        rows.append([stem] + [cell for cell, _ in cells])
+        time_rows.append([stem] + [f"{elapsed:.6f}" for _, elapsed in cells])
 
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
@@ -153,15 +128,13 @@ def cmd_bench(args) -> int:
         with open(args.timing, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for path in paths:
-                name = os.path.splitext(os.path.basename(path))[0]
-                writer.writerow([name] + [f"{times[(path, r)]:.6f}" for r in grid])
+            writer.writerows(time_rows)
 
-    if paths:
+    if names:
         print("solved per r:", file=sys.stderr)
         for j, r in enumerate(grid):
             solved = sum(1 for row in rows if row[1 + j].isdigit())
-            print(f"  r={r:g}: {100.0 * solved / len(paths):.1f}%", file=sys.stderr)
+            print(f"  r={r:g}: {100.0 * solved / len(names):.1f}%", file=sys.stderr)
     return 0
 
 
@@ -175,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--eps", type=float, default=1e-8, help="stopping tolerance")
     ps.add_argument("--max-iter", type=int, default=300)
     ps.add_argument("--trace", metavar="CSV", help="write the per-iteration trace here")
-    ps.add_argument("--start", choices=("auto", "x1", "x2"), default="auto")
     ps.add_argument("--quiet", action="store_true")
     ps.add_argument("--print-solution", action="store_true")
     ps.set_defaults(func=cmd_solve)

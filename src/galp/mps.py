@@ -78,12 +78,6 @@ class RawMps:
     bounds: list = field(default_factory=list)
     warnings: list = field(default_factory=list, compare=False)
 
-    def row_kind(self, name):
-        for rname, kind in self.rows:
-            if rname == name:
-                return kind
-        raise KeyError(name)
-
     def column_names(self):
         seen = []
         known = set()

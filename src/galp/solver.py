@@ -1,11 +1,14 @@
 """Main affine scaling loop: starting point, combined feasibility/descent
 steps, dual recovery, stopping, and per-iteration trace capture.
 
-Each iteration computes H^-1 once and factorizes A H^-1 A^t once at the
-current point, and reuses both for the feasibility direction, the descent
-direction, and the dual estimates (y, w, s).  The penalty parameters and
-the assembly plan of A H^-1 A^t are built once per solve.  The
-feasibility move uses step factor STEP_AGGRESSIVE while the residual is
+Each point is factored once: H^-1 and the factor of A H^-1 A^t at x_k
+serve the dual estimates (y, w, s), the feasibility direction and the
+descent direction of the step from x_k.  The start's factor serves the
+first iteration; the final point is never factored.  Each point's state,
+with its trace record, is built in one place (``_state``).  The penalty
+parameters and the assembly plan of A H^-1 A^t are built once per solve.
+
+The feasibility move uses step factor STEP_AGGRESSIVE while the residual is
 large and STEP_CONSERVATIVE once it is small; the descent move swaps the two
 factors.  Reported duals therefore lag the reported primal point by one move.
 
@@ -47,15 +50,12 @@ class SolverConfig:
     r: float = 0.2
     epsilon: float = 1e-8
     max_iterations: int = 300
-    start_policy: str = "auto"  # auto | x1 | x2
 
     def __post_init__(self):
         if not 0.0 <= self.r < 1.0:
             raise ValueError("r must lie in [0, 1)")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.start_policy not in ("auto", "x1", "x2"):
-            raise ValueError(f"unknown start policy {self.start_policy!r}")
 
 
 @dataclass
@@ -77,13 +77,7 @@ class IterateState:
     y: np.ndarray
     w: np.ndarray
     s: np.ndarray
-    rf: float
-    rgap: float
-    iteration: int = 0
-    clamps: int = 0
-    rho: float = 0.0
-    step_feas: float = 0.0
-    step_desc: float = 0.0
+    record: TraceRecord
 
 
 @dataclass
@@ -144,9 +138,8 @@ def _bound_duals(lp: StandardLP, x, reduced):
 
 def recover_duals(lp: StandardLP, x, hinv, F: linalg.CholeskyFactor):
     """Expected dual estimates (y, w, s) at the point x."""
-    y = linalg.solve(F, lp.A @ (hinv * lp.c))
-    w, s = _bound_duals(lp, x, lp.c - lp.A.T @ y)
-    return y, w, s
+    _, y, reduced = descent_direction(lp, hinv, F)
+    return (y, *_bound_duals(lp, x, reduced))
 
 
 def relative_gap(lp: StandardLP, x, y, w) -> float:
@@ -157,45 +150,55 @@ def relative_gap(lp: StandardLP, x, y, w) -> float:
     return gap / (abs(cx) + 1.0)
 
 
-def _record(state: IterateState, lp: StandardLP) -> TraceRecord:
-    return TraceRecord(
-        iteration=state.iteration,
-        objective=float(lp.c @ state.x),
-        rf=state.rf,
-        rgap=state.rgap,
-        step_feas=state.step_feas,
-        step_desc=state.step_desc,
-        min_x=float(state.x.min()) if lp.n else 0.0,
-        clamps=state.clamps,
-        regularization=state.rho,
+def _state(
+    lp: StandardLP, x, y, w, s, iteration=0, clamps=0, rho=0.0, step_feas=0.0, step_desc=0.0
+) -> IterateState:
+    """The point x with duals (y, w, s), and its trace record."""
+    record = TraceRecord(
+        iteration=iteration,
+        objective=float(lp.c @ x),
+        rf=primal_infeasibility(lp, x),
+        rgap=relative_gap(lp, x, y, w),
+        step_feas=step_feas,
+        step_desc=step_desc,
+        min_x=float(x.min()) if lp.n else 0.0,
+        clamps=clamps,
+        regularization=rho,
     )
+    return IterateState(x, y, w, s, record)
+
+
+def _factor_at(x, p: GaugeParams, plan: linalg.NormalPlan):
+    """H^-1 at x, the factor of A H^-1 A^t, and the clamp count of H."""
+    sd = scaling_diagonals(x, p)
+    hinv = 1.0 / sd.h
+    return hinv, linalg.factor(linalg.assemble_normal(plan, hinv)), sd.clamp_events
 
 
 def iterate_once(
     state: IterateState,
     lp: StandardLP,
     cfg: SolverConfig,
-    p: GaugeParams,
-    plan: linalg.NormalPlan,
+    hinv,
+    F: linalg.CholeskyFactor,
+    clamps: int,
 ) -> IterateState:
     """One combined feasibility + descent pass of the main loop.
 
-    ``p`` and ``plan`` are built once per solve from ``cfg.r`` and ``lp.A``.
+    ``hinv``, ``F`` and ``clamps`` come from ``_factor_at(state.x, ...)``.
     """
     x = state.x
-    sd = scaling_diagonals(x, p)
-    hinv = 1.0 / sd.h
-    F = linalg.factor(linalg.assemble_normal(plan, hinv))
+    rec = state.record
 
     dx = feasibility_direction(lp, x, hinv, F)
     d, y, reduced = descent_direction(lp, hinv, F)
-    if state.rgap < REPROJECT_GAP or state.iteration > REPROJECT_AFTER:
+    if rec.rgap < REPROJECT_GAP or rec.iteration > REPROJECT_AFTER:
         d = reproject(d, lp, F, hinv)
 
     # duals at the pre-move point, from the same factorization
     w, s = _bound_duals(lp, x, reduced)
 
-    infeasible = state.rf > cfg.epsilon
+    infeasible = rec.rf > cfg.epsilon
 
     t_feas = (STEP_AGGRESSIVE if infeasible else STEP_CONSERVATIVE) * max_step(
         x, lp.upper, dx, cap=1.0
@@ -213,15 +216,14 @@ def iterate_once(
         )
     x = x + t_desc * d
 
-    return IterateState(
-        x=x,
-        y=y,
-        w=w,
-        s=s,
-        rf=primal_infeasibility(lp, x),
-        rgap=relative_gap(lp, x, y, w),
-        iteration=state.iteration + 1,
-        clamps=sd.clamp_events,
+    return _state(
+        lp,
+        x,
+        y,
+        w,
+        s,
+        iteration=rec.iteration + 1,
+        clamps=clamps,
         rho=F.rho,
         step_feas=t_feas,
         step_desc=t_desc,
@@ -234,8 +236,8 @@ def _converged(state: IterateState, lp: StandardLP, cfg: SolverConfig) -> bool:
     # |rgap|: a strongly negative gap means the dual estimate is infeasible
     # and the point may be far from optimal even though rf is tiny
     return (
-        state.rf <= cfg.epsilon
-        and abs(state.rgap) <= cfg.epsilon
+        state.record.rf <= cfg.epsilon
+        and abs(state.record.rgap) <= cfg.epsilon
         and float(state.s.min(initial=0.0)) >= safeguard
     )
 
@@ -248,60 +250,41 @@ def solve(lp: StandardLP, cfg: SolverConfig | None = None, offset: float = 0.0) 
     trace: list[TraceRecord] = []
 
     def report(state, status):
+        rec = state.record
         return SolveReport(
             status=status,
-            iterations=state.iteration,
-            objective=float(lp.c @ state.x),
-            objective_original=float(lp.c @ state.x) + offset,
+            iterations=rec.iteration,
+            objective=rec.objective,
+            objective_original=rec.objective + offset,
             x=state.x,
             y=state.y,
             s=state.s,
             w=state.w,
-            rf=state.rf,
-            rgap=state.rgap,
+            rf=rec.rf,
+            rgap=rec.rgap,
             trace=trace,
         )
 
     state = None
     try:
-        if cfg.start_policy == "x1":
-            x0 = starting_point_x1(lp)
-        elif cfg.start_policy == "x2":
-            x0 = starting_point_x2(lp, plan)
-        else:
-            x0 = choose_start(lp, plan)
-
-        hinv0 = 1.0 / scaling_diagonals(x0, p).h
-        F0 = linalg.factor(linalg.assemble_normal(plan, hinv0))
-        y0, w0, s0 = recover_duals(lp, x0, hinv0, F0)
-        state = IterateState(
-            x=x0,
-            y=y0,
-            w=w0,
-            s=s0,
-            rf=primal_infeasibility(lp, x0),
-            rgap=relative_gap(lp, x0, y0, w0),
-            rho=F0.rho,
-        )
-        trace.append(_record(state, lp))
+        x0 = choose_start(lp, plan)
+        hinv, F, clamps = _factor_at(x0, p, plan)
+        # record 0 reports the start's regularization but not its clamps
+        state = _state(lp, x0, *recover_duals(lp, x0, hinv, F), rho=F.rho)
+        trace.append(state.record)
 
         while not _converged(state, lp, cfg):
-            if state.iteration >= cfg.max_iterations:
+            if state.record.iteration >= cfg.max_iterations:
                 return report(state, Status.ITERATION_LIMIT)
-            state = iterate_once(state, lp, cfg, p, plan)
-            trace.append(_record(state, lp))
+            if state.record.iteration > 0:  # the start's factor serves iteration 1
+                hinv, F, clamps = _factor_at(state.x, p, plan)
+            state = iterate_once(state, lp, cfg, hinv, F, clamps)
+            trace.append(state.record)
         return report(state, Status.OPTIMAL)
 
     except UnboundedDirection:
         return report(state, Status.UNBOUNDED)
     except (linalg.FactorizationFailed, linalg.NonFiniteInput, NotInterior):
         if state is None:
-            state = IterateState(
-                x=np.full(lp.n, np.nan),
-                y=np.full(lp.m, np.nan),
-                w=np.full(lp.n, np.nan),
-                s=np.full(lp.n, np.nan),
-                rf=np.nan,
-                rgap=np.nan,
-            )
+            state = _state(lp, *(np.full(k, np.nan) for k in (lp.n, lp.m, lp.n, lp.n)))
         return report(state, Status.NUMERICAL_FAILURE)

@@ -7,7 +7,9 @@ import scipy.sparse as sp
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from galp import linalg
 from galp.model import StandardLP
+from galp.penalty import GaugeParams, scaling_diagonals
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 NETLIB = os.path.join(DATA, "netlib")
@@ -36,6 +38,26 @@ def sparse_product_normal(A, dinv):
     """
     M = np.asarray((A.multiply(dinv) @ A.T).todense())
     return np.tril(M) + np.tril(M, -1).T
+
+
+def make_lp(A, b, c, upper=None):
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    n = A.shape[1]
+    if upper is None:
+        upper = np.full(n, np.inf)
+    return StandardLP(
+        A=sp.csc_matrix(A),
+        b=np.asarray(b, dtype=float),
+        c=np.asarray(c, dtype=float),
+        upper=np.asarray(upper, dtype=float),
+    )
+
+
+def factor_at(lp, x, r):
+    """H^-1 at x for exponent r and the factor of A H^-1 A^t."""
+    hinv = 1.0 / scaling_diagonals(x, GaugeParams(r=r, upper=lp.upper)).h
+    F = linalg.factor(linalg.assemble_normal(linalg.normal_plan(lp.A), hinv))
+    return hinv, F
 
 
 def random_lp(rng, m=3, n=6, bounded="some"):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.metadata
 import io
 import os
@@ -9,7 +10,8 @@ import sys
 import pytest
 
 import galp.cli
-from galp.cli import TRACE_FIELDS, main
+from galp.cli import main
+from galp.solver import TraceRecord
 
 from conftest import NETLIB, netlib_path
 
@@ -72,13 +74,38 @@ def test_solve_print_solution(tmp_path, capsys):
     assert "X2 = " in out
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["--r", "1.5"], ["--eps", "0"]],
+    ids=["r-out-of-range", "eps-zero"],
+)
+def test_solve_bad_argument_exits_4(tmp_path, capsys, args):
+    p = tmp_path / "tiny.mps"
+    p.write_text(TINY)
+    assert main(["solve", str(p), *args]) == 4
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [[NETLIB, "--r-grid", "1.5"], [NETLIB, "--r-grid", "a"], ["/nonexistent/corpus"]],
+    ids=["r-grid-out-of-range", "r-grid-not-a-number", "missing-dir"],
+)
+def test_bench_bad_argument_exits_4(tmp_path, capsys, args):
+    out = tmp_path / "table.csv"
+    assert main(["bench", *args, "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_trace_csv_schema(tmp_path, capsys):
     p = tmp_path / "tiny.mps"
     p.write_text(TINY)
     trace = tmp_path / "trace.csv"
     assert main(["solve", str(p), "--trace", str(trace), "--quiet"]) == 0
     rows = read_csv(trace)
-    assert rows[0] == TRACE_FIELDS
+    assert rows[0] == [f.name for f in dataclasses.fields(TraceRecord)]
+    assert rows[0][0] == "iteration"
     assert len(rows) >= 3  # start record plus iterations
     for k, row in enumerate(rows[1:]):
         assert int(row[0]) == k

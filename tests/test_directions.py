@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from galp.directions import (
@@ -10,30 +9,9 @@ from galp.directions import (
     newton_direction,
     reproject,
 )
-from galp.linalg import assemble_normal, factor, normal_plan
-from galp.model import StandardLP
 from galp.penalty import GaugeParams, scaling_diagonals
 
-from conftest import random_interior_point, random_lp
-
-
-def make_lp(A, b, c, upper=None):
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    n = A.shape[1]
-    if upper is None:
-        upper = np.full(n, np.inf)
-    return StandardLP(
-        A=sp.csc_matrix(A),
-        b=np.asarray(b, dtype=float),
-        c=np.asarray(c, dtype=float),
-        upper=np.asarray(upper, dtype=float),
-    )
-
-
-def factor_at(lp, x, r):
-    hinv = 1.0 / scaling_diagonals(x, GaugeParams(r=r, upper=lp.upper)).h
-    F = factor(assemble_normal(normal_plan(lp.A), hinv))
-    return hinv, F
+from conftest import factor_at, make_lp, random_interior_point, random_lp
 
 
 def dense_projected_direction(lp, x, r):

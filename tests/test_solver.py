@@ -3,18 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from galp import directions, linalg
-from galp.model import StandardLP, primal_infeasibility, to_standard_form
+from galp.model import to_standard_form
 from galp.mps import read_mps
-from galp.penalty import GaugeParams, scaling_diagonals
+from galp.penalty import GaugeParams
 from galp.solver import (
     STEP_AGGRESSIVE,
-    IterateState,
     SolverConfig,
     Status,
+    _factor_at,
+    _state,
     choose_start,
     iterate_once,
     recover_duals,
@@ -24,26 +24,14 @@ from galp.solver import (
     starting_point_x2,
 )
 
-from conftest import NETLIB_PROBLEMS, netlib_path, random_lp, sparse_product_normal
-
-
-def make_lp(A, b, c, upper=None):
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    n = A.shape[1]
-    if upper is None:
-        upper = np.full(n, np.inf)
-    return StandardLP(
-        A=sp.csc_matrix(A),
-        b=np.asarray(b, dtype=float),
-        c=np.asarray(c, dtype=float),
-        upper=np.asarray(upper, dtype=float),
-    )
-
-
-def factor_at(lp, x, r):
-    hinv = 1.0 / scaling_diagonals(x, GaugeParams(r=r, upper=lp.upper)).h
-    F = linalg.factor(linalg.assemble_normal(linalg.normal_plan(lp.A), hinv))
-    return hinv, F
+from conftest import (
+    NETLIB_PROBLEMS,
+    factor_at,
+    make_lp,
+    netlib_path,
+    random_lp,
+    sparse_product_normal,
+)
 
 
 def x2(lp):
@@ -56,7 +44,7 @@ def start(lp):
 
 def step(state, lp, cfg):
     p = GaugeParams(r=cfg.r, upper=lp.upper)
-    return iterate_once(state, lp, cfg, p, linalg.normal_plan(lp.A))
+    return iterate_once(state, lp, cfg, *_factor_at(state.x, p, linalg.normal_plan(lp.A)))
 
 
 def test_config_validation():
@@ -64,8 +52,6 @@ def test_config_validation():
         SolverConfig(r=1.0)
     with pytest.raises(ValueError):
         SolverConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(start_policy="warm")
 
 
 def test_starting_point_x1_values():
@@ -144,25 +130,20 @@ def test_relative_gap_identity(rng):
 
 def _fresh_state(lp, x, r=0.0):
     hinv, F = factor_at(lp, x, r)
-    y, w, s = recover_duals(lp, x, hinv, F)
-    return IterateState(
-        x=x, y=y, w=w, s=s,
-        rf=primal_infeasibility(lp, x),
-        rgap=relative_gap(lp, x, y, w),
-    )
+    return _state(lp, x, *recover_duals(lp, x, hinv, F))
 
 
 def test_iterate_once_descent_step_hand_case():
     lp = make_lp([[1.0, 1.0]], [1.0], [1.0, 0.0])
     cfg = SolverConfig(r=0.0)
     state = _fresh_state(lp, np.array([0.5, 0.5]))
-    assert state.rf == 0.0
+    assert state.record.rf == 0.0
     out = step(state, lp, cfg)
     # feasible point: residual move is a no-op, descent uses the 0.95 factor
     # on d = (-0.125, 0.125) with wall at t = 4
-    assert out.step_desc == pytest.approx(0.95 * 4.0)
+    assert out.record.step_desc == pytest.approx(0.95 * 4.0)
     assert_allclose(out.x, [0.025, 0.975])
-    assert out.iteration == 1
+    assert out.record.iteration == 1
 
 
 def test_iterate_once_feasibility_step_hand_case():
@@ -171,9 +152,9 @@ def test_iterate_once_feasibility_step_hand_case():
     state = _fresh_state(lp, np.array([1.0, 1.0]))  # residual -1, Rf = 0.5
     out = step(state, lp, cfg)
     # infeasible: dx = (-0.5, -0.5), cap at 1 binds, factor 0.95
-    assert out.step_feas == pytest.approx(0.95)
-    assert out.rf == pytest.approx(0.05 * 0.5)
-    assert out.rf < state.rf
+    assert out.record.step_feas == pytest.approx(0.95)
+    assert out.record.rf == pytest.approx(0.05 * 0.5)
+    assert out.record.rf < state.record.rf
 
 
 def test_iterate_once_swaps_step_factors(rng):
@@ -181,9 +162,9 @@ def test_iterate_once_swaps_step_factors(rng):
     cfg = SolverConfig(r=0.2)
     # infeasible start: feasibility gets the aggressive factor
     state = _fresh_state(lp, np.full(lp.n, 2.0), r=cfg.r)
-    assert state.rf > cfg.epsilon
+    assert state.record.rf > cfg.epsilon
     out = step(state, lp, cfg)
-    tmax_feas = out.step_feas / STEP_AGGRESSIVE
+    tmax_feas = out.record.step_feas / STEP_AGGRESSIVE
     assert 0.0 < tmax_feas <= 1.0 + 1e-12
 
 
@@ -192,7 +173,7 @@ def test_iterate_preserves_interiority(rng):
     cfg = SolverConfig(r=0.2)
     state = _fresh_state(lp, start(lp), r=cfg.r)
     for _ in range(40):
-        if state.rf <= cfg.epsilon and state.rgap <= cfg.epsilon:
+        if state.record.rf <= cfg.epsilon and state.record.rgap <= cfg.epsilon:
             break
         state = step(state, lp, cfg)
         assert state.x.min() > 0.0
@@ -204,12 +185,12 @@ def test_residual_contracts_across_iterations(rng):
     cfg = SolverConfig(r=0.3)
     x0 = np.minimum(np.full(lp.n, 3.0), 0.9 * lp.upper)
     state = _fresh_state(lp, x0, r=cfg.r)
-    prev = state.rf
+    prev = state.record.rf
     for _ in range(10):
         state = step(state, lp, cfg)
         if prev > cfg.epsilon:
-            assert state.rf <= prev * 0.06  # (1 - 0.95) with slack
-        prev = state.rf
+            assert state.record.rf <= prev * 0.06  # (1 - 0.95) with slack
+        prev = state.record.rf
 
 
 def test_objective_monotone_once_feasible(rng):
@@ -298,14 +279,6 @@ def test_duals_lag_primal_by_one_move():
     assert_allclose(out.s, s_pre)
 
 
-def test_start_policy_override():
-    lp = make_lp([[1.0, 1.0]], [1.0], [-1.0, -1.0])
-    r1 = solve(lp, SolverConfig(r=0.2, start_policy="x1", max_iterations=0))
-    r2 = solve(lp, SolverConfig(r=0.2, start_policy="x2", max_iterations=0))
-    assert_allclose(r1.x, starting_point_x1(lp))
-    assert_allclose(r2.x, x2(lp))
-
-
 def shifted_matrix_factor(M):
     """Cholesky of M + rho*diag(M) with the m x m diagonal matrix formed."""
     diag = np.diag(M).copy()
@@ -339,3 +312,22 @@ def test_solve_bit_identical_to_sparse_product_kernel(monkeypatch, r):
         assert new.status == old.status == Status.OPTIMAL
         assert [dataclasses.astuple(t) for t in new.trace] == [dataclasses.astuple(t) for t in old.trace]
         assert np.array_equal(new.x, old.x)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5])
+def test_solve_factors_once_per_point(monkeypatch, r):
+    calls = []
+    factor = linalg.factor
+
+    def counted(M):
+        calls.append(M.shape)
+        return factor(M)
+
+    monkeypatch.setattr(linalg, "factor", counted)
+    for name in NETLIB_PROBLEMS:
+        lp = to_standard_form(read_mps(netlib_path(name)))[0]
+        calls.clear()
+        report = solve(lp, SolverConfig(r=r))
+        assert report.status == Status.OPTIMAL
+        # x2's start factor, then x0 .. x_{k-1} once each; the final point is not factored
+        assert len(calls) == report.iterations + 1, name
