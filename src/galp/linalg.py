@@ -25,19 +25,30 @@ iterates, and with them the iteration table, stay byte-identical.
 ``np.array_equal``, so a scipy release that changes the order of its sparse
 product is flagged there.
 
-The factorization escalates a relative diagonal regularization
-rho in {0, 1e-12, 1e-10, 1e-8, 1e-6} until every pivot stays above 1e-30;
-the rho actually applied is recorded on the factor so the solver trace can
-surface it.  M and L are dense: the solver targets desk-scale problems.
+A ``PairPlan`` fills one m x m buffer that it owns, so the M that
+``assemble_normal`` returns is valid until the same plan's next assembly.
+Positions outside the pattern are never written and stay zero.  M is finite
+exactly when the pair sums are, so the finiteness check runs on those nnz
+sums rather than on all m^2 entries.
+
+``factor`` copies M once into a Fortran-ordered buffer (for a C-ordered,
+exactly symmetric M that copy of M^t is a plain memcpy) and factors it in
+place with LAPACK ``dpotrf``; ``solve`` hands that lower factor straight to
+``dpotrs``.  The factor is ``scipy.linalg.cholesky(M, lower=True)`` bit for
+bit.  It escalates a relative diagonal regularization
+rho in {0, 1e-12, 1e-10, 1e-8, 1e-6}, recopying M before each rung, until
+every pivot is finite and its square stays above 1e-30; the rho actually
+applied is recorded on the factor so the solver trace can surface it.  M and
+L are dense: the solver targets desk-scale problems.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 REGULARIZATIONS = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
 _MIN_PIVOT = 1e-30
@@ -53,7 +64,7 @@ class FactorizationFailed(Exception):
 
 @dataclass
 class CholeskyFactor:
-    """Lower-triangular factor with M + rho*diag(M) ~ L L^t."""
+    """Fortran-ordered lower-triangular factor with M + rho*diag(M) ~ L L^t."""
 
     L: np.ndarray
     rho: float
@@ -66,7 +77,8 @@ class PairPlan:
     Pair p contributes (left[p] * dinv[col[p]]) * right[p] to the distinct
     lower-triangle position ``target[p]``, whose flat index in the m x m
     array is ``lower[target[p]]`` and whose mirror is ``upper[target[p]]``.
-    Pairs are ordered by position and then by column.
+    Pairs are ordered by position and then by column.  ``M`` is the m x m
+    buffer every assembly refills.
     """
 
     m: int
@@ -76,6 +88,10 @@ class PairPlan:
     target: np.ndarray  # index into lower/upper of each pair
     lower: np.ndarray  # flat positions i*m + k, i >= k, ascending
     upper: np.ndarray  # flat positions k*m + i of the same entries
+    M: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.M = np.zeros((self.m, self.m))
 
     @classmethod
     def build(cls, A) -> "PairPlan":
@@ -120,10 +136,12 @@ class PairPlan:
         sums = np.bincount(
             self.target, (self.left * dinv[self.col]) * self.right, minlength=self.lower.size
         )
-        M = np.zeros(self.m * self.m)
-        M[self.lower] = sums
-        M[self.upper] = sums
-        return M.reshape(self.m, self.m)
+        if not np.all(np.isfinite(sums)):
+            raise NonFiniteInput("normal matrix has non-finite entries")
+        flat = self.M.reshape(-1)
+        flat[self.lower] = sums
+        flat[self.upper] = sums
+        return self.M
 
 
 @dataclass
@@ -134,6 +152,8 @@ class ProductPlan:
 
     def assemble(self, dinv: np.ndarray) -> np.ndarray:
         M = np.asarray((self.A.multiply(dinv) @ self.A.T).todense())
+        if not np.all(np.isfinite(M)):
+            raise NonFiniteInput("normal matrix has non-finite entries")
         return np.tril(M) + np.tril(M, -1).T
 
 
@@ -166,7 +186,8 @@ def assemble_normal(plan: NormalPlan, dinv: np.ndarray) -> np.ndarray:
     """Dense symmetric M with M[i, k] = sum_j A[i, j] * dinv[j] * A[k, j].
 
     ``plan`` is ``normal_plan(A)``.  Both triangles are written from the
-    same sums, so M is exactly symmetric.
+    same sums, so M is exactly symmetric.  A ``PairPlan`` returns its own
+    buffer, which its next assembly overwrites.
     """
     dinv = np.asarray(dinv, dtype=float)
     if not np.all(np.isfinite(dinv)) or np.any(dinv < 0):
@@ -175,32 +196,33 @@ def assemble_normal(plan: NormalPlan, dinv: np.ndarray) -> np.ndarray:
 
 
 def factor(M: np.ndarray) -> CholeskyFactor:
-    """Cholesky-factor M, escalating the diagonal regularization as needed."""
-    if not np.all(np.isfinite(M)):
-        raise NonFiniteInput("normal matrix has non-finite entries")
+    """Cholesky-factor the exactly symmetric M, escalating the diagonal regularization as needed.
+
+    Only the upper triangle of M is read, as the lower triangle of M^t.  A
+    non-finite entry there makes every rung fail, and only then is M scanned
+    to tell NonFiniteInput from FactorizationFailed.
+    """
     diag = np.diag(M)
     for rho in REGULARIZATIONS:
-        if rho == 0.0:
-            shifted = M
-        else:
+        # M^t of a C-ordered M is Fortran-ordered, so this copy is a memcpy
+        shifted = M.T.copy(order="F")
+        if rho != 0.0:
             # the same sums as M + rho*np.diag(diag), without an m x m diagonal
-            shifted = M.copy()
             np.fill_diagonal(shifted, diag + rho * diag)
-        try:
-            L = np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
+        L, info = dpotrf(shifted, lower=1, overwrite_a=1, clean=1)
+        if info != 0:
             continue
-        if np.min(np.diag(L)) ** 2 > _MIN_PIVOT:
+        pivots = np.diag(L)
+        if np.all(np.isfinite(pivots)) and np.all(pivots * pivots > _MIN_PIVOT):
             return CholeskyFactor(L=L, rho=rho)
+    if not np.all(np.isfinite(M)):
+        raise NonFiniteInput("normal matrix has non-finite entries")
     raise FactorizationFailed(
         "normal matrix is numerically rank deficient at every regularization level"
     )
 
 
 def solve(F: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
-    """Forward/back substitution with the stored factor.
-
-    L^t of a C-ordered L is the Fortran-ordered upper factor LAPACK reads
-    in place; passing L itself as the lower factor makes it copy L first.
-    """
-    return scipy.linalg.cho_solve((F.L.T, False), rhs, check_finite=False)
+    """Forward/back substitution with the stored lower factor, which LAPACK reads in place."""
+    z, _ = dpotrs(F.L, rhs, lower=1)
+    return z

@@ -56,6 +56,8 @@ class SolverConfig:
             raise ValueError("r must lie in [0, 1)")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be nonnegative")
 
 
 @dataclass

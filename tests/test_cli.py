@@ -13,7 +13,7 @@ import galp.cli
 from galp.cli import main
 from galp.solver import TraceRecord
 
-from conftest import NETLIB, netlib_path
+from conftest import DATA, NETLIB, netlib_path
 
 TINY = """NAME T
 ROWS
@@ -76,8 +76,8 @@ def test_solve_print_solution(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "args",
-    [["--r", "1.5"], ["--eps", "0"]],
-    ids=["r-out-of-range", "eps-zero"],
+    [["--r", "1.5"], ["--eps", "0"], ["--max-iter", "-1"]],
+    ids=["r-out-of-range", "eps-zero", "max-iter-negative"],
 )
 def test_solve_bad_argument_exits_4(tmp_path, capsys, args):
     p = tmp_path / "tiny.mps"
@@ -88,8 +88,13 @@ def test_solve_bad_argument_exits_4(tmp_path, capsys, args):
 
 @pytest.mark.parametrize(
     "args",
-    [[NETLIB, "--r-grid", "1.5"], [NETLIB, "--r-grid", "a"], ["/nonexistent/corpus"]],
-    ids=["r-grid-out-of-range", "r-grid-not-a-number", "missing-dir"],
+    [
+        [NETLIB, "--r-grid", "1.5"],
+        [NETLIB, "--r-grid", "a"],
+        ["/nonexistent/corpus"],
+        [NETLIB, "--max-iter", "-1"],
+    ],
+    ids=["r-grid-out-of-range", "r-grid-not-a-number", "missing-dir", "max-iter-negative"],
 )
 def test_bench_bad_argument_exits_4(tmp_path, capsys, args):
     out = tmp_path / "table.csv"
@@ -130,6 +135,13 @@ def test_bench_table(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "r=0: 100.0%" in err
     assert "r=0.7: 100.0%" in err
+
+
+def test_bench_corpus_table_pinned(tmp_path, capsys):
+    # every cell of the default 8-value r grid over the corpus, compared exactly
+    out = tmp_path / "table.csv"
+    assert main(["bench", NETLIB, "--out", str(out)]) == 0
+    assert read_csv(out) == read_csv(os.path.join(DATA, "netlib_iterations.csv"))
 
 
 def test_bench_table_is_reproducible(tmp_path, capsys):

@@ -118,6 +118,50 @@ def test_assemble_rejects_nonfinite():
         assemble_normal(plan, np.array([1.0, -1.0]))
 
 
+def test_assemble_rejects_overflowing_product(rng):
+    # finite A and dinv whose products overflow: A[i, j]**2 is about 1e400
+    A = sp.random(8, 12, density=0.4, format="csc", random_state=rng)
+    A.data = rng.uniform(0.5, 2.0, size=A.nnz) * 1e200
+    dinv = np.ones(12)
+    for plan in (PairPlan.build(A), ProductPlan(A)):
+        with pytest.raises(NonFiniteInput), np.errstate(over="ignore"):
+            assemble_normal(plan, dinv)
+
+
+def test_plan_reassembly_bit_identical_to_fresh_plan(rng):
+    for A in kernel_test_matrices(rng):
+        plan = normal_plan(A)
+        for lo, hi in ((1e-3, 1e3), (1e-30, 1e30), (1.0, 1.0)):
+            dinv = np.exp(rng.uniform(np.log(lo), np.log(hi), size=A.shape[1]))
+            assert np.array_equal(assemble_normal(plan, dinv), assemble_normal(normal_plan(A), dinv))
+
+
+def test_factor_survives_later_assemblies_on_its_plan(rng):
+    A = sp.random(40, 90, density=0.1, format="csc", random_state=rng)
+    A.data = rng.uniform(-1, 1, size=A.nnz)
+    A = sp.csc_matrix(sp.hstack([A, sp.eye(40)]))  # full row rank
+    plan = normal_plan(A)
+    first = factor(assemble_normal(plan, rng.uniform(0.1, 10.0, size=A.shape[1])))
+    kept = first.L.copy()
+    rhs = rng.normal(size=40)
+    z = solve(first, rhs)
+    for _ in range(3):
+        factor(assemble_normal(plan, rng.uniform(0.1, 10.0, size=A.shape[1])))
+    assert np.array_equal(first.L, kept)
+    assert np.array_equal(solve(first, rhs), z)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_factor_rejects_nonfinite(rng, value):
+    B = rng.uniform(-1, 1, size=(70, 73))
+    M = B @ B.T
+    for pos in ((0, 0), (69, 69), (35, 35), (50, 3), (69, 68)):
+        bad = M.copy()
+        bad[pos] = bad[pos[::-1]] = value
+        with pytest.raises(NonFiniteInput):
+            factor(bad)
+
+
 def test_factor_scalar():
     F = factor(np.array([[2.0]]))
     assert F.rho == 0.0
@@ -143,12 +187,12 @@ def test_factor_bit_identical_to_shifted_cholesky(rng):
         M = B @ B.T
         F = factor(M)
         assert F.rho == 0.0
-        assert np.array_equal(F.L, np.linalg.cholesky(M))
+        assert np.array_equal(F.L, scipy.linalg.cholesky(M, lower=True))
         # slightly indefinite: only a regularized factorization succeeds
         M -= (np.linalg.eigvalsh(M)[0] + 1e-9 * np.trace(M) / m) * np.eye(m)
         F = factor(M)
         assert F.rho > 0.0
-        assert np.array_equal(F.L, np.linalg.cholesky(M + F.rho * np.diag(np.diag(M))))
+        assert np.array_equal(F.L, scipy.linalg.cholesky(M + F.rho * np.diag(np.diag(M)), lower=True))
 
 
 def test_factor_hopeless_matrix_fails():
