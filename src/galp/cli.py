@@ -13,6 +13,7 @@ Exit codes: 0 Optimal, 2 IterationLimit, 3 Unbounded, 4 parse/numeric error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import os
@@ -68,7 +69,10 @@ def cmd_solve(args) -> int:
     except (OSError, MpsError, InfeasibleBounds) as exc:
         return _error(exc)
     if args.trace:
-        _write_trace(args.trace, report.trace)
+        try:
+            _write_trace(args.trace, report.trace)
+        except OSError as exc:
+            return _error(exc)
     if not args.quiet:
         print(f"problem:    {raw.name or args.path}")
         print(f"status:     {report.status.value}")
@@ -109,26 +113,24 @@ def cmd_bench(args) -> int:
 
     header = ["problem"] + [f"r={r:g}" for r in grid]
     rows, time_rows = [], []
-    for name in names:
-        cells = [_bench_cell(os.path.join(args.dir, name), cfg) for cfg in cfgs]
-        stem = os.path.splitext(name)[0]
-        rows.append([stem] + [cell for cell, _ in cells])
-        time_rows.append([stem] + [f"{elapsed:.6f}" for _, elapsed in cells])
-
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
+    # the destinations are opened before any solve, so a bad path costs none; the
+    # timing table is opened first, so its failure leaves no iteration table behind
     try:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
-
-    if args.timing:
-        with open(args.timing, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(time_rows)
+        with contextlib.ExitStack() as files:
+            timing = files.enter_context(open(args.timing, "w", newline="")) if args.timing else None
+            out = files.enter_context(open(args.out, "w", newline="")) if args.out else sys.stdout
+            for name in names:
+                cells = [_bench_cell(os.path.join(args.dir, name), cfg) for cfg in cfgs]
+                stem = os.path.splitext(name)[0]
+                rows.append([stem] + [cell for cell, _ in cells])
+                time_rows.append([stem] + [f"{elapsed:.6f}" for _, elapsed in cells])
+            for fh, table in ((out, rows), (timing, time_rows)):
+                if fh is not None:
+                    writer = csv.writer(fh)
+                    writer.writerow(header)
+                    writer.writerows(table)
+    except OSError as exc:
+        return _error(exc)
 
     if names:
         print("solved per r:", file=sys.stderr)

@@ -12,6 +12,17 @@ H^-1 (``hinv``) per iterate, both computed once by the caller:
 * reprojection: subtracting the row-space component of a computed d shrinks
   ||A d|| when round-off has crept in; algebraically a no-op.
 
+Every product with A^t goes through ``lp.At``, the CSR view of A's arrays
+that ``StandardLP`` builds once, so no call builds a transpose.
+
+``max_step`` is the ratio test.  Each coordinate's distance to the wall its
+direction points at (x_j toward 0, u_j - x_j toward u_j) is divided by
+|dir_j| in one guarded divide; coordinates with dir_j zero or NaN, and those
+heading toward an infinite u_j, give +inf, so the step is the minimum of the
+ratios and the cap.  That is the masked test (-x_j / dir_j over dir_j < 0,
+(u_j - x_j) / dir_j over dir_j > 0 with u_j finite) bit for bit, since
+(-x)/d and x/|d| round to the same double.
+
 ``newton_direction`` solves the full Newton system of the penalized problem
 at a given mu; the production path only ever uses its mu-independent limit d.
 """
@@ -28,7 +39,7 @@ from .penalty import GaugeParams, scaling_diagonals
 def descent_direction(lp: StandardLP, hinv, F: CholeskyFactor):
     """Affine scaling descent direction; returns (d, y, s)."""
     y = solve(F, lp.A @ (hinv * lp.c))
-    s = lp.c - lp.A.T @ y
+    s = lp.c - lp.At @ y
     d = -hinv * s
     return d, y, s
 
@@ -36,12 +47,12 @@ def descent_direction(lp: StandardLP, hinv, F: CholeskyFactor):
 def feasibility_direction(lp: StandardLP, x, hinv, F: CholeskyFactor):
     """Residual-canceling direction with A dx = b - A x."""
     resid = lp.b - lp.A @ x
-    return hinv * (lp.A.T @ solve(F, resid))
+    return hinv * (lp.At @ solve(F, resid))
 
 
 def reproject(d, lp: StandardLP, F: CholeskyFactor, hinv):
     """Remove the numerical row-space component from d."""
-    return d - hinv * (lp.A.T @ solve(F, lp.A @ d))
+    return d - hinv * (lp.At @ solve(F, lp.A @ d))
 
 
 def newton_direction(lp: StandardLP, x, mu: float, p: GaugeParams):
@@ -58,7 +69,7 @@ def newton_direction(lp: StandardLP, x, mu: float, p: GaugeParams):
 
     def project(v):
         # H^(-1/2) P H^(-1/2) v, via the normal equations
-        return hinv * v - hinv * (lp.A.T @ solve(F, lp.A @ (hinv * v)))
+        return hinv * v - hinv * (lp.At @ solve(F, lp.A @ (hinv * v)))
 
     grad = lp.c - mu * sd.g
     return -project(grad) / (mu * (1.0 - p.r))
@@ -72,13 +83,7 @@ def max_step(x, upper, dir, cap=None):
     """
     x = np.asarray(x, dtype=float)
     dir = np.asarray(dir, dtype=float)
-    candidates = []
-    neg = dir < 0
-    if np.any(neg):
-        candidates.append(np.min(-x[neg] / dir[neg]))
-    pos = (dir > 0) & np.isfinite(upper)
-    if np.any(pos):
-        candidates.append(np.min((upper[pos] - x[pos]) / dir[pos]))
-    if cap is not None:
-        candidates.append(float(cap))
-    return min(candidates) if candidates else np.inf
+    a = np.abs(dir)
+    # distance to the wall dir points at, over |dir|; zero and NaN entries stay +inf
+    ratios = np.divide(np.where(dir < 0, x, upper - x), a, out=np.full(a.shape, np.inf), where=a > 0)
+    return float(ratios.min(initial=np.inf if cap is None else float(cap)))

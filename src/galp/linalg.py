@@ -146,12 +146,18 @@ class PairPlan:
 
 @dataclass
 class ProductPlan:
-    """Assembly by scipy's sparse product, for A whose pair table is too large."""
+    """Assembly by scipy's sparse product, for a CSC A whose pair table is too large."""
 
-    A: sp.spmatrix
+    A: sp.csc_matrix
+    At: sp.csr_matrix = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # A^t over A's own arrays, built once: what A.T returns, without a copy
+        m, n = self.A.shape
+        self.At = sp.csr_matrix((self.A.data, self.A.indices, self.A.indptr), shape=(n, m))
 
     def assemble(self, dinv: np.ndarray) -> np.ndarray:
-        M = np.asarray((self.A.multiply(dinv) @ self.A.T).todense())
+        M = np.asarray((self.A.multiply(dinv) @ self.At).todense())
         if not np.all(np.isfinite(M)):
             raise NonFiniteInput("normal matrix has non-finite entries")
         return np.tril(M) + np.tril(M, -1).T

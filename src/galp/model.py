@@ -28,7 +28,12 @@ class InfeasibleBounds(Exception):
 
 @dataclass
 class StandardLP:
-    """LP data in standard form; ``bounded`` indexes the set I."""
+    """LP data in standard form; ``bounded`` indexes the set I.
+
+    ``At`` is A^t as a CSR matrix over A's own ``data``, ``indices`` and
+    ``indptr``: built once, nothing copied, so every product with A^t on
+    the solve path skips building a new transpose.
+    """
 
     A: sp.csc_matrix
     b: np.ndarray
@@ -45,6 +50,7 @@ class StandardLP:
         if np.any(self.upper[finite] <= 0):
             raise InfeasibleBounds("finite upper bounds must be positive")
         self.bounded = np.flatnonzero(finite)
+        self.At = self.A.T
 
     @property
     def m(self):

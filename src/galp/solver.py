@@ -113,7 +113,7 @@ def starting_point_x1(lp: StandardLP) -> np.ndarray:
 def starting_point_x2(lp: StandardLP, plan: linalg.NormalPlan) -> np.ndarray:
     """Minimum-norm solution of Ax = b shifted into the open box."""
     F = linalg.factor(linalg.assemble_normal(plan, np.ones(lp.n)))
-    xhat = lp.A.T @ linalg.solve(F, lp.b)
+    xhat = lp.At @ linalg.solve(F, lp.b)
     xnorm = np.linalg.norm(xhat, np.inf) if lp.n else 0.0
     delta = max(-1.5 * float(xhat.min(initial=0.0)), 0.01 * (1.0 + xnorm))
     x = xhat + delta

@@ -76,8 +76,8 @@ def test_solve_print_solution(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "args",
-    [["--r", "1.5"], ["--eps", "0"], ["--max-iter", "-1"]],
-    ids=["r-out-of-range", "eps-zero", "max-iter-negative"],
+    [["--r", "1.5"], ["--eps", "0"], ["--max-iter", "-1"], ["--trace", "/nonexistent/t.csv"]],
+    ids=["r-out-of-range", "eps-zero", "max-iter-negative", "trace-unwritable"],
 )
 def test_solve_bad_argument_exits_4(tmp_path, capsys, args):
     p = tmp_path / "tiny.mps"
@@ -93,12 +93,26 @@ def test_solve_bad_argument_exits_4(tmp_path, capsys, args):
         [NETLIB, "--r-grid", "a"],
         ["/nonexistent/corpus"],
         [NETLIB, "--max-iter", "-1"],
+        [NETLIB, "--out", "/nonexistent/o.csv"],
+        [NETLIB, "--timing", "/nonexistent/t.csv"],
     ],
-    ids=["r-grid-out-of-range", "r-grid-not-a-number", "missing-dir", "max-iter-negative"],
+    ids=[
+        "r-grid-out-of-range",
+        "r-grid-not-a-number",
+        "missing-dir",
+        "max-iter-negative",
+        "out-unwritable",
+        "timing-unwritable",
+    ],
 )
-def test_bench_bad_argument_exits_4(tmp_path, capsys, args):
+def test_bench_bad_argument_exits_4(tmp_path, capsys, monkeypatch, args):
+    def no_solve(*_):
+        raise AssertionError("bench solved a cell before it failed")
+
+    monkeypatch.setattr(galp.cli, "_bench_cell", no_solve)
     out = tmp_path / "table.csv"
-    assert main(["bench", *args, "--out", str(out)]) == 4
+    # a later --out in args overrides this one
+    assert main(["bench", "--out", str(out), *args]) == 4
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 

@@ -153,6 +153,60 @@ def test_newton_rejects_bad_parameters(rng):
         newton_direction(lp, x, 0.0, GaugeParams(r=0.5, upper=lp.upper))
 
 
+def masked_max_step(x, upper, dir, cap=None):
+    """Ratio test over boolean masks: the form max_step replaced, kept as its oracle."""
+    x = np.asarray(x, dtype=float)
+    dir = np.asarray(dir, dtype=float)
+    candidates = []
+    neg = dir < 0
+    if np.any(neg):
+        candidates.append(np.min(-x[neg] / dir[neg]))
+    pos = (dir > 0) & np.isfinite(upper)
+    if np.any(pos):
+        candidates.append(np.min((upper[pos] - x[pos]) / dir[pos]))
+    if cap is not None:
+        candidates.append(float(cap))
+    return min(candidates) if candidates else np.inf
+
+
+def ratio_test_cases(rng):
+    """(x, upper, dir) triples: unbounded, all-boxed and mixed upper, with zero and NaN dir."""
+    for k in range(300):
+        n = int(rng.integers(1, 12))
+        kind = k % 3
+        if kind == 0:
+            upper = np.full(n, np.inf)
+        elif kind == 1:
+            upper = rng.uniform(0.5, 4.0, n)
+        else:
+            upper = np.where(rng.random(n) < 0.5, rng.uniform(0.5, 4.0, n), np.inf)
+        x = np.minimum(rng.uniform(1e-3, 2.0, n), 0.99 * upper)
+        dir = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 3, n)
+        if k % 5 == 0:
+            dir = np.abs(dir)  # toward upper only; infinite upper then gives +inf
+        yield x, upper, dir
+        zero = rng.random(n) < 0.4
+        yield x, upper, np.where(zero, 0.0, dir)
+        yield x, upper, np.where(zero, np.nan, dir)
+        # x sitting on its bounds where dir is zero: no 0/0
+        at = np.where(zero, np.where(np.isfinite(upper), upper, 0.0), x)
+        yield at, upper, np.where(zero, 0.0, dir)
+    yield np.array([0.0, 2.0]), np.array([np.inf, 2.0]), np.array([0.0, 0.0])
+    yield np.array([1.0, 1.0]), np.array([np.inf, 2.0]), np.array([np.nan, np.nan])
+    yield np.array([1.0, 0.0]), np.array([2.0, np.inf]), np.array([-0.0, -1.0])
+    yield np.empty(0), np.empty(0), np.empty(0)
+
+
+def test_max_step_matches_masked_oracle(rng):
+    count = 0
+    for x, upper, dir in ratio_test_cases(rng):
+        for cap in (None, 1.0, 0.25):
+            got, want = max_step(x, upper, dir, cap=cap), masked_max_step(x, upper, dir, cap=cap)
+            assert got == want, (x, upper, dir, cap, got, want)  # exact, +inf included
+            count += 1
+    assert count == 3 * (4 * 300 + 4)
+
+
 def test_max_step_examples():
     upper = np.array([np.inf, 2.0])
     x = np.array([1.0, 1.0])

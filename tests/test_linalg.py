@@ -110,6 +110,14 @@ def test_dense_columns_assemble_by_sparse_product(rng):
     assert np.array_equal(M, assemble_normal(PairPlan.build(A), dinv))
 
 
+def test_product_plan_transpose_is_a_view_of_a(rng):
+    A = sp.csc_matrix(rng.uniform(-1, 1, size=(6, 9)))
+    plan = ProductPlan(A)
+    assert (plan.At != A.T).nnz == 0
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(plan.At, name), getattr(A, name)), name
+
+
 def test_assemble_rejects_nonfinite():
     plan = normal_plan(sp.csc_matrix(np.eye(2)))
     with pytest.raises(NonFiniteInput):

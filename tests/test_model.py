@@ -131,6 +131,20 @@ def test_bounded_indexes_finite_upper():
     assert lp.bounded is lp.bounded  # computed once, not per access
 
 
+def test_transpose_is_a_view_of_a(rng):
+    A = sp.random(5, 9, density=0.4, format="coo", random_state=rng)
+    A.data[0] = 0.0  # an explicit zero, which construction eliminates
+    lp = StandardLP(A=A, b=np.zeros(5), c=np.zeros(9), upper=np.full(9, np.inf))
+    assert isinstance(lp.At, sp.csr_matrix)
+    assert lp.At.shape == (9, 5)
+    assert (lp.At != lp.A.T).nnz == 0
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(lp.At, name), getattr(lp.A, name)), name
+    assert lp.At is lp.At  # built once, not per access
+    v = rng.normal(size=5)
+    assert np.array_equal(lp.At @ v, lp.A.T @ v)
+
+
 def test_objective_rhs_becomes_offset():
     raw = build(
         " E  R1\n",

@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from galp import directions, linalg
-from galp.model import to_standard_form
+from galp.model import StandardLP, to_standard_form
 from galp.mps import read_mps
 from galp.penalty import GaugeParams
 from galp.solver import (
@@ -32,6 +33,7 @@ from conftest import (
     random_lp,
     sparse_product_normal,
 )
+from test_directions import masked_max_step
 
 
 def x2(lp):
@@ -389,3 +391,53 @@ def test_solve_factors_once_per_point(monkeypatch, r):
         assert report.status == Status.OPTIMAL
         # x2's start factor, then x0 .. x_{k-1} once each; the final point is not factored
         assert len(calls) == report.iterations + 1, name
+
+
+def dense_column_lp(rng):
+    """Boxed, feasible LP whose 8 full columns push normal_plan onto the ProductPlan path."""
+    A = sp.random(30, 60, density=0.1, format="lil", random_state=rng)
+    A[:, :8] = rng.uniform(-1, 1, size=(30, 8))
+    A = sp.csc_matrix(A)
+    x_feas = rng.uniform(0.5, 1.5, size=60)
+    lp = StandardLP(A=A, b=A @ x_feas, c=rng.uniform(-1, 1, size=60), upper=x_feas + 1.0)
+    assert isinstance(linalg.normal_plan(lp.A), linalg.ProductPlan)
+    return lp
+
+
+def test_solve_builds_no_transpose(monkeypatch, rng):
+    corpus = [to_standard_form(read_mps(netlib_path(name)))[0] for name in NETLIB_PROBLEMS]
+    boxed = random_lp(rng, m=10, n=30, bounded="all")[0]
+    dense = dense_column_lp(rng)
+    calls = []
+    for cls in (sp.csc_matrix, sp.csr_matrix):
+        transpose = cls.transpose
+
+        def counted(self, *args, _transpose=transpose, **kwargs):
+            calls.append(type(self).__name__)
+            return _transpose(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "transpose", counted)
+    corpus[0].A.T  # the wrapper is live
+    assert calls == ["csc_matrix"]
+    calls.clear()
+    for lp in corpus:
+        for r in (0.0, 0.5):
+            assert solve(lp, SolverConfig(r=r)).status == Status.OPTIMAL
+    for lp in (boxed, dense):
+        assert solve(lp, SolverConfig(r=0.2)).iterations > 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5])
+def test_solve_bit_identical_to_masked_ratio_test(monkeypatch, rng, r):
+    cfg = SolverConfig(r=r)
+    lps = [to_standard_form(read_mps(netlib_path(name)))[0] for name in NETLIB_PROBLEMS]
+    lps += [random_lp(rng, m=10, n=30, bounded="all")[0], dense_column_lp(rng)]
+    reports = [solve(lp, cfg) for lp in lps]
+
+    monkeypatch.setattr("galp.solver.max_step", masked_max_step)
+    for lp, new in zip(lps, reports):
+        old = solve(lp, cfg)
+        assert new.status == old.status
+        assert [dataclasses.astuple(t) for t in new.trace] == [dataclasses.astuple(t) for t in old.trace]
+        assert np.array_equal(new.x, old.x)
