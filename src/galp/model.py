@@ -227,9 +227,7 @@ def map_back(vmap: VariableMap, x: np.ndarray) -> np.ndarray:
 def primal_infeasibility(lp: StandardLP, x: np.ndarray) -> float:
     """Feasibility measure ||Ax - b||_inf / (||b||_inf + 1)."""
     resid = lp.A @ x - lp.b
-    bnorm = np.linalg.norm(lp.b, np.inf) if lp.m else 0.0
-    rnorm = np.linalg.norm(resid, np.inf) if lp.m else 0.0
-    return rnorm / (bnorm + 1.0)
+    return np.abs(resid).max(initial=0.0) / (np.abs(lp.b).max(initial=0.0) + 1.0)
 
 
 def objective(lp: StandardLP, x: np.ndarray, offset: float = 0.0) -> float:

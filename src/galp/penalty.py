@@ -96,18 +96,14 @@ def penalized_objective(x: np.ndarray, c: np.ndarray, mu: float, p: GaugeParams)
     return float(c @ x) + mu * g
 
 
-def _require_interior(x, p):
-    if np.any(x <= 0) or np.any(p.upper[p.bounded] - x[p.bounded] <= 0):
-        raise NotInterior("point must satisfy 0 < x and x_I < u_I strictly")
-
-
 def scaling_diagonals(x: np.ndarray, p: GaugeParams) -> ScalingDiagonals:
     """Diagonals g, h at a strictly interior x; valid for every r in [0, 1)."""
     x = np.asarray(x, dtype=float)
-    _require_interior(x, p)
+    slack = p.upper[p.bounded] - x[p.bounded]
+    if np.any(x <= 0) or np.any(slack <= 0):
+        raise NotInterior("point must satisfy 0 < x and x_I < u_I strictly")
     h = x ** (p.r - 2.0)
     g = x ** (p.r - 1.0)
-    slack = p.upper[p.bounded] - x[p.bounded]
     h[p.bounded] += slack ** (p.r - 2.0)
     g[p.bounded] -= slack ** (p.r - 1.0)
     clamped_h = np.clip(h, CLAMP_LO, CLAMP_HI)

@@ -5,8 +5,11 @@ Each point is factored once: H^-1 and the factor of A H^-1 A^t at x_k
 serve the dual estimates (y, w, s), the feasibility direction and the
 descent direction of the step from x_k.  The start's factor serves the
 first iteration; the final point is never factored.  Each point's state,
-with its trace record, is built in one place (``_state``).  The penalty
-parameters and the assembly plan of A H^-1 A^t are built once per solve.
+with its trace record and its expected relative duality gap Rgap, is built
+in one place (``_state``).  The gap alone triggers reprojection of the
+descent direction: once the entering point's Rgap is below REPROJECT_GAP.
+The penalty parameters and the assembly plan of A H^-1 A^t are built once
+per solve.
 
 The feasibility move uses step factor STEP_AGGRESSIVE while the residual is
 large and STEP_CONSERVATIVE once it is small; the descent move swaps the two
@@ -34,7 +37,6 @@ from .penalty import GaugeParams, NotInterior, scaling_diagonals
 STEP_AGGRESSIVE = 0.95
 STEP_CONSERVATIVE = 0.65
 REPROJECT_GAP = 1e-3  # reproject the descent direction once rgap is below this
-REPROJECT_AFTER = 20  # ... or once this many iterations have run
 DUAL_SAFEGUARD = 1e-6  # relative tolerance on negative reduced costs s
 
 
@@ -114,7 +116,7 @@ def starting_point_x2(lp: StandardLP, plan: linalg.NormalPlan) -> np.ndarray:
     """Minimum-norm solution of Ax = b shifted into the open box."""
     F = linalg.factor(linalg.assemble_normal(plan, np.ones(lp.n)))
     xhat = lp.At @ linalg.solve(F, lp.b)
-    xnorm = np.linalg.norm(xhat, np.inf) if lp.n else 0.0
+    xnorm = np.abs(xhat).max(initial=0.0)
     delta = max(-1.5 * float(xhat.min(initial=0.0)), 0.01 * (1.0 + xnorm))
     x = xhat + delta
     idx = lp.bounded
@@ -144,23 +146,22 @@ def recover_duals(lp: StandardLP, x, hinv, F: linalg.CholeskyFactor):
     return (y, *_bound_duals(lp, x, reduced))
 
 
-def relative_gap(lp: StandardLP, x, y, w) -> float:
-    """Expected relative duality gap (<c,x> - <b,y> + <u_I, w_I>) / (|<c,x>| + 1)."""
-    cx = float(lp.c @ x)
-    idx = lp.bounded
-    gap = cx - float(lp.b @ y) + float(lp.upper[idx] @ w[idx])
-    return gap / (abs(cx) + 1.0)
-
-
 def _state(
     lp: StandardLP, x, y, w, s, iteration=0, clamps=0, rho=0.0, step_feas=0.0, step_desc=0.0
 ) -> IterateState:
-    """The point x with duals (y, w, s), and its trace record."""
+    """The point x with duals (y, w, s), and its trace record.
+
+    ``rgap`` is the expected relative duality gap
+    (<c,x> - <b,y> + <u_I, w_I>) / (|<c,x>| + 1).
+    """
+    cx = float(lp.c @ x)
+    idx = lp.bounded
+    gap = cx - float(lp.b @ y) + float(lp.upper[idx] @ w[idx])
     record = TraceRecord(
         iteration=iteration,
-        objective=float(lp.c @ x),
+        objective=cx,
         rf=primal_infeasibility(lp, x),
-        rgap=relative_gap(lp, x, y, w),
+        rgap=gap / (abs(cx) + 1.0),
         step_feas=step_feas,
         step_desc=step_desc,
         min_x=float(x.min()) if lp.n else 0.0,
@@ -194,7 +195,7 @@ def iterate_once(
 
     dx = feasibility_direction(lp, x, hinv, F)
     d, y, reduced = descent_direction(lp, hinv, F)
-    if rec.rgap < REPROJECT_GAP or rec.iteration > REPROJECT_AFTER:
+    if rec.rgap < REPROJECT_GAP:
         d = reproject(d, lp, F, hinv)
 
     # duals at the pre-move point, from the same factorization
@@ -233,8 +234,7 @@ def iterate_once(
 
 
 def _converged(state: IterateState, lp: StandardLP, cfg: SolverConfig) -> bool:
-    cnorm = np.linalg.norm(lp.c, np.inf) if lp.n else 0.0
-    safeguard = -DUAL_SAFEGUARD * (1.0 + cnorm)
+    safeguard = -DUAL_SAFEGUARD * (1.0 + np.abs(lp.c).max(initial=0.0))
     # |rgap|: a strongly negative gap means the dual estimate is infeasible
     # and the point may be far from optimal even though rf is tiny
     return (
@@ -271,8 +271,7 @@ def solve(lp: StandardLP, cfg: SolverConfig | None = None, offset: float = 0.0) 
     try:
         x0 = choose_start(lp, plan)
         hinv, F, clamps = _factor_at(x0, p, plan)
-        # record 0 reports the start's regularization but not its clamps
-        state = _state(lp, x0, *recover_duals(lp, x0, hinv, F), rho=F.rho)
+        state = _state(lp, x0, *recover_duals(lp, x0, hinv, F), clamps=clamps, rho=F.rho)
         trace.append(state.record)
 
         while not _converged(state, lp, cfg):

@@ -106,10 +106,11 @@ def test_solve_bad_argument_exits_4(tmp_path, capsys, args):
     ],
 )
 def test_bench_bad_argument_exits_4(tmp_path, capsys, monkeypatch, args):
-    def no_solve(*_):
-        raise AssertionError("bench solved a cell before it failed")
+    def no_work(*_, **__):
+        raise AssertionError("bench read or solved a file before it failed")
 
-    monkeypatch.setattr(galp.cli, "_bench_cell", no_solve)
+    monkeypatch.setattr(galp.cli, "read_mps", no_work)
+    monkeypatch.setattr(galp.cli, "solve", no_work)
     out = tmp_path / "table.csv"
     # a later --out in args overrides this one
     assert main(["bench", "--out", str(out), *args]) == 4

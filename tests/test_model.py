@@ -222,6 +222,11 @@ def test_primal_infeasibility_tiny():
     assert primal_infeasibility(lp, np.array([1.0, 1.0])) == pytest.approx(0.5)
 
 
+def test_primal_infeasibility_no_rows():
+    lp = StandardLP(A=sp.csc_matrix((0, 2)), b=np.zeros(0), c=np.zeros(2), upper=np.full(2, np.inf))
+    assert primal_infeasibility(lp, np.array([1.0, 2.0])) == 0.0
+
+
 def test_objective_offset():
     lp = StandardLP(
         A=sp.csc_matrix(np.array([[1.0, 1.0]])),

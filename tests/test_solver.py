@@ -6,11 +6,13 @@ import scipy.linalg
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+import galp.solver
 from galp import directions, linalg
 from galp.model import StandardLP, to_standard_form
 from galp.mps import read_mps
 from galp.penalty import GaugeParams
 from galp.solver import (
+    REPROJECT_GAP,
     STEP_AGGRESSIVE,
     SolverConfig,
     Status,
@@ -19,7 +21,6 @@ from galp.solver import (
     choose_start,
     iterate_once,
     recover_duals,
-    relative_gap,
     solve,
     starting_point_x1,
     starting_point_x2,
@@ -129,7 +130,7 @@ def test_relative_gap_identity(rng):
         idx = lp.bounded
         direct = float(s @ x) + float(w[idx] @ (lp.upper[idx] - x[idx]))
         expected = direct / (abs(float(lp.c @ x)) + 1.0)
-        assert relative_gap(lp, x, y, w) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+        assert _state(lp, x, y, w, s).record.rgap == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
 def _fresh_state(lp, x, r=0.0):
@@ -281,6 +282,37 @@ def test_duals_lag_primal_by_one_move():
     y_pre, w_pre, s_pre = recover_duals(lp, state.x, hinv, F)
     assert_allclose(out.y, y_pre)
     assert_allclose(out.s, s_pre)
+
+
+def test_reproject_follows_the_gap_alone(monkeypatch):
+    # blend at r=0.7 runs past iteration 20 with the entering rgap above REPROJECT_GAP
+    lp = to_standard_form(read_mps(netlib_path("blend")))[0]
+    entering, reprojected = [], []
+
+    def iterate(state, *args):
+        entering.append(state.record)
+        return iterate_once(state, *args)
+
+    def counted(*args):
+        reprojected.append(entering[-1].iteration)
+        return directions.reproject(*args)
+
+    monkeypatch.setattr(galp.solver, "iterate_once", iterate)
+    monkeypatch.setattr(galp.solver, "reproject", counted)
+    assert solve(lp, SolverConfig(r=0.7)).status == Status.OPTIMAL
+    assert reprojected == [rec.iteration for rec in entering if rec.rgap < REPROJECT_GAP]
+    assert any(rec.iteration > 20 and rec.rgap >= REPROJECT_GAP for rec in entering)
+
+
+def test_start_record_reports_clamps(monkeypatch):
+    scaling_diagonals = galp.solver.scaling_diagonals
+
+    def two_clamps(x, p):
+        return dataclasses.replace(scaling_diagonals(x, p), clamp_events=2)
+
+    monkeypatch.setattr(galp.solver, "scaling_diagonals", two_clamps)
+    lp = make_lp([[1.0, 1.0]], [1.0], [1.0, 0.0])
+    assert solve(lp, SolverConfig(r=0.0)).trace[0].clamps == 2
 
 
 def shifted_matrix_factor(M):
