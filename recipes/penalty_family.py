@@ -29,15 +29,25 @@ for t in (1.0, 1e-2, 1e-4, 1e-6):
     slope = penalty_gradient(point, np.zeros(2), 1.0, p)[0]
     print(f"x1 = {t:8.0e}   g_r = {value:10.6f}   dg/dx1 = {slope:12.3e}")
 
+
+def g_diagonal(x, p):
+    """The gradient diagonal g, read off grad F = c - mu * G e at c = 0, mu = 1.
+
+    Subtracting from 0.0 rather than negating prints a zero entry as 0, not -0.
+    """
+    return 0.0 - penalty_gradient(x, np.zeros(len(x)), 1.0, p)
+
+
 # scaling diagonals across r at the same point; r = 0 gives x^-2 and x^-1
 print("\nscaling diagonals at x = (0.5, 2.0):")
 x = np.array([0.5, 2.0])
 for r in (0.0, 0.2, 0.5, 0.8):
-    sd = scaling_diagonals(x, GaugeParams(r=r, upper=no_bounds))
-    print(f"  r = {r:3.1f}   h = {np.round(sd.h, 4)}   g = {np.round(sd.g, 4)}")
+    p = GaugeParams(r=r, upper=no_bounds)
+    h = scaling_diagonals(x, p).h
+    print(f"  r = {r:3.1f}   h = {np.round(h, 4)}   g = {np.round(g_diagonal(x, p), 4)}")
 
 # with an upper bound both walls contribute; at the midpoint the first-order
 # term cancels
 p = GaugeParams(r=0.0, upper=np.array([2.0, np.inf]))
-sd = scaling_diagonals(np.array([1.0, 1.0]), p)
-print("\nmidpoint of [0, 2]:  h =", sd.h, " g =", sd.g)
+x = np.array([1.0, 1.0])
+print("\nmidpoint of [0, 2]:  h =", scaling_diagonals(x, p).h, " g =", g_diagonal(x, p))

@@ -33,7 +33,7 @@ import numpy as np
 
 from .linalg import CholeskyFactor, assemble_normal, factor, normal_plan, solve
 from .model import StandardLP
-from .penalty import GaugeParams, scaling_diagonals
+from .penalty import GaugeParams, penalty_gradient, scaling_diagonals
 
 
 def descent_direction(lp: StandardLP, hinv, F: CholeskyFactor):
@@ -63,16 +63,14 @@ def newton_direction(lp: StandardLP, x, mu: float, p: GaugeParams):
     """
     if not 0.0 < p.r < 1.0 or mu <= 0.0:
         raise ValueError("newton_direction needs r in (0, 1) and mu > 0")
-    sd = scaling_diagonals(x, p)
-    hinv = 1.0 / sd.h
+    hinv = 1.0 / scaling_diagonals(x, p).h
     F = factor(assemble_normal(normal_plan(lp.A), hinv))
 
     def project(v):
         # H^(-1/2) P H^(-1/2) v, via the normal equations
         return hinv * v - hinv * (lp.At @ solve(F, lp.A @ (hinv * v)))
 
-    grad = lp.c - mu * sd.g
-    return -project(grad) / (mu * (1.0 - p.r))
+    return -project(penalty_gradient(x, lp.c, mu, p)) / (mu * (1.0 - p.r))
 
 
 def max_step(x, upper, dir, cap=None):

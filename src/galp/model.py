@@ -30,7 +30,8 @@ class InfeasibleBounds(Exception):
 class StandardLP:
     """LP data in standard form; ``bounded`` indexes the set I.
 
-    ``At`` is A^t as a CSR matrix over A's own ``data``, ``indices`` and
+    ``A`` is a CSC copy of the caller's matrix with explicit zeros dropped;
+    the caller's matrix is left as it was.  ``At`` is A^t as a CSR matrix over A's own ``data``, ``indices`` and
     ``indptr``: built once, nothing copied, so every product with A^t on
     the solve path skips building a new transpose.
     """
@@ -41,7 +42,7 @@ class StandardLP:
     upper: np.ndarray
 
     def __post_init__(self):
-        self.A = sp.csc_matrix(self.A)
+        self.A = sp.csc_matrix(self.A, copy=True)
         self.A.eliminate_zeros()
         self.b = np.asarray(self.b, dtype=float)
         self.c = np.asarray(self.c, dtype=float)

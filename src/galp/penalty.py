@@ -6,8 +6,11 @@ g_r(x) = -(1/r) xi_r(x)^r, and the penalized objective is
 F(x) = <c, x> + mu * g_r(x).  These are finite on the boundary: it is the
 gradient, not the value, that blows up there, which is what keeps iterates
 interior.  At r = 0 the gauge degenerates to the normalized geometric mean
-and the scaling diagonals to the classical affine scaling weights; both
+and the scaling diagonal to the classical affine scaling weights; both
 limits are implemented directly.
+
+``scaling_diagonals`` returns H's diagonal only, all the solver reads; the
+gradient diagonal g lives in ``penalty_gradient``.
 """
 
 from __future__ import annotations
@@ -44,15 +47,15 @@ class GaugeParams:
 
 @dataclass
 class ScalingDiagonals:
-    """Diagonals of the penalty gradient/Hessian at an interior point.
+    """Diagonal h of the penalty Hessian H at an interior point.
 
-    For j outside I: h_j = x_j^(r-2), g_j = x_j^(r-1); inside I the mirrored
-    slack terms (u_j - x_j) are added to h_j and subtracted from g_j.
-    Entries are clamped into [1e-32, 1e32] so that downstream squaring stays
-    within double range; ``clamp_events`` counts how many were touched.
+    For j outside I: h_j = x_j^(r-2); inside I the mirrored slack term
+    (u_j - x_j)^(r-2) is added.  Entries are clamped into [1e-32, 1e32] so
+    that downstream squaring stays within double range; ``clamp_events``
+    counts how many were touched.  The gradient diagonal g is not here:
+    ``penalty_gradient`` computes it.
     """
 
-    g: np.ndarray
     h: np.ndarray
     clamp_events: int
 
@@ -96,29 +99,32 @@ def penalized_objective(x: np.ndarray, c: np.ndarray, mu: float, p: GaugeParams)
     return float(c @ x) + mu * g
 
 
-def scaling_diagonals(x: np.ndarray, p: GaugeParams) -> ScalingDiagonals:
-    """Diagonals g, h at a strictly interior x; valid for every r in [0, 1)."""
+def _wall_powers(x, p: GaugeParams, k: float):
+    """x^(r-k) and (u_I - x_I)^(r-k) at a strictly interior x."""
     x = np.asarray(x, dtype=float)
     slack = p.upper[p.bounded] - x[p.bounded]
     if np.any(x <= 0) or np.any(slack <= 0):
         raise NotInterior("point must satisfy 0 < x and x_I < u_I strictly")
-    h = x ** (p.r - 2.0)
-    g = x ** (p.r - 1.0)
-    h[p.bounded] += slack ** (p.r - 2.0)
-    g[p.bounded] -= slack ** (p.r - 1.0)
-    clamped_h = np.clip(h, CLAMP_LO, CLAMP_HI)
-    clamped_g = np.clip(g, -CLAMP_HI, CLAMP_HI)
-    events = int(np.count_nonzero(clamped_h != h) + np.count_nonzero(clamped_g != g))
-    return ScalingDiagonals(g=clamped_g, h=clamped_h, clamp_events=events)
+    # near a wall a power may overflow to inf; every caller's clip bounds it
+    with np.errstate(over="ignore"):
+        return x ** (p.r - k), slack ** (p.r - k)
+
+
+def scaling_diagonals(x: np.ndarray, p: GaugeParams) -> ScalingDiagonals:
+    """Hessian diagonal h at a strictly interior x; valid for every r in [0, 1)."""
+    h, slack_h = _wall_powers(x, p, 2.0)
+    h[p.bounded] += slack_h
+    clamped = np.clip(h, CLAMP_LO, CLAMP_HI)
+    return ScalingDiagonals(h=clamped, clamp_events=int(np.count_nonzero(clamped != h)))
 
 
 def penalty_gradient(x: np.ndarray, c: np.ndarray, mu: float, p: GaugeParams) -> np.ndarray:
-    """grad F = c - mu * G e."""
-    sd = scaling_diagonals(x, p)
-    return np.asarray(c, dtype=float) - mu * sd.g
+    """grad F = c - mu * G e; g_j = x_j^(r-1), less (u_j - x_j)^(r-1) on I, clamped to +-1e32."""
+    g, slack_g = _wall_powers(x, p, 1.0)
+    g[p.bounded] -= slack_g
+    return np.asarray(c, dtype=float) - mu * np.clip(g, -CLAMP_HI, CLAMP_HI)
 
 
 def penalty_hessian_diag(x: np.ndarray, mu: float, p: GaugeParams) -> np.ndarray:
     """diag of hess F = mu (1 - r) H."""
-    sd = scaling_diagonals(x, p)
-    return mu * (1.0 - p.r) * sd.h
+    return mu * (1.0 - p.r) * scaling_diagonals(x, p).h

@@ -1,13 +1,14 @@
 """Main affine scaling loop: starting point, combined feasibility/descent
 steps, dual recovery, stopping, and per-iteration trace capture.
 
-Each point is factored once: H^-1 and the factor of A H^-1 A^t at x_k
-serve the dual estimates (y, w, s), the feasibility direction and the
-descent direction of the step from x_k.  The start's factor serves the
-first iteration; the final point is never factored.  Each point's state,
-with its trace record and its expected relative duality gap Rgap, is built
-in one place (``_state``).  The gap alone triggers reprojection of the
-descent direction: once the entering point's Rgap is below REPROJECT_GAP.
+Each point gets one pass (``recover_duals``): it scales by H at x_k, factors
+A H^-1 A^t, solves once for the descent direction and reads the dual
+estimates (y, w, s) off that solve.  The pass serves the feasibility and
+descent moves of the step from x_k; the start's pass serves the first
+iteration whole, and the final point gets none.  Each point's state, with
+its trace record and its expected relative duality gap Rgap, is built in
+one place (``_state``).  The gap alone triggers reprojection of the descent
+direction: once the entering point's Rgap is below REPROJECT_GAP.
 The penalty parameters and the assembly plan of A H^-1 A^t are built once
 per solve.
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,18 +134,32 @@ def choose_start(lp: StandardLP, plan: linalg.NormalPlan) -> np.ndarray:
     return x1
 
 
-def _bound_duals(lp: StandardLP, x, reduced):
-    """Dual estimates (w, s) at x from the reduced costs c - A^t y."""
+class PointPass(NamedTuple):
+    """One pass at a point x: H^-1, the factor of A H^-1 A^t, the descent
+    direction d, the dual estimates (y, w, s) and the clamp count of H."""
+
+    hinv: np.ndarray
+    F: linalg.CholeskyFactor
+    d: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+    s: np.ndarray
+    clamps: int
+
+
+def recover_duals(lp: StandardLP, x, p: GaugeParams, plan: linalg.NormalPlan) -> PointPass:
+    """Scale, factor and descend at x; the duals come off the descent solve.
+
+    w_I = -(x_I / u_I) s~_I and s = s~ + w, with s~ = c - A^t y the reduced costs.
+    """
+    sd = scaling_diagonals(x, p)
+    hinv = 1.0 / sd.h
+    F = linalg.factor(linalg.assemble_normal(plan, hinv))
+    d, y, reduced = descent_direction(lp, hinv, F)
     w = np.zeros(lp.n)
     idx = lp.bounded
     w[idx] = -(x[idx] / lp.upper[idx]) * reduced[idx]
-    return w, reduced + w
-
-
-def recover_duals(lp: StandardLP, x, hinv, F: linalg.CholeskyFactor):
-    """Expected dual estimates (y, w, s) at the point x."""
-    _, y, reduced = descent_direction(lp, hinv, F)
-    return (y, *_bound_duals(lp, x, reduced))
+    return PointPass(hinv, F, d, y, w, reduced + w, sd.clamp_events)
 
 
 def _state(
@@ -171,35 +187,19 @@ def _state(
     return IterateState(x, y, w, s, record)
 
 
-def _factor_at(x, p: GaugeParams, plan: linalg.NormalPlan):
-    """H^-1 at x, the factor of A H^-1 A^t, and the clamp count of H."""
-    sd = scaling_diagonals(x, p)
-    hinv = 1.0 / sd.h
-    return hinv, linalg.factor(linalg.assemble_normal(plan, hinv)), sd.clamp_events
-
-
-def iterate_once(
-    state: IterateState,
-    lp: StandardLP,
-    cfg: SolverConfig,
-    hinv,
-    F: linalg.CholeskyFactor,
-    clamps: int,
-) -> IterateState:
+def iterate_once(state: IterateState, lp: StandardLP, cfg: SolverConfig, pt: PointPass) -> IterateState:
     """One combined feasibility + descent pass of the main loop.
 
-    ``hinv``, ``F`` and ``clamps`` come from ``_factor_at(state.x, ...)``.
+    ``pt`` is ``recover_duals`` at ``state.x``; its duals, taken before the
+    move, go to the new state.
     """
     x = state.x
     rec = state.record
 
-    dx = feasibility_direction(lp, x, hinv, F)
-    d, y, reduced = descent_direction(lp, hinv, F)
+    dx = feasibility_direction(lp, x, pt.hinv, pt.F)
+    d = pt.d
     if rec.rgap < REPROJECT_GAP:
-        d = reproject(d, lp, F, hinv)
-
-    # duals at the pre-move point, from the same factorization
-    w, s = _bound_duals(lp, x, reduced)
+        d = reproject(d, lp, pt.F, pt.hinv)
 
     infeasible = rec.rf > cfg.epsilon
 
@@ -220,16 +220,7 @@ def iterate_once(
     x = x + t_desc * d
 
     return _state(
-        lp,
-        x,
-        y,
-        w,
-        s,
-        iteration=rec.iteration + 1,
-        clamps=clamps,
-        rho=F.rho,
-        step_feas=t_feas,
-        step_desc=t_desc,
+        lp, x, pt.y, pt.w, pt.s, rec.iteration + 1, pt.clamps, pt.F.rho, step_feas=t_feas, step_desc=t_desc
     )
 
 
@@ -270,16 +261,16 @@ def solve(lp: StandardLP, cfg: SolverConfig | None = None, offset: float = 0.0) 
     state = None
     try:
         x0 = choose_start(lp, plan)
-        hinv, F, clamps = _factor_at(x0, p, plan)
-        state = _state(lp, x0, *recover_duals(lp, x0, hinv, F), clamps=clamps, rho=F.rho)
+        pt = recover_duals(lp, x0, p, plan)
+        state = _state(lp, x0, pt.y, pt.w, pt.s, clamps=pt.clamps, rho=pt.F.rho)
         trace.append(state.record)
 
         while not _converged(state, lp, cfg):
             if state.record.iteration >= cfg.max_iterations:
                 return report(state, Status.ITERATION_LIMIT)
-            if state.record.iteration > 0:  # the start's factor serves iteration 1
-                hinv, F, clamps = _factor_at(state.x, p, plan)
-            state = iterate_once(state, lp, cfg, hinv, F, clamps)
+            if state.record.iteration > 0:  # the start's pass serves iteration 1
+                pt = recover_duals(lp, state.x, p, plan)
+            state = iterate_once(state, lp, cfg, pt)
             trace.append(state.record)
         return report(state, Status.OPTIMAL)
 

@@ -145,6 +145,17 @@ def test_transpose_is_a_view_of_a(rng):
     assert np.array_equal(lp.At @ v, lp.A.T @ v)
 
 
+def test_construction_leaves_callers_matrix_alone():
+    A = sp.csc_matrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    A.data[1] = 0.0  # an explicit zero, which construction eliminates from its own copy
+    before = {name: getattr(A, name).copy() for name in ("data", "indices", "indptr")}
+    lp = StandardLP(A=A, b=np.zeros(2), c=np.zeros(2), upper=np.full(2, np.inf))
+    assert lp.A.nnz == 3
+    assert A.nnz == 4
+    for name, arr in before.items():
+        assert np.array_equal(getattr(A, name), arr), name
+
+
 def test_objective_rhs_becomes_offset():
     raw = build(
         " E  R1\n",

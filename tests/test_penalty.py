@@ -21,6 +21,11 @@ def params(r, upper):
     return GaugeParams(r=r, upper=np.asarray(upper, dtype=float))
 
 
+def g_diagonal(x, p):
+    """The gradient diagonal g, read off grad F = c - mu * G e at c = 0, mu = 1."""
+    return -penalty_gradient(x, np.zeros(len(x)), 1.0, p)
+
+
 def test_gauge_value():
     p = params(0.5, NO_UB)
     assert xi_r(np.array([1.0, 4.0]), p) == pytest.approx(9.0)
@@ -88,7 +93,7 @@ def test_scaling_diagonals_classic():
     p = GaugeParams(r=0.0, upper=np.array([np.inf]))
     sd = scaling_diagonals(np.array([0.5]), p)
     assert_allclose(sd.h, [4.0])
-    assert_allclose(sd.g, [2.0])
+    assert_allclose(g_diagonal(np.array([0.5]), p), [2.0])
 
 
 def test_scaling_diagonals_bounded_midpoint():
@@ -96,7 +101,7 @@ def test_scaling_diagonals_bounded_midpoint():
         p = GaugeParams(r=r, upper=np.array([2.0]))
         sd = scaling_diagonals(np.array([1.0]), p)
         assert_allclose(sd.h, [2.0])
-        assert_allclose(sd.g, [0.0])
+        assert_allclose(g_diagonal(np.array([1.0]), p), [0.0])
 
 
 def test_scaling_diagonals_not_interior():
@@ -109,9 +114,11 @@ def test_scaling_diagonals_not_interior():
 
 def test_scaling_diagonals_clamped():
     p = GaugeParams(r=0.0, upper=np.array([np.inf]))
-    sd = scaling_diagonals(np.array([1e-20]), p)  # x^-2 = 1e40 clamps
-    assert sd.clamp_events >= 1
-    assert sd.h[0] == 1e32
+    # x^-2 = 1e40 clamps; x^-2 = 1e400 overflows to inf first, which must not warn
+    for x in (1e-20, 1e-200):
+        sd = scaling_diagonals(np.array([x]), p)
+        assert sd.clamp_events == 1
+        assert sd.h[0] == 1e32
 
 
 def test_gradient_hand_value():
@@ -188,7 +195,6 @@ def test_r_continuity_of_diagonals(rng):
     upper = np.where(rng.random(n) < 0.5, rng.uniform(2.0, 4.0, n), np.inf)
     x = rng.uniform(0.3, 1.5, n)
     x = np.minimum(x, 0.9 * upper)
-    small = scaling_diagonals(x, GaugeParams(r=1e-6, upper=upper))
-    zero = scaling_diagonals(x, GaugeParams(r=0.0, upper=upper))
-    assert_allclose(small.h, zero.h, rtol=1e-4)
-    assert_allclose(small.g, zero.g, rtol=1e-4, atol=1e-4)
+    small, zero = GaugeParams(r=1e-6, upper=upper), GaugeParams(r=0.0, upper=upper)
+    assert_allclose(scaling_diagonals(x, small).h, scaling_diagonals(x, zero).h, rtol=1e-4)
+    assert_allclose(g_diagonal(x, small), g_diagonal(x, zero), rtol=1e-4, atol=1e-4)

@@ -1,4 +1,5 @@
-"""Every recipe under recipes/ runs to completion against the current API."""
+"""Every recipe under recipes/ runs to completion against the current API,
+under the suite's own warning policy: a RuntimeWarning is an error."""
 
 import glob
 import os
@@ -21,7 +22,7 @@ def test_recipes_found():
 def test_recipe_runs(path, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(galp.__file__)))
     proc = subprocess.run(
-        [sys.executable, path],
+        [sys.executable, "-W", "error::RuntimeWarning", path],
         capture_output=True,
         text=True,
         env=env,

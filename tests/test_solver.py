@@ -16,7 +16,6 @@ from galp.solver import (
     STEP_AGGRESSIVE,
     SolverConfig,
     Status,
-    _factor_at,
     _state,
     choose_start,
     iterate_once,
@@ -28,7 +27,6 @@ from galp.solver import (
 
 from conftest import (
     NETLIB_PROBLEMS,
-    factor_at,
     make_lp,
     netlib_path,
     random_lp,
@@ -45,9 +43,12 @@ def start(lp):
     return choose_start(lp, linalg.normal_plan(lp.A))
 
 
+def pass_at(lp, x, r):
+    return recover_duals(lp, x, GaugeParams(r=r, upper=lp.upper), linalg.normal_plan(lp.A))
+
+
 def step(state, lp, cfg):
-    p = GaugeParams(r=cfg.r, upper=lp.upper)
-    return iterate_once(state, lp, cfg, *_factor_at(state.x, p, linalg.normal_plan(lp.A)))
+    return iterate_once(state, lp, cfg, pass_at(lp, state.x, cfg.r))
 
 
 def test_config_validation():
@@ -104,38 +105,35 @@ def test_choose_start_branches():
 def test_recover_duals_unbounded_case():
     lp = make_lp([[1.0, 1.0]], [1.0], [1.0, 0.0])
     x = np.array([0.5, 0.5])
-    hinv, F = factor_at(lp, x, 0.0)
-    y, w, s = recover_duals(lp, x, hinv, F)
-    assert_allclose(y, [0.5])
-    assert_allclose(w, [0.0, 0.0])
-    assert_allclose(s, [0.5, -0.5])
+    pt = pass_at(lp, x, 0.0)
+    assert_allclose(pt.y, [0.5])
+    assert_allclose(pt.w, [0.0, 0.0])
+    assert_allclose(pt.s, [0.5, -0.5])
 
 
 def test_recover_duals_bounded_case():
     lp = make_lp([[1.0, 1.0]], [1.0], [1.0, 0.0], upper=[1.0, np.inf])
     x = np.array([0.5, 0.5])
-    hinv, F = factor_at(lp, x, 0.0)
-    y, w, s = recover_duals(lp, x, hinv, F)
-    assert_allclose(y, [1.0 / 3.0])
-    assert_allclose(w, [-1.0 / 3.0, 0.0])
-    assert_allclose(s, [1.0 / 3.0, -1.0 / 3.0])
+    pt = pass_at(lp, x, 0.0)
+    assert_allclose(pt.y, [1.0 / 3.0])
+    assert_allclose(pt.w, [-1.0 / 3.0, 0.0])
+    assert_allclose(pt.s, [1.0 / 3.0, -1.0 / 3.0])
 
 
 def test_relative_gap_identity(rng):
     # at a feasible x the gap equals <s, x> + <w_I, u_I - x_I>
     for _ in range(20):
         lp, x = random_lp(rng, m=3, n=6, bounded="some")
-        hinv, F = factor_at(lp, x, 0.3)
-        y, w, s = recover_duals(lp, x, hinv, F)
+        pt = pass_at(lp, x, 0.3)
         idx = lp.bounded
-        direct = float(s @ x) + float(w[idx] @ (lp.upper[idx] - x[idx]))
+        direct = float(pt.s @ x) + float(pt.w[idx] @ (lp.upper[idx] - x[idx]))
         expected = direct / (abs(float(lp.c @ x)) + 1.0)
-        assert _state(lp, x, y, w, s).record.rgap == pytest.approx(expected, rel=1e-10, abs=1e-12)
+        assert _state(lp, x, pt.y, pt.w, pt.s).record.rgap == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
 def _fresh_state(lp, x, r=0.0):
-    hinv, F = factor_at(lp, x, r)
-    return _state(lp, x, *recover_duals(lp, x, hinv, F))
+    pt = pass_at(lp, x, r)
+    return _state(lp, x, pt.y, pt.w, pt.s)
 
 
 def test_iterate_once_descent_step_hand_case():
@@ -278,10 +276,9 @@ def test_duals_lag_primal_by_one_move():
     state = _fresh_state(lp, np.array([0.5, 0.5]))
     out = step(state, lp, cfg)
     # reported duals were computed at the pre-move point
-    hinv, F = factor_at(lp, state.x, 0.0)
-    y_pre, w_pre, s_pre = recover_duals(lp, state.x, hinv, F)
-    assert_allclose(out.y, y_pre)
-    assert_allclose(out.s, s_pre)
+    pre = pass_at(lp, state.x, 0.0)
+    assert_allclose(out.y, pre.y)
+    assert_allclose(out.s, pre.s)
 
 
 def test_reproject_follows_the_gap_alone(monkeypatch):
@@ -408,21 +405,29 @@ def test_solve_agrees_with_numpy_cholesky_kernel(monkeypatch, r):
 
 @pytest.mark.parametrize("r", [0.0, 0.5])
 def test_solve_factors_once_per_point(monkeypatch, r):
-    calls = []
+    calls, descents = [], []
     factor = linalg.factor
 
     def counted(M):
         calls.append(M.shape)
         return factor(M)
 
+    def descent(*args):
+        descents.append(args)
+        return directions.descent_direction(*args)
+
     monkeypatch.setattr(linalg, "factor", counted)
+    monkeypatch.setattr(galp.solver, "descent_direction", descent)
     for name in NETLIB_PROBLEMS:
         lp = to_standard_form(read_mps(netlib_path(name)))[0]
         calls.clear()
+        descents.clear()
         report = solve(lp, SolverConfig(r=r))
         assert report.status == Status.OPTIMAL
         # x2's start factor, then x0 .. x_{k-1} once each; the final point is not factored
         assert len(calls) == report.iterations + 1, name
+        # one descent solve per factored point: the start's pass serves iteration 1
+        assert len(descents) == report.iterations, name
 
 
 def dense_column_lp(rng):
