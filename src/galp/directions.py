@@ -1,14 +1,18 @@
 """Search directions for the affine scaling iteration.
 
 All directions share one Cholesky factor of A H^-1 A^t and one diagonal
-H^-1 (``hinv``) per iterate, both computed once by the caller:
+H^-1 (``hinv``) per iterate, both computed once by the caller.  The descent
+and feasibility directions map vectors the caller has already solved for
+with that factor, so the caller can solve both right-hand sides in one
+two-column ``solve``; only ``reproject`` solves for itself, because its
+right-hand side depends on d:
 
 * descent:     y = (A H^-1 A^t)^-1 A H^-1 c,  s = c - A^t y,  d = -H^-1 s,
   which equals -H^(-1/2) P H^(-1/2) c with P the orthogonal projector onto
   ker(A H^(-1/2)); hence A d = 0 and <c, d> = -||H^(-1/2) s||^2 <= 0.
-* feasibility: dx = H^-1 A^t (A H^-1 A^t)^-1 (b - A x), oriented so that
-  A dx = b - A x exactly cancels the residual; the right-hand side is
-  recomputed from the current iterate to avoid accumulating round-off.
+* feasibility: dx = H^-1 A^t v with v = (A H^-1 A^t)^-1 (b - A x), oriented
+  so that A dx = b - A x exactly cancels the residual; the right-hand side
+  is recomputed from the current iterate to avoid accumulating round-off.
 * reprojection: subtracting the row-space component of a computed d shrinks
   ||A d|| when round-off has crept in; algebraically a no-op.
 
@@ -36,18 +40,16 @@ from .model import StandardLP
 from .penalty import GaugeParams, penalty_gradient, scaling_diagonals
 
 
-def descent_direction(lp: StandardLP, hinv, F: CholeskyFactor):
-    """Affine scaling descent direction; returns (d, y, s)."""
-    y = solve(F, lp.A @ (hinv * lp.c))
+def descent_direction(lp: StandardLP, hinv, y):
+    """Affine scaling descent direction from y = (A H^-1 A^t)^-1 A H^-1 c; returns (d, y, s)."""
     s = lp.c - lp.At @ y
     d = -hinv * s
     return d, y, s
 
 
-def feasibility_direction(lp: StandardLP, x, hinv, F: CholeskyFactor):
-    """Residual-canceling direction with A dx = b - A x."""
-    resid = lp.b - lp.A @ x
-    return hinv * (lp.At @ solve(F, resid))
+def feasibility_direction(lp: StandardLP, hinv, v):
+    """Residual-canceling direction H^-1 A^t v from v = (A H^-1 A^t)^-1 (b - A x), so A dx = b - A x."""
+    return hinv * (lp.At @ v)
 
 
 def reproject(d, lp: StandardLP, F: CholeskyFactor, hinv):

@@ -33,13 +33,18 @@ sums rather than on all m^2 entries.
 
 ``factor`` copies M once into a Fortran-ordered buffer (for a C-ordered,
 exactly symmetric M that copy of M^t is a plain memcpy) and factors it in
-place with LAPACK ``dpotrf``; ``solve`` hands that lower factor straight to
-``dpotrs``.  The factor is ``scipy.linalg.cholesky(M, lower=True)`` bit for
-bit.  It escalates a relative diagonal regularization
-rho in {0, 1e-12, 1e-10, 1e-8, 1e-6}, recopying M before each rung, until
-every pivot is finite and its square stays above 1e-30; the rho actually
-applied is recorded on the factor so the solver trace can surface it.  M and
-L are dense: the solver targets desk-scale problems.
+place with LAPACK ``dpotrf(clean=0)``: the lower triangle becomes the factor
+and the strict upper triangle keeps M's entries, since zeroing it would cost
+a column-strided pass that no reader needs.  ``solve`` hands the buffer
+straight to ``dpotrs``, which reads only the lower triangle, for one
+right-hand side or for several columns at once; an m x 2 solve gives each
+column bit for bit as its own one-column solve.  The lower triangle is
+``scipy.linalg.cholesky(M, lower=True)`` bit for bit.  ``factor`` escalates
+a relative diagonal regularization rho in {0, 1e-12, 1e-10, 1e-8, 1e-6},
+recopying M before each rung, until every pivot is finite and its square
+stays above 1e-30; the rho actually applied is recorded on the factor so
+the solver trace can surface it.  M and L are dense: the solver targets
+desk-scale problems.
 """
 
 from __future__ import annotations
@@ -64,7 +69,12 @@ class FactorizationFailed(Exception):
 
 @dataclass
 class CholeskyFactor:
-    """Fortran-ordered lower-triangular factor with M + rho*diag(M) ~ L L^t."""
+    """Fortran-ordered Cholesky factor with M + rho*diag(M) ~ L L^t.
+
+    Only the lower triangle of ``L``, diagonal included, is the factor; its
+    strict upper triangle still holds M's entries (``dpotrf`` with
+    ``clean=0``), so a reader of the factor takes ``np.tril(L)``.
+    """
 
     L: np.ndarray
     rho: float
@@ -215,11 +225,15 @@ def factor(M: np.ndarray) -> CholeskyFactor:
         if rho != 0.0:
             # the same sums as M + rho*np.diag(diag), without an m x m diagonal
             np.fill_diagonal(shifted, diag + rho * diag)
-        L, info = dpotrf(shifted, lower=1, overwrite_a=1, clean=1)
+        L, info = dpotrf(shifted, lower=1, overwrite_a=1, clean=0)
         if info != 0:
             continue
+        # info == 0 leaves no pivot <= 0, though OpenBLAS lets NaN through;
+        # min() propagates NaN, so lo*lo > 1e-30 holds exactly when every
+        # pivot's square does, and max() < inf rules out a +inf pivot
         pivots = np.diag(L)
-        if np.all(np.isfinite(pivots)) and np.all(pivots * pivots > _MIN_PIVOT):
+        lo = float(pivots.min(initial=np.inf))
+        if lo * lo > _MIN_PIVOT and pivots.max(initial=0.0) < np.inf:
             return CholeskyFactor(L=L, rho=rho)
     if not np.all(np.isfinite(M)):
         raise NonFiniteInput("normal matrix has non-finite entries")
@@ -229,6 +243,10 @@ def factor(M: np.ndarray) -> CholeskyFactor:
 
 
 def solve(F: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
-    """Forward/back substitution with the stored lower factor, which LAPACK reads in place."""
+    """Forward/back substitution with the stored lower factor, which LAPACK reads in place.
+
+    ``rhs`` is one vector of length m or an m x k array whose columns are
+    solved together; the result has the shape of ``rhs``.
+    """
     z, _ = dpotrs(F.L, rhs, lower=1)
     return z

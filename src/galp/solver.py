@@ -2,13 +2,16 @@
 steps, dual recovery, stopping, and per-iteration trace capture.
 
 Each point gets one pass (``recover_duals``): it scales by H at x_k, factors
-A H^-1 A^t, solves once for the descent direction and reads the dual
-estimates (y, w, s) off that solve.  The pass serves the feasibility and
+A H^-1 A^t, and solves for the descent right-hand side A H^-1 c and the
+feasibility right-hand side b - A x_k together, in one two-column solve.
+The feasibility direction, the descent direction and the dual estimates
+(y, w, s) all come off that solve.  The pass serves the feasibility and
 descent moves of the step from x_k; the start's pass serves the first
 iteration whole, and the final point gets none.  Each point's state, with
 its trace record and its expected relative duality gap Rgap, is built in
 one place (``_state``).  The gap alone triggers reprojection of the descent
-direction: once the entering point's Rgap is below REPROJECT_GAP.
+direction: once the entering point's Rgap is below REPROJECT_GAP, which
+costs one more solve with the pass's factor.
 The penalty parameters and the assembly plan of A H^-1 A^t are built once
 per solve.
 
@@ -58,8 +61,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 <= self.r < 1.0:
             raise ValueError("r must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and positive")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
 
@@ -135,11 +138,13 @@ def choose_start(lp: StandardLP, plan: linalg.NormalPlan) -> np.ndarray:
 
 
 class PointPass(NamedTuple):
-    """One pass at a point x: H^-1, the factor of A H^-1 A^t, the descent
-    direction d, the dual estimates (y, w, s) and the clamp count of H."""
+    """One pass at a point x: H^-1, the factor of A H^-1 A^t, the feasibility
+    direction dx, the descent direction d, the dual estimates (y, w, s) and
+    the clamp count of H."""
 
     hinv: np.ndarray
     F: linalg.CholeskyFactor
+    dx: np.ndarray
     d: np.ndarray
     y: np.ndarray
     w: np.ndarray
@@ -148,18 +153,22 @@ class PointPass(NamedTuple):
 
 
 def recover_duals(lp: StandardLP, x, p: GaugeParams, plan: linalg.NormalPlan) -> PointPass:
-    """Scale, factor and descend at x; the duals come off the descent solve.
+    """Scale and factor at x, then solve once for both moves; the duals come off the descent column.
 
     w_I = -(x_I / u_I) s~_I and s = s~ + w, with s~ = c - A^t y the reduced costs.
     """
     sd = scaling_diagonals(x, p)
     hinv = 1.0 / sd.h
     F = linalg.factor(linalg.assemble_normal(plan, hinv))
-    d, y, reduced = descent_direction(lp, hinv, F)
+    # dpotrs returns Fortran order, so each column is contiguous, as a
+    # one-column solve's result is, and b @ y sums in the same order
+    v = linalg.solve(F, np.column_stack((lp.A @ (hinv * lp.c), lp.b - lp.A @ x)))
+    d, y, reduced = descent_direction(lp, hinv, v[:, 0])
+    dx = feasibility_direction(lp, hinv, v[:, 1])
     w = np.zeros(lp.n)
     idx = lp.bounded
     w[idx] = -(x[idx] / lp.upper[idx]) * reduced[idx]
-    return PointPass(hinv, F, d, y, w, reduced + w, sd.clamp_events)
+    return PointPass(hinv, F, dx, d, y, w, reduced + w, sd.clamp_events)
 
 
 def _state(
@@ -196,7 +205,6 @@ def iterate_once(state: IterateState, lp: StandardLP, cfg: SolverConfig, pt: Poi
     x = state.x
     rec = state.record
 
-    dx = feasibility_direction(lp, x, pt.hinv, pt.F)
     d = pt.d
     if rec.rgap < REPROJECT_GAP:
         d = reproject(d, lp, pt.F, pt.hinv)
@@ -204,9 +212,9 @@ def iterate_once(state: IterateState, lp: StandardLP, cfg: SolverConfig, pt: Poi
     infeasible = rec.rf > cfg.epsilon
 
     t_feas = (STEP_AGGRESSIVE if infeasible else STEP_CONSERVATIVE) * max_step(
-        x, lp.upper, dx, cap=1.0
+        x, lp.upper, pt.dx, cap=1.0
     )
-    x = x + t_feas * dx
+    x = x + t_feas * pt.dx
 
     tmax = max_step(x, lp.upper, d, cap=None)
     if np.isinf(tmax) and float(lp.c @ d) < 0:

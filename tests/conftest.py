@@ -8,6 +8,7 @@ import scipy.sparse as sp
 sys.path.insert(0, os.path.dirname(__file__))
 
 from galp import linalg
+from galp.directions import descent_direction, feasibility_direction
 from galp.model import StandardLP
 from galp.penalty import GaugeParams, scaling_diagonals
 
@@ -58,6 +59,12 @@ def factor_at(lp, x, r):
     hinv = 1.0 / scaling_diagonals(x, GaugeParams(r=r, upper=lp.upper)).h
     F = linalg.factor(linalg.assemble_normal(linalg.normal_plan(lp.A), hinv))
     return hinv, F
+
+
+def solved_directions(lp, x, hinv, F):
+    """Descent (d, y, s) and feasibility dx at x, from one two-column solve with F."""
+    v = linalg.solve(F, np.column_stack((lp.A @ (hinv * lp.c), lp.b - lp.A @ x)))
+    return (*descent_direction(lp, hinv, v[:, 0]), feasibility_direction(lp, hinv, v[:, 1]))
 
 
 def random_lp(rng, m=3, n=6, bounded="some"):

@@ -12,13 +12,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from galp import linalg
-from galp.directions import descent_direction, newton_direction
+from galp.directions import newton_direction
 from galp.model import to_standard_form
 from galp.mps import MpsError, parse_mps, read_mps, write_mps
 from galp.penalty import GaugeParams, penalized_objective, penalty_gradient, scaling_diagonals
 from galp.solver import SolverConfig, Status, solve
 
-from conftest import FIXTURES, NETLIB_PROBLEMS, netlib_path, random_lp, random_interior_point
+from conftest import FIXTURES, NETLIB_PROBLEMS, netlib_path, random_lp, random_interior_point, solved_directions
 from simplex_oracle import simplex_solve
 
 R_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
@@ -117,7 +117,7 @@ def test_criterion_4_directions_match_dense_oracles():
             h = scaling_diagonals(x, p).h
             hinv = 1.0 / h
             F = linalg.factor(linalg.assemble_normal(linalg.normal_plan(lp.A), hinv))
-            d, _, _ = descent_direction(lp, hinv, F)
+            d, *_ = solved_directions(lp, x, hinv, F)
 
             # dense projector oracle
             hs = np.sqrt(h)
@@ -165,7 +165,7 @@ def test_criterion_5_solver_invariants():
             def direction_at(r):
                 hinv = 1.0 / scaling_diagonals(x, GaugeParams(r=r, upper=lp.upper)).h
                 F = linalg.factor(linalg.assemble_normal(linalg.normal_plan(lp.A), hinv))
-                return descent_direction(lp, hinv, F)[0]
+                return solved_directions(lp, x, hinv, F)[0]
 
             assert_allclose(direction_at(1e-6), direction_at(0.0), rtol=CONTINUITY_RTOL, atol=1e-8)
 
@@ -191,7 +191,7 @@ def test_criterion_5_solver_invariants():
             x = random_interior_point(rng, lp)
             hinv = 1.0 / scaling_diagonals(x, GaugeParams(r=0.2, upper=lp.upper)).h
             F = linalg.factor(linalg.assemble_normal(linalg.normal_plan(lp.A), hinv))
-            d, _, _ = descent_direction(lp, hinv, F)
+            d, *_ = solved_directions(lp, x, hinv, F)
             bound = 1e-6 * (1.0 + np.abs(lp.A).max() * np.linalg.norm(d, np.inf))
             assert np.linalg.norm(lp.A @ d, np.inf) <= bound
 

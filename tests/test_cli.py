@@ -76,8 +76,15 @@ def test_solve_print_solution(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "args",
-    [["--r", "1.5"], ["--eps", "0"], ["--max-iter", "-1"], ["--trace", "/nonexistent/t.csv"]],
-    ids=["r-out-of-range", "eps-zero", "max-iter-negative", "trace-unwritable"],
+    [
+        ["--r", "1.5"],
+        ["--eps", "0"],
+        ["--eps", "nan"],
+        ["--eps", "inf"],
+        ["--max-iter", "-1"],
+        ["--trace", "/nonexistent/t.csv"],
+    ],
+    ids=["r-out-of-range", "eps-zero", "eps-nan", "eps-inf", "max-iter-negative", "trace-unwritable"],
 )
 def test_solve_bad_argument_exits_4(tmp_path, capsys, args):
     p = tmp_path / "tiny.mps"

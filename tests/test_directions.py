@@ -2,16 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from galp.directions import (
-    descent_direction,
-    feasibility_direction,
-    max_step,
-    newton_direction,
-    reproject,
-)
+from galp.directions import max_step, newton_direction, reproject
 from galp.penalty import GaugeParams, scaling_diagonals
 
-from conftest import factor_at, make_lp, random_interior_point, random_lp
+from conftest import factor_at, make_lp, random_interior_point, random_lp, solved_directions
 
 
 def dense_projected_direction(lp, x, r):
@@ -27,7 +21,7 @@ def test_descent_hand_case():
     lp = make_lp([[1.0, 1.0]], [1.0], [1.0, 0.0])
     x = np.array([0.5, 0.5])
     hinv, F = factor_at(lp, x, 0.0)
-    d, y, s = descent_direction(lp, hinv, F)
+    d, y, s, _ = solved_directions(lp, x, hinv, F)
     assert_allclose(y, [0.5])
     assert_allclose(s, [0.5, -0.5])
     assert_allclose(d, [-0.125, 0.125])
@@ -39,7 +33,7 @@ def test_descent_zero_when_c_in_row_space():
     lp = make_lp([[1.0, 1.0]], [1.0], [2.0, 2.0])
     x = np.array([0.3, 0.7])
     hinv, F = factor_at(lp, x, 0.4)
-    d, _, s = descent_direction(lp, hinv, F)
+    d, _, s, _ = solved_directions(lp, x, hinv, F)
     assert_allclose(s, np.zeros(2), atol=1e-12)
     assert_allclose(d, np.zeros(2), atol=1e-12)
 
@@ -50,7 +44,7 @@ def test_descent_matches_dense_projector(rng):
         x = random_interior_point(rng, lp)
         r = rng.uniform(0.0, 0.9)
         hinv, F = factor_at(lp, x, r)
-        d, _, _ = descent_direction(lp, hinv, F)
+        d, *_ = solved_directions(lp, x, hinv, F)
         assert_allclose(d, dense_projected_direction(lp, x, r), rtol=1e-8, atol=1e-10)
 
 
@@ -61,7 +55,7 @@ def test_descent_is_nonascent(rng):
         lp, _ = random_lp(rng, m=m, n=n)
         x = random_interior_point(rng, lp)
         hinv, F = factor_at(lp, x, float(rng.uniform(0.0, 0.95)))
-        d, _, _ = descent_direction(lp, hinv, F)
+        d, *_ = solved_directions(lp, x, hinv, F)
         assert lp.c @ d <= 1e-10 * (1.0 + np.linalg.norm(lp.c) * np.linalg.norm(d))
 
 
@@ -70,7 +64,7 @@ def test_descent_stays_in_kernel(rng):
         lp, _ = random_lp(rng, m=4, n=8)
         x = random_interior_point(rng, lp)
         hinv, F = factor_at(lp, x, float(rng.uniform(0.0, 0.9)))
-        d, _, _ = descent_direction(lp, hinv, F)
+        d, *_ = solved_directions(lp, x, hinv, F)
         bound = 1e-6 * (1.0 + np.abs(lp.A).max() * np.linalg.norm(d, np.inf))
         assert np.linalg.norm(lp.A @ d, np.inf) <= bound
 
@@ -79,7 +73,7 @@ def test_feasibility_hand_case():
     lp = make_lp([[1.0, 1.0]], [1.0], [0.0, 0.0])
     x = np.array([1.0, 1.0])  # residual b - Ax = -1
     hinv, F = factor_at(lp, x, 0.0)
-    dx = feasibility_direction(lp, x, hinv, F)
+    *_, dx = solved_directions(lp, x, hinv, F)
     assert_allclose(dx, [-0.5, -0.5])
     assert_allclose(lp.A @ dx, lp.b - lp.A @ x)
 
@@ -89,7 +83,7 @@ def test_feasibility_residual_contraction(rng):
         lp, _ = random_lp(rng, m=3, n=7)
         x = random_interior_point(rng, lp)
         hinv, F = factor_at(lp, x, float(rng.uniform(0.0, 0.9)))
-        dx = feasibility_direction(lp, x, hinv, F)
+        *_, dx = solved_directions(lp, x, hinv, F)
         resid = lp.b - lp.A @ x
         for t in (0.25, 0.65, 1.0):
             after = lp.b - lp.A @ (x + t * dx)
@@ -101,7 +95,7 @@ def test_reproject_annihilates_row_space(rng):
     x = random_interior_point(rng, lp)
     hinv, F = factor_at(lp, x, 0.3)
     # contaminate a kernel direction with a row-space component
-    d, _, _ = descent_direction(lp, hinv, F)
+    d, *_ = solved_directions(lp, x, hinv, F)
     bad = d + 0.1 * hinv * (lp.A.T @ rng.normal(size=lp.m))
     fixed = reproject(bad, lp, F, hinv)
     assert np.linalg.norm(lp.A @ fixed, np.inf) <= 1e-10 * (1.0 + np.linalg.norm(fixed))
@@ -112,7 +106,7 @@ def test_reproject_does_not_grow_clean_direction(rng):
     lp, _ = random_lp(rng, m=3, n=6)
     x = random_interior_point(rng, lp)
     hinv, F = factor_at(lp, x, 0.0)
-    d, _, _ = descent_direction(lp, hinv, F)
+    d, *_ = solved_directions(lp, x, hinv, F)
     fixed = reproject(d, lp, F, hinv)
     assert np.linalg.norm(fixed) <= np.linalg.norm(d) * (1.0 + 1e-12)
     assert_allclose(fixed, d, rtol=1e-10, atol=1e-12)
@@ -123,7 +117,7 @@ def test_newton_limit_recovers_descent(rng):
     x = random_interior_point(rng, lp)
     r = 0.4
     hinv, F = factor_at(lp, x, r)
-    d, _, _ = descent_direction(lp, hinv, F)
+    d, *_ = solved_directions(lp, x, hinv, F)
     errs = []
     for mu in (1e-4, 1e-6):
         dn = newton_direction(lp, x, mu, GaugeParams(r=r, upper=lp.upper))
@@ -239,7 +233,7 @@ def test_direction_r_continuity(rng):
     lp, _ = random_lp(rng, m=3, n=6)
     x = random_interior_point(rng, lp)
     hinv0, F0 = factor_at(lp, x, 0.0)
-    d0, _, _ = descent_direction(lp, hinv0, F0)
+    d0, *_ = solved_directions(lp, x, hinv0, F0)
     hinve, Fe = factor_at(lp, x, 1e-6)
-    de, _, _ = descent_direction(lp, hinve, Fe)
+    de, *_ = solved_directions(lp, x, hinve, Fe)
     assert_allclose(de, d0, rtol=1e-4, atol=1e-8)

@@ -186,7 +186,8 @@ def test_factor_singular_regularizes():
     F = factor(M)
     assert F.rho > 0.0
     regularized = M + F.rho * np.diag(np.diag(M))
-    assert_allclose(F.L @ F.L.T, regularized, rtol=1e-8)
+    L = np.tril(F.L)
+    assert_allclose(L @ L.T, regularized, rtol=1e-8)
 
 
 def test_factor_bit_identical_to_shifted_cholesky(rng):
@@ -195,12 +196,15 @@ def test_factor_bit_identical_to_shifted_cholesky(rng):
         M = B @ B.T
         F = factor(M)
         assert F.rho == 0.0
-        assert np.array_equal(F.L, scipy.linalg.cholesky(M, lower=True))
+        assert np.array_equal(np.tril(F.L), scipy.linalg.cholesky(M, lower=True))
+        # dpotrf(clean=0) leaves M's strict upper triangle in place, regularized or not
+        assert np.array_equal(np.triu(F.L, 1), np.triu(M, 1))
         # slightly indefinite: only a regularized factorization succeeds
         M -= (np.linalg.eigvalsh(M)[0] + 1e-9 * np.trace(M) / m) * np.eye(m)
         F = factor(M)
         assert F.rho > 0.0
-        assert np.array_equal(F.L, scipy.linalg.cholesky(M + F.rho * np.diag(np.diag(M)), lower=True))
+        assert np.array_equal(np.tril(F.L), scipy.linalg.cholesky(M + F.rho * np.diag(np.diag(M)), lower=True))
+        assert np.array_equal(np.triu(F.L, 1), np.triu(M, 1))
 
 
 def test_factor_hopeless_matrix_fails():
@@ -227,6 +231,22 @@ def test_solve_bit_identical_to_lower_cho_solve(rng):
             rhs = rng.normal(size=m) * 10.0 ** rng.uniform(-8, 8)
             expected = scipy.linalg.cho_solve((F.L, True), rhs, check_finite=False)
             assert np.array_equal(solve(F, rhs), expected)
+
+
+def test_solve_never_reads_upper_triangle(rng):
+    for m in (1, 5, 60, 300):
+        B = rng.uniform(-1, 1, size=(m, m))
+        F = factor(B @ B.T + 0.1 * np.eye(m))
+        one = rng.normal(size=m)
+        two = np.column_stack((rng.normal(size=m), one))
+        z1, z2 = solve(F, one), solve(F, two)
+        # a two-column solve gives each column as its own one-column solve
+        assert z2.shape == (m, 2)
+        assert np.array_equal(z2[:, 1], z1)
+        assert np.array_equal(z2[:, 0], solve(F, two[:, 0].copy()))
+        F.L[np.triu_indices(m, 1)] = np.nan
+        assert np.array_equal(solve(F, one), z1)
+        assert np.array_equal(solve(F, two), z2)
 
 
 def test_solve_matches_gaussian_oracle(rng):

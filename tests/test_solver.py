@@ -56,6 +56,10 @@ def test_config_validation():
         SolverConfig(r=1.0)
     with pytest.raises(ValueError):
         SolverConfig(epsilon=0.0)
+    # a non-finite tolerance would make the stopping test meaningless
+    for eps in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            SolverConfig(epsilon=eps)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=-1)
 
@@ -405,7 +409,7 @@ def test_solve_agrees_with_numpy_cholesky_kernel(monkeypatch, r):
 
 @pytest.mark.parametrize("r", [0.0, 0.5])
 def test_solve_factors_once_per_point(monkeypatch, r):
-    calls, descents = [], []
+    calls, descents, solves, reprojects = [], [], [], []
     factor = linalg.factor
 
     def counted(M):
@@ -416,18 +420,34 @@ def test_solve_factors_once_per_point(monkeypatch, r):
         descents.append(args)
         return directions.descent_direction(*args)
 
+    def counted_solve(F, rhs, _solve=linalg.solve):
+        solves.append(np.shape(rhs))
+        return _solve(F, rhs)
+
+    def reproject(*args):
+        reprojects.append(args)
+        return directions.reproject(*args)
+
     monkeypatch.setattr(linalg, "factor", counted)
     monkeypatch.setattr(galp.solver, "descent_direction", descent)
+    # the solver's solves go through linalg.solve, reproject's through directions.solve
+    monkeypatch.setattr(linalg, "solve", counted_solve)
+    monkeypatch.setattr(directions, "solve", counted_solve)
+    monkeypatch.setattr(galp.solver, "reproject", reproject)
     for name in NETLIB_PROBLEMS:
         lp = to_standard_form(read_mps(netlib_path(name)))[0]
-        calls.clear()
-        descents.clear()
+        for log in (calls, descents, solves, reprojects):
+            log.clear()
         report = solve(lp, SolverConfig(r=r))
         assert report.status == Status.OPTIMAL
         # x2's start factor, then x0 .. x_{k-1} once each; the final point is not factored
         assert len(calls) == report.iterations + 1, name
-        # one descent solve per factored point: the start's pass serves iteration 1
+        # one descent per factored point: the start's pass serves iteration 1
         assert len(descents) == report.iterations, name
+        # x2's solve, one two-column solve per pass, and one per reprojection
+        assert reprojects, name
+        assert len(solves) == 1 + report.iterations + len(reprojects), name
+        assert solves.count((lp.m, 2)) == report.iterations, name
 
 
 def dense_column_lp(rng):
@@ -478,3 +498,32 @@ def test_solve_bit_identical_to_masked_ratio_test(monkeypatch, rng, r):
         assert new.status == old.status
         assert [dataclasses.astuple(t) for t in new.trace] == [dataclasses.astuple(t) for t in old.trace]
         assert np.array_equal(new.x, old.x)
+
+
+def column_by_column_solve(F, rhs):
+    """Solve an m x k right-hand side as k one-column cho_solve calls."""
+    if rhs.ndim == 1:
+        return lower_factor_solve(F, rhs)
+    # Fortran order, as dpotrs returns it: a strided column would change the
+    # summation order of the BLAS dot in b @ y
+    return np.array([lower_factor_solve(F, col) for col in rhs.T]).T
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5])
+def test_solve_bit_identical_to_one_column_solves(monkeypatch, rng, r):
+    # the oracle is the route with one solve per move: a cleaned scipy factor
+    # and a separate one-column solve for each right-hand side
+    cfg = SolverConfig(r=r)
+    lps = [to_standard_form(read_mps(netlib_path(name)))[0] for name in NETLIB_PROBLEMS]
+    lps += [random_lp(rng, m=10, n=30, bounded="all")[0], dense_column_lp(rng)]
+    reports = [solve(lp, cfg) for lp in lps]
+
+    monkeypatch.setattr(linalg, "factor", shifted_matrix_factor)
+    monkeypatch.setattr(linalg, "solve", column_by_column_solve)
+    monkeypatch.setattr(directions, "solve", lower_factor_solve)
+    for lp, new in zip(lps, reports):
+        old = solve(lp, cfg)
+        assert new.status == old.status
+        assert [dataclasses.astuple(t) for t in new.trace] == [dataclasses.astuple(t) for t in old.trace]
+        for field in ("x", "y", "w", "s"):
+            assert np.array_equal(getattr(new, field), getattr(old, field)), field
