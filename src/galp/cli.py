@@ -5,7 +5,8 @@
 penalty exponents and emits a CSV iteration table (cells: iteration count,
 "**" for the iteration cap, "err" for parse/numeric failures) plus a per-r
 solved-percentage summary.  Each file is read and converted once, then
-solved at every r.  Solve times go to a separate CSV so the main table is
+solved at every r.  Solve times, and each file's read-and-convert time in a
+last ``setup`` column, go to a separate CSV so the main table is
 byte-reproducible.
 
 Exit codes: 0 Optimal, 2 IterationLimit, 3 Unbounded, 4 parse/numeric error.
@@ -115,19 +116,22 @@ def cmd_bench(args) -> int:
             timing = files.enter_context(open(args.timing, "w", newline="")) if args.timing else None
             out = files.enter_context(open(args.out, "w", newline="")) if args.out else sys.stdout
             for name in names:
+                start = time.perf_counter()
                 try:
                     lp, _ = to_standard_form(read_mps(os.path.join(args.dir, name)))
                 except (OSError, MpsError, InfeasibleBounds):
                     cells = [("err", "")] * len(cfgs)  # nothing was solved, so no time
+                    setup = ""
                 else:
+                    setup = f"{time.perf_counter() - start:.6f}"
                     cells = [_bench_cell(lp, cfg) for cfg in cfgs]
                 stem = os.path.splitext(name)[0]
                 rows.append([stem] + [cell for cell, _ in cells])
-                time_rows.append([stem] + [elapsed for _, elapsed in cells])
-            for fh, table in ((out, rows), (timing, time_rows)):
+                time_rows.append([stem] + [elapsed for _, elapsed in cells] + [setup])
+            for fh, head, table in ((out, header, rows), (timing, header + ["setup"], time_rows)):
                 if fh is not None:
                     writer = csv.writer(fh)
-                    writer.writerow(header)
+                    writer.writerow(head)
                     writer.writerows(table)
     except OSError as exc:
         return _error(exc)
@@ -160,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--eps", type=float, default=1e-8)
     pb.add_argument("--max-iter", type=int, default=300)
     pb.add_argument("--out", metavar="CSV", help="iteration table destination (default stdout)")
-    pb.add_argument("--timing", metavar="CSV", help="solve-time table destination")
+    pb.add_argument("--timing", metavar="CSV", help="solve- and set-up-time table destination")
     pb.set_defaults(func=cmd_bench)
     return parser
 

@@ -10,11 +10,19 @@ the range width when a RANGES entry exists), finite lower bounds are shifted
 out, free variables are split into positive/negative parts, and fixed
 variables are substituted away.  ``VariableMap`` records enough to map a
 standard-form point back to the original variables.
+
+``to_standard_form`` works in array passes over the coefficient list rather
+than entry by entry: names map to indices once, boolean masks classify the
+columns (fixed, shifted, negated, split), a cumsum numbers the standard-form
+columns, ``np.subtract.at`` moves substituted values into b in (column,
+file) order, and A is built by one COO -> CSC conversion.  Its output is bit
+for bit that of a column-by-column pass, which the tests keep as an oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,22 +94,23 @@ def to_standard_form(raw: RawMps):
     ncols = len(col_names)
 
     constraint_rows = [(name, kind) for name, kind in raw.rows if kind != "N"]
-    row_index = {name: i for i, (name, _) in enumerate(constraint_rows)}
     m = len(constraint_rows)
+    # Row code of a coefficient: its constraint row, or -1 on the objective
+    # row; coefficients on extra free (N) rows get -2 and are ignored.
+    row_code = {name: i for i, (name, _) in enumerate(constraint_rows)}
+    row_code[raw.objective_row] = -1
 
     rhs = dict(raw.rhs)
     ranges = dict(raw.ranges)
 
-    # Original column data, split into objective and constraint coefficients.
+    # Coefficients in file order: original column, row code and value.
+    nent = len(raw.columns)
+    ent_col = np.fromiter(map(col_index.__getitem__, [col for col, _, _ in raw.columns]), np.intp, nent)
+    ent_row = np.fromiter(map(row_code.get, [rname for _, rname, _ in raw.columns], repeat(-2)), np.intp, nent)
+    ent_val = np.array([value for _, _, value in raw.columns], dtype=float)
+    on_obj = ent_row == -1
     obj = np.zeros(ncols)
-    cols = [[] for _ in range(ncols)]  # per original column: (row, coef)
-    for col, rname, value in raw.columns:
-        k = col_index[col]
-        if rname == raw.objective_row:
-            obj[k] += value
-        elif rname in row_index:
-            cols[k].append((row_index[rname], value))
-        # coefficients on extra free (N) rows are ignored
+    np.add.at(obj, ent_col[on_obj], ent_val[on_obj])
 
     # Bounds: defaults lb=0, ub=+inf, applied in file order; the parser
     # admits only the six kinds below.
@@ -124,62 +133,55 @@ def to_standard_form(raw: RawMps):
         elif kind == "PL":
             ub[k] = np.inf
 
+    infeasible = lb > ub
+    if infeasible.any():
+        k = int(np.argmax(infeasible))
+        raise InfeasibleBounds(f"variable {col_names[k]!r}: lower {lb[k]} > upper {ub[k]}")
+    # Each original column is fixed (substituted away), shifted (x = lb + z),
+    # direct (lb = 0), negated (x = ub - z) or split (x = x_pos - x_neg).
+    low_finite = np.isfinite(lb)
+    up_finite = np.isfinite(ub)
+    fixed = low_finite & (lb == ub)
+    shifted = low_finite & ~fixed & (lb != 0.0)
+    negated = ~low_finite & up_finite
+    split = ~low_finite & ~up_finite
+    substituted = fixed | shifted | negated
+    shift = np.where(negated, ub, lb)
+    col_width = np.full(ncols, np.inf)
+    np.subtract(ub, lb, out=col_width, where=low_finite & up_finite)
+    ncopies = np.where(fixed, 0, np.where(split, 2, 1))
+    first = np.cumsum(ncopies) - ncopies  # standard-form column (x_pos for a split one)
+    norig = int(ncopies.sum())
+
     b = np.array([rhs.get(name, 0.0) for name, _ in constraint_rows])
+    # Substituted values move into b row by row in (column, file) order, so
+    # each b_i sees its subtractions in the order a column-by-column pass has.
+    on_row = ent_row >= 0
+    moved = np.flatnonzero(on_row & substituted[ent_col])
+    moved = moved[np.argsort(ent_col[moved], kind="stable")]
+    np.subtract.at(b, ent_row[moved], ent_val[moved] * shift[ent_col[moved]])
     # An RHS entry on the objective row is the negated objective constant.
     offset = -rhs.get(raw.objective_row, 0.0)
+    for k in np.flatnonzero(substituted):
+        offset += obj[k] * shift[k]
 
     vmap = VariableMap(names=list(col_names), offset=offset)
-    triples = []  # (row, std_col, coef)
-    c_std = []
-    upper_std = []
-    nstd = 0
-
-    def new_col(entries, cost, up):
-        nonlocal nstd
-        j = nstd
-        nstd += 1
-        triples.extend((i, j, v) for i, v in entries)
-        c_std.append(cost)
-        upper_std.append(up)
-        return j
-
-    for k in range(ncols):
-        low, up = lb[k], ub[k]
-        if low > up:
-            raise InfeasibleBounds(f"variable {col_names[k]!r}: lower {low} > upper {up}")
-        if np.isfinite(low) and low == up:
-            # Fixed variable: substitute its value into b and the offset.
-            for i, v in cols[k]:
-                b[i] -= v * low
-            vmap.offset += obj[k] * low
+    how = np.select([fixed, shifted, negated, split], [1, 2, 3, 4])  # 0: direct
+    for code, j, low, up in zip(how.tolist(), first.tolist(), lb.tolist(), ub.tolist()):
+        if code == 0:
+            vmap.entries.append(("direct", j))
+        elif code == 1:
             vmap.entries.append(("fixed", low))
-        elif np.isfinite(low):
-            width = up - low if np.isfinite(up) else np.inf
-            if low != 0.0:
-                for i, v in cols[k]:
-                    b[i] -= v * low
-                vmap.offset += obj[k] * low
-                j = new_col(cols[k], obj[k], width)
-                vmap.entries.append(("shifted", j, low))
-            else:
-                j = new_col(cols[k], obj[k], width)
-                vmap.entries.append(("direct", j))
-        elif np.isfinite(up):
-            # lb = -inf, finite ub: substitute x = up - z with z >= 0 free above.
-            for i, v in cols[k]:
-                b[i] -= v * up
-            vmap.offset += obj[k] * up
-            j = new_col([(i, -v) for i, v in cols[k]], -obj[k], np.inf)
+        elif code == 2:
+            vmap.entries.append(("shifted", j, low))
+        elif code == 3:
             vmap.entries.append(("negated_shifted", j, up))
         else:
-            # Fully free: x = x_pos - x_neg.
-            jp = new_col(cols[k], obj[k], np.inf)
-            jn = new_col([(i, -v) for i, v in cols[k]], -obj[k], np.inf)
-            vmap.entries.append(("split", jp, jn))
+            vmap.entries.append(("split", j, j + 1))
 
     # Slack/surplus columns for inequality rows and ranged rows.
-    for name, kind in constraint_rows:
-        i = row_index[name]
+    slack_rows, slack_signs, slack_widths = [], [], []
+    for i, (name, kind) in enumerate(constraint_rows):
         rng = ranges.get(name)
         if kind == "L":
             width = abs(rng) if rng is not None else np.inf
@@ -195,15 +197,33 @@ def to_standard_form(raw: RawMps):
             sign = -1.0 if rng >= 0 else 1.0
         if width == 0.0:
             continue  # zero-width range: the row is an equality
-        j = new_col([(i, sign)], 0.0, width)
-        vmap.slacks.append((j, name))
+        vmap.slacks.append((norig + len(slack_rows), name))
+        slack_rows.append(i)
+        slack_signs.append(sign)
+        slack_widths.append(width)
+    nstd = norig + len(slack_rows)
 
-    if triples:
-        rows_, cols_, vals = zip(*triples)
-    else:
-        rows_, cols_, vals = [], [], []
-    A = sp.csc_matrix((list(vals), (list(rows_), list(cols_))), shape=(m, nstd))
-    lp = StandardLP(A=A, b=b, c=np.array(c_std), upper=np.array(upper_std))
+    c = np.zeros(nstd)
+    upper = np.empty(nstd)
+    kept = ~fixed
+    c[first[kept]] = np.where(negated, -obj, obj)[kept]
+    upper[first[kept]] = col_width[kept]
+    c[first[split] + 1] = -obj[split]
+    upper[first[split] + 1] = np.inf
+    upper[norig:] = slack_widths
+
+    # COO -> CSC keeps each column's entries in input order, so every column
+    # of A receives its coefficients in file order, duplicates included.
+    kept_ent = np.flatnonzero(on_row & kept[ent_col])
+    twin_ent = kept_ent[split[ent_col[kept_ent]]]
+    j_ent = first[ent_col]
+    rows = np.concatenate((ent_row[kept_ent], ent_row[twin_ent], slack_rows)).astype(np.intp)
+    cols = np.concatenate((j_ent[kept_ent], j_ent[twin_ent] + 1, np.arange(norig, nstd)))
+    vals = np.concatenate(
+        (np.where(negated[ent_col], -ent_val, ent_val)[kept_ent], -ent_val[twin_ent], slack_signs)
+    )
+    A = sp.csc_matrix((vals, (rows, cols)), shape=(m, nstd))
+    lp = StandardLP(A=A, b=b, c=c, upper=upper)
     return lp, vmap
 
 

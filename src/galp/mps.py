@@ -5,6 +5,12 @@ Sections are expected in the order NAME, ROWS, COLUMNS, RHS, [RANGES],
 classic fixed column positions are a special case of that, so both styles
 parse.  Comment lines starting with '*' and blank lines are skipped.
 
+Each line is split once.  COLUMNS data lines, most of a typical file, are
+tested for first, and their row/value pairs are walked by index; every
+check keeps its order, exception class, message and line number.
+``read_mps`` reads files as ASCII, so a byte outside it (say, a latin-1
+letter in a comment) becomes U+FFFD instead of stopping the read.
+
 Only continuous bound kinds are accepted (UP, LO, FX, FR, MI, PL); the
 integer kinds BV/LI/UI are rejected because the solver handles continuous
 LPs only.
@@ -79,13 +85,8 @@ class RawMps:
     warnings: list = field(default_factory=list, compare=False)
 
     def column_names(self):
-        seen = []
-        known = set()
-        for col, _, _ in self.columns:
-            if col not in known:
-                known.add(col)
-                seen.append(col)
-        return seen
+        """Column names in order of first appearance."""
+        return list(dict.fromkeys([col for col, _, _ in self.columns]))
 
 
 def _number(token, lineno):
@@ -103,25 +104,44 @@ def parse_mps(source) -> RawMps:
         source = io.StringIO(source)
 
     raw = RawMps()
+    columns = raw.columns
     section = None
     seen_sections = []
     row_names = set()
-    declared_cols = set()
-    coef_keys = set()
+    col_rows = {}  # column -> the rows it has a coefficient in
+    col, rows_of_col = None, None
     rhs_rows = set()
     range_rows = set()
     saw_endata = False
     lineno = 0
 
     for lineno, line in enumerate(source, start=1):
-        stripped = line.rstrip("\n")
-        if not stripped.strip() or stripped.lstrip().startswith("*"):
+        tokens = line.split()
+        if not tokens or tokens[0][0] == "*":
+            continue
+        ntok = len(tokens)
+
+        if section == "COLUMNS" and line[0].isspace():
+            # Rows cannot change after ROWS, so a column is checked against
+            # them on its first line of each block.
+            if tokens[0] != col:
+                col = tokens[0]
+                if col in row_names:
+                    raise DuplicateEntry(f"column name {col!r} collides with a row", lineno)
+                rows_of_col = col_rows.setdefault(col, set())
+            if ntok < 3 or ntok % 2 == 0:
+                raise MalformedNumber(f"expected row/value pairs after column {col!r}", lineno)
+            for t in range(1, ntok, 2):
+                rname = tokens[t]
+                if rname not in row_names:
+                    raise UndeclaredName(f"coefficient references unknown row {rname!r}", lineno)
+                if rname in rows_of_col:
+                    raise DuplicateEntry(f"duplicate coefficient ({col!r}, {rname!r})", lineno)
+                rows_of_col.add(rname)
+                columns.append((col, rname, _number(tokens[t + 1], lineno)))
             continue
 
-        is_header = not stripped[0].isspace()
-        tokens = stripped.split()
-
-        if is_header:
+        if not line[0].isspace():
             keyword = tokens[0].upper()
             if keyword not in _SECTION_ORDER:
                 raise UnknownSection(f"unknown section {tokens[0]!r}", lineno)
@@ -130,14 +150,15 @@ def parse_mps(source) -> RawMps:
             seen_sections.append(keyword)
             section = keyword
             if keyword == "NAME":
-                raw.name = tokens[1] if len(tokens) > 1 else ""
+                raw.name = tokens[1] if ntok > 1 else ""
             elif keyword == "ENDATA":
                 saw_endata = True
                 break
             continue
 
+        stripped = line.rstrip("\n")
         if section == "ROWS":
-            if len(tokens) != 2:
+            if ntok != 2:
                 raise UnknownRowKind(f"expected 'kind name', got {stripped!r}", lineno)
             kind, name = tokens[0].upper(), tokens[1]
             if kind not in ROW_KINDS:
@@ -149,37 +170,22 @@ def parse_mps(source) -> RawMps:
             if kind == "N" and not raw.objective_row:
                 raw.objective_row = name
 
-        elif section == "COLUMNS":
-            col = tokens[0]
-            if col in row_names:
-                raise DuplicateEntry(f"column name {col!r} collides with a row", lineno)
-            declared_cols.add(col)
-            pairs = tokens[1:]
-            if not pairs or len(pairs) % 2 != 0:
-                raise MalformedNumber(f"expected row/value pairs after column {col!r}", lineno)
-            for rname, vtok in zip(pairs[::2], pairs[1::2]):
-                if rname not in row_names:
-                    raise UndeclaredName(f"coefficient references unknown row {rname!r}", lineno)
-                if (col, rname) in coef_keys:
-                    raise DuplicateEntry(f"duplicate coefficient ({col!r}, {rname!r})", lineno)
-                coef_keys.add((col, rname))
-                raw.columns.append((col, rname, _number(vtok, lineno)))
-
         elif section in ("RHS", "RANGES"):
             # The leading set name is optional; an odd token count means
             # it is present.
-            pairs = tokens[1:] if len(tokens) % 2 == 1 else tokens
-            if not pairs or len(pairs) % 2 != 0:
+            first = ntok % 2
+            if ntok == 1:
                 raise MalformedNumber(f"expected row/value pairs, got {stripped!r}", lineno)
             dest = raw.rhs if section == "RHS" else raw.ranges
             seen = rhs_rows if section == "RHS" else range_rows
-            for rname, vtok in zip(pairs[::2], pairs[1::2]):
+            for t in range(first, ntok, 2):
+                rname = tokens[t]
                 if rname not in row_names:
                     raise UndeclaredName(f"{section} references unknown row {rname!r}", lineno)
                 if rname in seen:
                     raise DuplicateEntry(f"duplicate {section} entry for row {rname!r}", lineno)
                 seen.add(rname)
-                dest.append((rname, _number(vtok, lineno)))
+                dest.append((rname, _number(tokens[t + 1], lineno)))
 
         elif section == "BOUNDS":
             kind = tokens[0].upper()
@@ -204,7 +210,7 @@ def parse_mps(source) -> RawMps:
                 else:
                     raise MalformedNumber(f"malformed bound line {stripped!r}", lineno)
                 value = _number(vtok, lineno)
-            if col not in declared_cols:
+            if col not in col_rows:
                 raise UndeclaredName(f"bound references unknown column {col!r}", lineno)
             if kind == "UP" and value is not None and value < 0:
                 raw.warnings.append(
@@ -221,7 +227,8 @@ def parse_mps(source) -> RawMps:
 
 
 def read_mps(path) -> RawMps:
-    with open(path, "r") as fh:
+    """Parse an MPS file, read as ASCII: a byte outside it becomes U+FFFD."""
+    with open(path, encoding="ascii", errors="replace") as fh:
         return parse_mps(fh)
 
 

@@ -179,9 +179,12 @@ def test_bench_timing_csv(tmp_path, capsys):
     timing = tmp_path / "times.csv"
     main(["bench", NETLIB, "--r-grid", "0.2", "--out", str(out), "--timing", str(timing)])
     rows = read_csv(timing)
-    assert rows[0] == read_csv(out)[0]
+    assert rows[0] == read_csv(out)[0] + ["setup"]
+    assert [row[0] for row in rows[1:]] == [row[0] for row in read_csv(out)[1:]]
     for row in rows[1:]:
+        assert len(row) == 3
         assert float(row[1]) > 0.0
+        assert float(row[2]) > 0.0
 
 
 def test_bench_empty_dir_warns(tmp_path, capsys):
@@ -197,12 +200,29 @@ def test_bench_isolates_bad_file(tmp_path, capsys):
     shutil.copy(netlib_path("afiro"), corpus / "afiro.mps")
     (corpus / "broken.mps").write_text("NAME X\nGARBAGE\n")
     out = tmp_path / "table.csv"
-    main(["bench", str(corpus), "--r-grid", "0.2", "--out", str(out)])
+    timing = tmp_path / "times.csv"
+    main(["bench", str(corpus), "--r-grid", "0.2", "--out", str(out), "--timing", str(timing)])
     rows = read_csv(out)
     table = {row[0]: row[1] for row in rows[1:]}
     assert table["afiro"].isdigit()
     assert table["broken"] == "err"
     assert "r=0.2: 50.0%" in capsys.readouterr().err
+    times = {row[0]: row[1:] for row in read_csv(timing)[1:]}
+    assert float(times["afiro"][1]) > 0.0
+    assert times["broken"] == ["", ""]  # no solve and no set-up to time
+
+
+def test_non_ascii_comment_is_read(tmp_path, capsys):
+    # a latin-1 byte in a comment line: solve and bench read the file like afiro
+    head, rest = open(netlib_path("afiro"), "rb").read().split(b"\n", 1)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "afiro.mps").write_bytes(head + b"\n* caf\xe9\n" + rest)
+    assert main(["solve", str(corpus / "afiro.mps"), "--quiet"]) == 0
+    out = tmp_path / "table.csv"
+    assert main(["bench", str(corpus), "--out", str(out)]) == 0
+    pinned = read_csv(os.path.join(DATA, "netlib_iterations.csv"))
+    assert read_csv(out) == [pinned[0]] + [row for row in pinned[1:] if row[0] == "afiro"]
 
 
 def test_bench_stdout_default(tmp_path, capsys, monkeypatch):

@@ -1,19 +1,26 @@
+import glob
+import importlib.util
+import os
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from galp import parse_mps
+from galp import parse_mps, read_mps
+from galp.mps import RawMps
 from galp.model import (
     InfeasibleBounds,
     StandardLP,
+    VariableMap,
     map_back,
     objective,
     primal_infeasibility,
     to_standard_form,
 )
 
-from conftest import random_lp
+from conftest import FIXTURES, NETLIB, random_lp
 
 
 def build(rows, columns, rhs="", extra=""):
@@ -247,3 +254,270 @@ def test_objective_offset():
     )
     assert objective(lp, np.array([0.5, 0.5])) == pytest.approx(0.5)
     assert objective(lp, np.array([0.5, 0.5]), offset=2.0) == pytest.approx(2.5)
+
+
+def loop_standard_form(raw):
+    """The column-by-column converter that ``to_standard_form`` replaced, kept verbatim as its oracle."""
+    col_names = raw.column_names()
+    col_index = {name: k for k, name in enumerate(col_names)}
+    ncols = len(col_names)
+
+    constraint_rows = [(name, kind) for name, kind in raw.rows if kind != "N"]
+    row_index = {name: i for i, (name, _) in enumerate(constraint_rows)}
+    m = len(constraint_rows)
+
+    rhs = dict(raw.rhs)
+    ranges = dict(raw.ranges)
+
+    # Original column data, split into objective and constraint coefficients.
+    obj = np.zeros(ncols)
+    cols = [[] for _ in range(ncols)]  # per original column: (row, coef)
+    for col, rname, value in raw.columns:
+        k = col_index[col]
+        if rname == raw.objective_row:
+            obj[k] += value
+        elif rname in row_index:
+            cols[k].append((row_index[rname], value))
+        # coefficients on extra free (N) rows are ignored
+
+    # Bounds: defaults lb=0, ub=+inf, applied in file order; the parser
+    # admits only the six kinds below.
+    lb = np.zeros(ncols)
+    ub = np.full(ncols, np.inf)
+    for kind, col, value in raw.bounds:
+        k = col_index[col]
+        if kind == "UP":
+            ub[k] = value
+        elif kind == "LO":
+            lb[k] = value
+        elif kind == "FX":
+            lb[k] = value
+            ub[k] = value
+        elif kind == "FR":
+            lb[k] = -np.inf
+            ub[k] = np.inf
+        elif kind == "MI":
+            lb[k] = -np.inf
+        elif kind == "PL":
+            ub[k] = np.inf
+
+    b = np.array([rhs.get(name, 0.0) for name, _ in constraint_rows])
+    # An RHS entry on the objective row is the negated objective constant.
+    offset = -rhs.get(raw.objective_row, 0.0)
+
+    vmap = VariableMap(names=list(col_names), offset=offset)
+    triples = []  # (row, std_col, coef)
+    c_std = []
+    upper_std = []
+    nstd = 0
+
+    def new_col(entries, cost, up):
+        nonlocal nstd
+        j = nstd
+        nstd += 1
+        triples.extend((i, j, v) for i, v in entries)
+        c_std.append(cost)
+        upper_std.append(up)
+        return j
+
+    for k in range(ncols):
+        low, up = lb[k], ub[k]
+        if low > up:
+            raise InfeasibleBounds(f"variable {col_names[k]!r}: lower {low} > upper {up}")
+        if np.isfinite(low) and low == up:
+            # Fixed variable: substitute its value into b and the offset.
+            for i, v in cols[k]:
+                b[i] -= v * low
+            vmap.offset += obj[k] * low
+            vmap.entries.append(("fixed", low))
+        elif np.isfinite(low):
+            width = up - low if np.isfinite(up) else np.inf
+            if low != 0.0:
+                for i, v in cols[k]:
+                    b[i] -= v * low
+                vmap.offset += obj[k] * low
+                j = new_col(cols[k], obj[k], width)
+                vmap.entries.append(("shifted", j, low))
+            else:
+                j = new_col(cols[k], obj[k], width)
+                vmap.entries.append(("direct", j))
+        elif np.isfinite(up):
+            # lb = -inf, finite ub: substitute x = up - z with z >= 0 free above.
+            for i, v in cols[k]:
+                b[i] -= v * up
+            vmap.offset += obj[k] * up
+            j = new_col([(i, -v) for i, v in cols[k]], -obj[k], np.inf)
+            vmap.entries.append(("negated_shifted", j, up))
+        else:
+            # Fully free: x = x_pos - x_neg.
+            jp = new_col(cols[k], obj[k], np.inf)
+            jn = new_col([(i, -v) for i, v in cols[k]], -obj[k], np.inf)
+            vmap.entries.append(("split", jp, jn))
+
+    # Slack/surplus columns for inequality rows and ranged rows.
+    for name, kind in constraint_rows:
+        i = row_index[name]
+        rng = ranges.get(name)
+        if kind == "L":
+            width = abs(rng) if rng is not None else np.inf
+            sign = 1.0
+        elif kind == "G":
+            width = abs(rng) if rng is not None else np.inf
+            sign = -1.0
+        elif kind == "E":
+            if rng is None:
+                continue
+            # MPS convention: R >= 0 widens upward, R < 0 widens downward.
+            width = abs(rng)
+            sign = -1.0 if rng >= 0 else 1.0
+        if width == 0.0:
+            continue  # zero-width range: the row is an equality
+        j = new_col([(i, sign)], 0.0, width)
+        vmap.slacks.append((j, name))
+
+    if triples:
+        rows_, cols_, vals = zip(*triples)
+    else:
+        rows_, cols_, vals = [], [], []
+    A = sp.csc_matrix((list(vals), (list(rows_), list(cols_))), shape=(m, nstd))
+    lp = StandardLP(A=A, b=b, c=np.array(c_std), upper=np.array(upper_std))
+    return lp, vmap
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def float_bits(items):
+    """Tuples with every float replaced by its hex form, so -0.0 and 0.0 differ."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in item) for item in items]
+
+
+def assert_same_arrays(new, old):
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert new.tobytes() == old.tobytes()
+
+
+def assert_matches_loop_converter(raw):
+    """to_standard_form gives the oracle's StandardLP and VariableMap bit for bit, or its error."""
+    try:
+        old_lp, old_map = loop_standard_form(raw)
+    except InfeasibleBounds as exc:
+        with pytest.raises(InfeasibleBounds) as err:
+            to_standard_form(raw)
+        assert str(err.value) == str(exc)
+        return "infeasible"
+    lp, vmap = to_standard_form(raw)
+    assert lp.A.shape == old_lp.A.shape
+    for name in ("data", "indices", "indptr"):
+        assert_same_arrays(getattr(lp.A, name), getattr(old_lp.A, name))
+    for name in ("b", "c", "upper", "bounded"):
+        assert_same_arrays(getattr(lp, name), getattr(old_lp, name))
+    assert vmap.names == old_map.names
+    assert float_bits(vmap.entries) == float_bits(old_map.entries)
+    assert vmap.slacks == old_map.slacks
+    assert float(vmap.offset).hex() == float(old_map.offset).hex()
+    return "converted"
+
+
+def load_perfbench_gen():
+    path = os.path.join(ROOT, "perfbench", "gen.py")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(glob.glob(os.path.join(NETLIB, "*.mps"))) + sorted(glob.glob(os.path.join(FIXTURES, "fix*.mps"))),
+    ids=os.path.basename,
+)
+def test_standard_form_matches_loop_converter_on_files(path):
+    assert assert_matches_loop_converter(read_mps(path)) == "converted"
+
+
+def test_standard_form_matches_loop_converter_on_generated_instances():
+    gen = load_perfbench_gen()
+    shapes = {  # the sparse-large and box-heavy shapes of perfbench/workloads.py
+        "sparse": gen.Shape(m=600, n=1800, density=0.01, boxed=False),
+        "boxed": gen.Shape(m=200, n=600, density=0.02, boxed=True),
+    }
+    for label, shape in shapes.items():
+        for seed in (0, 1):
+            text = gen.generate(seed, shape, f"{label}_{seed}").mps_text()
+            assert assert_matches_loop_converter(parse_mps(text)) == "converted"
+
+
+BOUND_VALUES = (-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0)
+
+
+def random_raw_mps(rng):
+    """A small RawMps drawing every row, bound and range case.
+
+    Rows mix L, G and E with extra N rows; columns come in non-contiguous
+    blocks, touch the objective and the extra N rows, and some carry zero
+    coefficients or, unlike parsed input, a coefficient repeated four times; bounds take all six kinds with negative, zero and positive
+    values (so some columns are fixed and some bound pairs are infeasible);
+    RANGES hit L, G and E rows with either sign or zero width; the RHS may
+    name the objective row.
+    """
+    m = int(rng.integers(0, 6))
+    n = int(rng.integers(0, 7))
+    rows = [(f"R{i}", str(rng.choice(["L", "G", "E"]))) for i in range(m)]
+    for t in range(int(rng.integers(0, 3))):
+        rows.insert(int(rng.integers(0, len(rows) + 1)), (f"FREE{t}", "N"))
+    rows.insert(int(rng.integers(0, len(rows) + 1)), ("COST", "N"))
+    names = [name for name, _ in rows]
+    objective_row = next(name for name, kind in rows if kind == "N")
+
+    pairs = [(f"X{j}", name) for j in range(n) for name in names if rng.random() < 0.5]
+    if pairs and rng.random() < 0.2:
+        pairs += [pairs[0]] * 3  # a repeated coefficient, which A sums in file order
+    columns = []
+    for t in rng.permutation(len(pairs)):
+        col, name = pairs[t]
+        value = 0.0 if rng.random() < 0.1 else float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 4.0))
+        columns.append((col, name, value))
+    col_names = list(dict.fromkeys(col for col, _, _ in columns))
+
+    rhs = [(name, float(rng.uniform(-5.0, 5.0))) for name in names if rng.random() < 0.6]
+    constraint = [name for name, kind in rows if kind != "N"]
+    ranges = [(name, float(rng.choice([-1.5, -0.0, 0.0, 2.0]))) for name in constraint if rng.random() < 0.4]
+    bounds = []
+    for col in col_names:
+        for _ in range(int(rng.integers(0, 3))):
+            kind = str(rng.choice(["UP", "LO", "FX", "FR", "MI", "PL"]))
+            value = None if kind in ("FR", "MI", "PL") else float(rng.choice(BOUND_VALUES))
+            bounds.append((kind, col, value))
+    return RawMps(
+        name="RANDOM",
+        rows=rows,
+        objective_row=objective_row,
+        columns=columns,
+        rhs=rhs,
+        ranges=ranges,
+        bounds=bounds,
+    )
+
+
+def test_standard_form_matches_loop_converter_on_random_raw_mps():
+    rng = np.random.default_rng(20261018)
+    outcomes = []
+    seen = set()
+    for _ in range(400):
+        raw = random_raw_mps(rng)
+        outcomes.append(assert_matches_loop_converter(raw))
+        kinds = dict(raw.rows)
+        seen.update(kind for _, kind in raw.rows)
+        seen.update(("bound", kind) for kind, _, _ in raw.bounds)
+        seen.update(("range", kinds[name], np.sign(value)) for name, value in raw.ranges)
+        if any(name == raw.objective_row for name, _ in raw.rhs):
+            seen.add("objective rhs")
+        if sum(kind == "N" for _, kind in raw.rows) > 1:
+            seen.add("extra N row")
+    expected = {"L", "G", "E", "N", "objective rhs", "extra N row"}
+    expected |= {("bound", kind) for kind in ("UP", "LO", "FX", "FR", "MI", "PL")}
+    expected |= {("range", kind, sign) for kind in "LGE" for sign in (-1.0, 0.0, 1.0)}
+    assert expected <= seen
+    assert outcomes.count("infeasible") >= 20 and outcomes.count("converted") >= 200

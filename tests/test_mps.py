@@ -17,7 +17,7 @@ from galp.mps import (
     write_mps,
 )
 
-from conftest import FIXTURES, NETLIB
+from conftest import FIXTURES, NETLIB, netlib_path
 
 TINY = """NAME          TINY
 ROWS
@@ -74,6 +74,21 @@ def test_accepts_bytes_and_comments():
     assert raw.rhs == [("R1", 1.0)]
 
 
+# the line each malformed fixture's error must name
+FIXTURE_ERROR_LINES = {
+    "bad_section.mps": 5,
+    "bad_row_kind.mps": 4,
+    "bad_bound_kind.mps": 10,
+    "integer_bound.mps": 10,
+    "undeclared_row.mps": 6,
+    "undeclared_column.mps": 10,
+    "duplicate_coef.mps": 7,
+    "duplicate_row.mps": 5,
+    "missing_endata.mps": 8,
+    "bad_number.mps": 6,
+}
+
+
 @pytest.mark.parametrize(
     "fixture, error",
     [
@@ -92,7 +107,74 @@ def test_accepts_bytes_and_comments():
 def test_malformed_fixture(fixture, error):
     with pytest.raises(error) as err:
         read_mps(os.path.join(FIXTURES, fixture))
-    assert err.value.line >= 1
+    assert err.value.line == FIXTURE_ERROR_LINES[fixture]
+
+
+PAIRS = """NAME          PAIRS
+ROWS
+ N  COST
+ E  R1
+ L  R2
+COLUMNS
+{line7}
+    X2  R1  1.0
+{line9}
+RHS
+    RHS  R1  1.0
+ENDATA
+"""
+
+
+@pytest.mark.parametrize(
+    "line7, line9, error, message",
+    [
+        ("    X1  R1  1.0  R2  1.O", "", MalformedNumber, "line 7: cannot parse number '1.O'"),
+        ("    X1  R1  1.0  R9  2.0", "", UndeclaredName, "line 7: coefficient references unknown row 'R9'"),
+        ("    X1  R1  1.0  R2", "", MalformedNumber, "line 7: expected row/value pairs after column 'X1'"),
+        ("    X1", "", MalformedNumber, "line 7: expected row/value pairs after column 'X1'"),
+        (
+            "    X1  R1  1.0",
+            "    X1  R2  1.0  R1  3.0",
+            DuplicateEntry,
+            "line 9: duplicate coefficient ('X1', 'R1')",
+        ),
+        ("    X1  R9  1.0  R1  bad", "", UndeclaredName, "line 7: coefficient references unknown row 'R9'"),
+        ("    X1  R1  bad  R9  1.0", "", MalformedNumber, "line 7: cannot parse number 'bad'"),
+        ("    X1  R1  1.0  R1  bad", "", DuplicateEntry, "line 7: duplicate coefficient ('X1', 'R1')"),
+        ("    R2  R1  1.0  R2", "", DuplicateEntry, "line 7: column name 'R2' collides with a row"),
+        ("    X1  R1  1.0", "    R1  R2  1.0", DuplicateEntry, "line 9: column name 'R1' collides with a row"),
+    ],
+    ids=[
+        "bad-number-second-pair",
+        "unknown-row-second-pair",
+        "odd-token-count",
+        "no-pairs",
+        "duplicate-across-blocks",
+        "unknown-row-before-bad-number",
+        "bad-number-before-unknown-row",
+        "duplicate-before-bad-number",
+        "row-name-before-odd-count",
+        "row-name-in-later-block",
+    ],
+)
+def test_columns_pair_walk_errors(line7, line9, error, message):
+    with pytest.raises(error) as err:
+        parse_mps(PAIRS.format(line7=line7, line9=line9))
+    assert str(err.value) == message
+
+
+def test_two_pair_columns_line():
+    raw = parse_mps(PAIRS.format(line7="    X1  R1  1.5  R2  -2.0", line9="    X1  COST  3.0"))
+    assert raw.columns == [("X1", "R1", 1.5), ("X1", "R2", -2.0), ("X2", "R1", 1.0), ("X1", "COST", 3.0)]
+    assert raw.column_names() == ["X1", "X2"]
+
+
+def test_read_mps_replaces_non_ascii_bytes(tmp_path):
+    # one latin-1 byte in a comment line must not stop the read
+    head, rest = open(netlib_path("afiro"), "rb").read().split(b"\n", 1)
+    path = tmp_path / "afiro.mps"
+    path.write_bytes(head + b"\n* caf\xe9\n" + rest)
+    assert read_mps(path) == read_mps(netlib_path("afiro"))
 
 
 def test_errors_subclass_mps_error():
