@@ -13,25 +13,42 @@ standard-form point back to the original variables.
 
 ``to_standard_form`` works in array passes over the coefficient list rather
 than entry by entry: names map to indices once, boolean masks classify the
-columns (fixed, shifted, negated, split), a cumsum numbers the standard-form
-columns, ``np.subtract.at`` moves substituted values into b in (column,
-file) order, and A is built by one COO -> CSC conversion.  Its output is bit
-for bit that of a column-by-column pass, which the tests keep as an oracle.
+columns (fixed, shifted, negated, split) and the rows (L, G, E, ranged), a
+cumsum numbers the standard-form columns, ``np.subtract.at`` moves
+substituted values into b in (column, file) order, and A is built by one
+COO -> CSC conversion.  The same masks give the ``VariableMap`` arrays, so
+the map has one encoding and ``map_back`` is one vector expression.  Bound
+kinds are read from a table.  A row or bound kind outside the MPS set, which
+only a hand-built ``RawMps`` can carry, raises ``ValueError``.  The output
+is bit for bit that of a column-by-column pass, which the tests keep as an
+oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mps import RawMps
+from .mps import _VALUELESS_BOUNDS, ROW_KINDS, RawMps
 
 
 class InfeasibleBounds(Exception):
     pass
+
+
+# Bound kind -> (sets lower, sets upper).  FR, MI and PL carry no value: the
+# side they set becomes -inf (lower) or +inf (upper).
+_BOUND_SETS = {
+    "UP": (False, True),
+    "LO": (True, False),
+    "FX": (True, True),
+    "FR": (True, True),
+    "MI": (True, False),
+    "PL": (False, True),
+}
 
 
 @dataclass
@@ -72,19 +89,27 @@ class StandardLP:
 
 @dataclass
 class VariableMap:
-    """Inverse of the standard-form transformation.
+    """Inverse of the standard-form transformation, as arrays over the original variables.
 
-    ``entries[k]`` describes original variable k as one of
-    ``("direct", j)``, ``("shifted", j, lower)``, ``("split", j_pos, j_neg)``,
-    ``("negated_shifted", j, upper)`` or ``("fixed", value)``, where j indexes
-    standard-form columns.  Slack columns appended for inequality rows are
-    listed in ``slacks`` as ``(j, row_name)``.
+    Original variable k is ``shift[k] + sign[k] * x[col[k]]``, minus
+    ``x[col[k] + 1]`` where ``split[k]``; x is the standard-form point.  A
+    direct or shifted column has sign +1, a negated one (x = upper - z) -1,
+    and a split one (x = x_pos - x_neg) +1 with x_neg in the next column.  A
+    fixed variable has sign 0 and col -1, which reads the element
+    ``map_back`` appends to x.  The neutral shift, and that appended element,
+    are -0.0 rather than 0.0: -0.0 + v is v for every v, -0.0 included, so
+    the map returns x[j] itself for a direct column and the bound itself for
+    a fixed one.  Slack columns appended for inequality rows are listed in
+    ``slacks`` as ``(j, row_name)``.
     """
 
-    names: list = field(default_factory=list)
-    entries: list = field(default_factory=list)
-    slacks: list = field(default_factory=list)
-    offset: float = 0.0
+    names: list
+    col: np.ndarray
+    sign: np.ndarray
+    shift: np.ndarray
+    split: np.ndarray
+    slacks: list
+    offset: float
 
 
 def to_standard_form(raw: RawMps):
@@ -95,6 +120,9 @@ def to_standard_form(raw: RawMps):
 
     constraint_rows = [(name, kind) for name, kind in raw.rows if kind != "N"]
     m = len(constraint_rows)
+    for name, kind in constraint_rows:
+        if kind not in ROW_KINDS:
+            raise ValueError(f"row {name!r} has unknown kind {kind!r}")
     # Row code of a coefficient: its constraint row, or -1 on the objective
     # row; coefficients on extra free (N) rows get -2 and are ignored.
     row_code = {name: i for i, (name, _) in enumerate(constraint_rows)}
@@ -112,26 +140,19 @@ def to_standard_form(raw: RawMps):
     obj = np.zeros(ncols)
     np.add.at(obj, ent_col[on_obj], ent_val[on_obj])
 
-    # Bounds: defaults lb=0, ub=+inf, applied in file order; the parser
-    # admits only the six kinds below.
+    # Bounds: defaults lb=0, ub=+inf, applied in file order.
     lb = np.zeros(ncols)
     ub = np.full(ncols, np.inf)
     for kind, col, value in raw.bounds:
+        if kind not in _BOUND_SETS:
+            raise ValueError(f"bound on column {col!r} has unknown kind {kind!r}")
         k = col_index[col]
-        if kind == "UP":
-            ub[k] = value
-        elif kind == "LO":
-            lb[k] = value
-        elif kind == "FX":
-            lb[k] = value
-            ub[k] = value
-        elif kind == "FR":
-            lb[k] = -np.inf
-            ub[k] = np.inf
-        elif kind == "MI":
-            lb[k] = -np.inf
-        elif kind == "PL":
-            ub[k] = np.inf
+        sets_lower, sets_upper = _BOUND_SETS[kind]
+        valueless = kind in _VALUELESS_BOUNDS
+        if sets_lower:
+            lb[k] = -np.inf if valueless else value
+        if sets_upper:
+            ub[k] = np.inf if valueless else value
 
     infeasible = lb > ub
     if infeasible.any():
@@ -146,7 +167,7 @@ def to_standard_form(raw: RawMps):
     negated = ~low_finite & up_finite
     split = ~low_finite & ~up_finite
     substituted = fixed | shifted | negated
-    shift = np.where(negated, ub, lb)
+    shift = np.where(negated, ub, np.where(substituted, lb, -0.0))
     col_width = np.full(ncols, np.inf)
     np.subtract(ub, lb, out=col_width, where=low_finite & up_finite)
     ncopies = np.where(fixed, 0, np.where(split, 2, 1))
@@ -165,43 +186,18 @@ def to_standard_form(raw: RawMps):
     for k in np.flatnonzero(substituted):
         offset += obj[k] * shift[k]
 
-    vmap = VariableMap(names=list(col_names), offset=offset)
-    how = np.select([fixed, shifted, negated, split], [1, 2, 3, 4])  # 0: direct
-    for code, j, low, up in zip(how.tolist(), first.tolist(), lb.tolist(), ub.tolist()):
-        if code == 0:
-            vmap.entries.append(("direct", j))
-        elif code == 1:
-            vmap.entries.append(("fixed", low))
-        elif code == 2:
-            vmap.entries.append(("shifted", j, low))
-        elif code == 3:
-            vmap.entries.append(("negated_shifted", j, up))
-        else:
-            vmap.entries.append(("split", j, j + 1))
-
-    # Slack/surplus columns for inequality rows and ranged rows.
-    slack_rows, slack_signs, slack_widths = [], [], []
-    for i, (name, kind) in enumerate(constraint_rows):
-        rng = ranges.get(name)
-        if kind == "L":
-            width = abs(rng) if rng is not None else np.inf
-            sign = 1.0
-        elif kind == "G":
-            width = abs(rng) if rng is not None else np.inf
-            sign = -1.0
-        elif kind == "E":
-            if rng is None:
-                continue
-            # MPS convention: R >= 0 widens upward, R < 0 widens downward.
-            width = abs(rng)
-            sign = -1.0 if rng >= 0 else 1.0
-        if width == 0.0:
-            continue  # zero-width range: the row is an equality
-        vmap.slacks.append((norig + len(slack_rows), name))
-        slack_rows.append(i)
-        slack_signs.append(sign)
-        slack_widths.append(width)
+    # Slack/surplus columns: an L row gets +1 and a G row -1; an E row gets
+    # one only when ranged, -1 for R >= 0 (widens upward) and +1 for R < 0.
+    # The width is |R|, or +inf without a range; a zero-width row stays an
+    # equality.
+    row_kind = np.array([kind for _, kind in constraint_rows], dtype=str)
+    ranged = np.array([name in ranges for name, _ in constraint_rows], dtype=bool)
+    rng = np.array([ranges.get(name, np.inf) for name, _ in constraint_rows], dtype=float)
+    slack_width = np.abs(rng)
+    slack_sign = np.where((row_kind == "G") | ((row_kind == "E") & (rng >= 0)), -1.0, 1.0)
+    slack_rows = np.flatnonzero((ranged | (row_kind != "E")) & (slack_width != 0.0))
     nstd = norig + len(slack_rows)
+    slacks = [(norig + t, constraint_rows[i][0]) for t, i in enumerate(slack_rows.tolist())]
 
     c = np.zeros(nstd)
     upper = np.empty(nstd)
@@ -210,38 +206,37 @@ def to_standard_form(raw: RawMps):
     upper[first[kept]] = col_width[kept]
     c[first[split] + 1] = -obj[split]
     upper[first[split] + 1] = np.inf
-    upper[norig:] = slack_widths
+    upper[norig:] = slack_width[slack_rows]
 
     # COO -> CSC keeps each column's entries in input order, so every column
     # of A receives its coefficients in file order, duplicates included.
     kept_ent = np.flatnonzero(on_row & kept[ent_col])
     twin_ent = kept_ent[split[ent_col[kept_ent]]]
     j_ent = first[ent_col]
-    rows = np.concatenate((ent_row[kept_ent], ent_row[twin_ent], slack_rows)).astype(np.intp)
+    rows = np.concatenate((ent_row[kept_ent], ent_row[twin_ent], slack_rows))
     cols = np.concatenate((j_ent[kept_ent], j_ent[twin_ent] + 1, np.arange(norig, nstd)))
     vals = np.concatenate(
-        (np.where(negated[ent_col], -ent_val, ent_val)[kept_ent], -ent_val[twin_ent], slack_signs)
+        (np.where(negated[ent_col], -ent_val, ent_val)[kept_ent], -ent_val[twin_ent], slack_sign[slack_rows])
     )
     A = sp.csc_matrix((vals, (rows, cols)), shape=(m, nstd))
     lp = StandardLP(A=A, b=b, c=c, upper=upper)
+    vmap = VariableMap(
+        names=list(col_names),
+        col=np.where(fixed, -1, first),
+        sign=np.where(fixed, 0.0, np.where(negated, -1.0, 1.0)),
+        shift=shift,
+        split=split,
+        slacks=slacks,
+        offset=offset,
+    )
     return lp, vmap
 
 
 def map_back(vmap: VariableMap, x: np.ndarray) -> np.ndarray:
     """Recover original variable values from a standard-form point."""
-    out = np.empty(len(vmap.entries))
-    for k, entry in enumerate(vmap.entries):
-        tag = entry[0]
-        if tag == "direct":
-            out[k] = x[entry[1]]
-        elif tag == "shifted":
-            out[k] = x[entry[1]] + entry[2]
-        elif tag == "negated_shifted":
-            out[k] = entry[2] - x[entry[1]]
-        elif tag == "split":
-            out[k] = x[entry[1]] - x[entry[2]]
-        else:  # fixed
-            out[k] = entry[1]
+    xe = np.append(x, -0.0)  # what a fixed variable's col -1 reads
+    out = vmap.shift + vmap.sign * xe[vmap.col]
+    out[vmap.split] -= xe[vmap.col[vmap.split] + 1]
     return out
 
 

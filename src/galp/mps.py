@@ -14,17 +14,24 @@ letter in a comment) becomes U+FFFD instead of stopping the read.
 Only continuous bound kinds are accepted (UP, LO, FX, FR, MI, PL); the
 integer kinds BV/LI/UI are rejected because the solver handles continuous
 LPs only.
+
+Every number must be finite: a NaN anywhere, or an infinity in COLUMNS, RHS
+or RANGES, raises ``MalformedNumber`` at its line.  In BOUNDS an infinity is
+read only where it means "no bound": ``UP +inf`` (as PL) and ``LO -inf`` (as
+MI).
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 ROW_KINDS = ("N", "L", "G", "E")
 BOUND_KINDS = ("UP", "LO", "FX", "FR", "MI", "PL")
 _VALUELESS_BOUNDS = ("FR", "MI", "PL")
 _INTEGER_BOUNDS = ("BV", "LI", "UI")
+_NO_BOUND = {"UP": math.inf, "LO": -math.inf}  # the infinite value each kind may take
 _SECTION_ORDER = ("NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA")
 
 
@@ -89,11 +96,15 @@ class RawMps:
         return list(dict.fromkeys([col for col, _, _ in self.columns]))
 
 
-def _number(token, lineno):
+def _number(token, lineno, infinity=None):
+    """``float(token)``; NaN, and any infinity other than ``infinity``, raise MalformedNumber."""
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise MalformedNumber(f"cannot parse number {token!r}", lineno) from None
+    if not math.isfinite(value) and value != infinity:
+        raise MalformedNumber(f"non-finite number {token!r}", lineno)
+    return value
 
 
 def parse_mps(source) -> RawMps:
@@ -209,7 +220,7 @@ def parse_mps(source) -> RawMps:
                     col, vtok = tokens[1], tokens[2]
                 else:
                     raise MalformedNumber(f"malformed bound line {stripped!r}", lineno)
-                value = _number(vtok, lineno)
+                value = _number(vtok, lineno, _NO_BOUND.get(kind))
             if col not in col_rows:
                 raise UndeclaredName(f"bound references unknown column {col!r}", lineno)
             if kind == "UP" and value is not None and value < 0:

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import galp.cli
@@ -72,6 +73,72 @@ def test_solve_print_solution(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "X1 = " in out
     assert "X2 = " in out
+
+
+# One variable of each kind the standard form maps back: X1 direct (0 <= X1),
+# X2 shifted (1 <= X2 <= 4), X3 negated (X3 <= 3), X4 split (free) and X5
+# fixed (= 2); R1 is an E row ranged to [6, 8].
+FIVE_KINDS = """NAME FIVEKINDS
+ROWS
+ N  COST
+ E  R1
+ L  R2
+ G  R3
+COLUMNS
+    X1  COST  1.0  R1  1.0
+    X1  R2  1.0
+    X2  COST  2.0  R1  1.0
+    X3  COST  -1.0  R1  1.0
+    X3  R2  -1.0  R3  1.0
+    X4  COST  0.5  R1  1.0
+    X4  R2  2.0  R3  1.0
+    X5  COST  1.0  R1  1.0
+    X5  R2  1.0
+RHS
+    RHS  R1  6.0  R2  5.0
+    RHS  R3  -2.0
+RANGES
+    RNG  R1  2.0
+BOUNDS
+ LO BND  X2  1.0
+ UP BND  X2  4.0
+ MI BND  X3
+ UP BND  X3  3.0
+ FR BND  X4
+ FX BND  X5  2.0
+ENDATA
+"""
+
+
+def test_solve_print_solution_maps_every_variable_kind(tmp_path, capsys):
+    from scipy.optimize import linprog
+
+    p = tmp_path / "five.mps"
+    p.write_text(FIVE_KINDS)
+    assert main(["solve", str(p), "--print-solution"]) == 0
+    out = capsys.readouterr().out
+    printed = dict(line.strip().split(" = ") for line in out.splitlines() if " = " in line)
+    x = np.array([float(printed[f"X{k}"]) for k in range(1, 6)])
+    c = np.array([1.0, 2.0, -1.0, 0.5, 1.0])
+    rows = np.array([[1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 0.0, -1.0, 2.0, 1.0], [0.0, 0.0, 1.0, 1.0, 0.0]])
+    row_low = np.array([6.0, -np.inf, -2.0])
+    row_up = np.array([8.0, 5.0, np.inf])
+    low = np.array([0.0, 1.0, -np.inf, -np.inf, 2.0])
+    up = np.array([np.inf, 4.0, 3.0, np.inf, 2.0])
+    tol = 1e-6
+    assert np.all(rows @ x >= row_low - tol) and np.all(rows @ x <= row_up + tol)
+    assert np.all(x >= low - tol) and np.all(x <= up + tol)
+    ref = linprog(
+        c,
+        A_ub=np.vstack((rows[:2], -rows[::2])),
+        b_ub=[8.0, 5.0, -6.0, 2.0],
+        bounds=[(None if np.isinf(lo) else lo, None if np.isinf(hi) else hi) for lo, hi in zip(low, up)],
+        method="highs",
+    )
+    assert ref.status == 0
+    objective = float(out.split("objective:")[1].split()[0])
+    assert objective == pytest.approx(ref.fun, rel=1e-6)
+    assert c @ x == pytest.approx(ref.fun, rel=1e-6)
 
 
 @pytest.mark.parametrize(

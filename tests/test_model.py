@@ -2,6 +2,7 @@ import glob
 import importlib.util
 import os
 import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from galp.mps import RawMps
 from galp.model import (
     InfeasibleBounds,
     StandardLP,
-    VariableMap,
     map_back,
     objective,
     primal_infeasibility,
@@ -173,6 +173,27 @@ def test_objective_rhs_becomes_offset():
     assert vmap.offset == pytest.approx(-2.5)
 
 
+@pytest.mark.parametrize(
+    "rows, bounds, message",
+    [
+        ([("COST", "N"), ("R1", "L"), ("R2", "l")], [], "row 'R2' has unknown kind 'l'"),
+        ([("COST", "N"), ("R2", "l"), ("R1", "L")], [], "row 'R2' has unknown kind 'l'"),
+        ([("COST", "N"), ("R1", "L"), ("R2", "E")], [("BV", "X1", None)], "bound on column 'X1' has unknown kind 'BV'"),
+    ],
+    ids=["row-after-l-row", "first-row", "integer-bound"],
+)
+def test_unknown_kind_in_hand_built_raw_mps_raises(rows, bounds, message):
+    raw = RawMps(
+        rows=rows,
+        objective_row="COST",
+        columns=[("X1", "COST", 1.0), ("X1", "R1", 1.0), ("X1", "R2", 2.0)],
+        bounds=bounds,
+    )
+    with pytest.raises(ValueError) as err:
+        to_standard_form(raw)
+    assert str(err.value) == message
+
+
 def random_point_consistency(raw, seed):
     """Mapped-back points satisfy the original rows within round-off."""
     lp, vmap = to_standard_form(raw)
@@ -256,8 +277,21 @@ def test_objective_offset():
     assert objective(lp, np.array([0.5, 0.5]), offset=2.0) == pytest.approx(2.5)
 
 
+@dataclass
+class LoopMap:
+    """The oracle's variable map: ``entries[k]`` is a tagged tuple for original variable k."""
+
+    names: list = field(default_factory=list)
+    entries: list = field(default_factory=list)
+    slacks: list = field(default_factory=list)
+    offset: float = 0.0
+
+
 def loop_standard_form(raw):
-    """The column-by-column converter that ``to_standard_form`` replaced, kept verbatim as its oracle."""
+    """The column-by-column converter that ``to_standard_form`` replaced, kept verbatim as its oracle.
+
+    Only its map container changed: it fills a ``LoopMap`` of tagged entries.
+    """
     col_names = raw.column_names()
     col_index = {name: k for k, name in enumerate(col_names)}
     ncols = len(col_names)
@@ -305,7 +339,7 @@ def loop_standard_form(raw):
     # An RHS entry on the objective row is the negated objective constant.
     offset = -rhs.get(raw.objective_row, 0.0)
 
-    vmap = VariableMap(names=list(col_names), offset=offset)
+    vmap = LoopMap(names=list(col_names), offset=offset)
     triples = []  # (row, std_col, coef)
     c_std = []
     upper_std = []
@@ -384,12 +418,39 @@ def loop_standard_form(raw):
     return lp, vmap
 
 
+def loop_map_back(vmap, x):
+    """The loop ``map_back`` that the array map replaced, kept verbatim as its oracle."""
+    out = np.empty(len(vmap.entries))
+    for k, entry in enumerate(vmap.entries):
+        tag = entry[0]
+        if tag == "direct":
+            out[k] = x[entry[1]]
+        elif tag == "shifted":
+            out[k] = x[entry[1]] + entry[2]
+        elif tag == "negated_shifted":
+            out[k] = entry[2] - x[entry[1]]
+        elif tag == "split":
+            out[k] = x[entry[1]] - x[entry[2]]
+        else:  # fixed
+            out[k] = entry[1]
+    return out
+
+
+def entries_as_arrays(entries):
+    """The oracle's tagged entries as the (col, sign, shift, split) lists of ``VariableMap``."""
+    translate = {
+        "direct": lambda j: (j, 1.0, -0.0, False),
+        "shifted": lambda j, low: (j, 1.0, low, False),
+        "negated_shifted": lambda j, up: (j, -1.0, up, False),
+        "split": lambda j_pos, j_neg: (j_pos, 1.0, -0.0, True),
+        "fixed": lambda value: (-1, 0.0, value, False),
+    }
+    assert all(args[1] == args[0] + 1 for tag, *args in entries if tag == "split")
+    rows = [translate[tag](*args) for tag, *args in entries]
+    return [list(column) for column in zip(*rows)] or [[], [], [], []]
+
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def float_bits(items):
-    """Tuples with every float replaced by its hex form, so -0.0 and 0.0 differ."""
-    return [tuple(v.hex() if isinstance(v, float) else v for v in item) for item in items]
 
 
 def assert_same_arrays(new, old):
@@ -413,10 +474,28 @@ def assert_matches_loop_converter(raw):
     for name in ("b", "c", "upper", "bounded"):
         assert_same_arrays(getattr(lp, name), getattr(old_lp, name))
     assert vmap.names == old_map.names
-    assert float_bits(vmap.entries) == float_bits(old_map.entries)
+    col, sign, shift, split = entries_as_arrays(old_map.entries)
+    assert vmap.col.tolist() == col
+    assert [v.hex() for v in vmap.sign.tolist()] == [v.hex() for v in sign]
+    assert [v.hex() for v in vmap.shift.tolist()] == [v.hex() for v in shift]
+    assert vmap.split.dtype == bool and vmap.split.tolist() == split
     assert vmap.slacks == old_map.slacks
     assert float(vmap.offset).hex() == float(old_map.offset).hex()
+    assert_map_back_matches_loop(vmap, old_map, lp.n)
     return "converted"
+
+
+MAP_BACK_VALUES = np.array([0.0, -0.0, 1.5, -2.25, 1e300, np.inf, -np.inf, np.nan])
+
+
+def assert_map_back_matches_loop(vmap, old_map, n):
+    """map_back returns the loop's bytes on points drawn from MAP_BACK_VALUES and uniformly."""
+    rng = np.random.default_rng(n)
+    points = [rng.choice(MAP_BACK_VALUES, n) for _ in range(3)] + [rng.uniform(-1e3, 1e3, n)]
+    for x in points:
+        with np.errstate(invalid="ignore"):  # inf - inf on a split column
+            new, old = map_back(vmap, x), loop_map_back(old_map, x)
+        assert_same_arrays(new, old)
 
 
 def load_perfbench_gen():

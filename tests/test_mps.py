@@ -1,9 +1,11 @@
 import glob
+import math
 import os
 
+import numpy as np
 import pytest
 
-from galp import mps
+from galp import mps, to_standard_form
 from galp.mps import (
     DuplicateEntry,
     MalformedNumber,
@@ -167,6 +169,61 @@ def test_two_pair_columns_line():
     raw = parse_mps(PAIRS.format(line7="    X1  R1  1.5  R2  -2.0", line9="    X1  COST  3.0"))
     assert raw.columns == [("X1", "R1", 1.5), ("X1", "R2", -2.0), ("X2", "R1", 1.0), ("X1", "COST", 3.0)]
     assert raw.column_names() == ["X1", "X2"]
+
+
+@pytest.mark.parametrize(
+    "old, new, token, line",
+    [
+        ("X2  COST  2.0", "X2  COST  nan", "nan", 7),
+        ("X2  COST  2.0", "X2  COST  inf", "inf", 7),
+        ("R1  1.0\n    X2", "R1  -inf\n    X2", "-inf", 6),
+        ("X2  COST  2.0", "X2  COST  1e999", "1e999", 7),
+        ("RHS  R1  1.0", "RHS  R1  NaN", "NaN", 9),
+        ("RHS  R1  1.0", "RHS  R1  -Infinity", "-Infinity", 9),
+        ("ENDATA", "RANGES\n    RNG  R1  nan\nENDATA", "nan", 11),
+        ("ENDATA", "RANGES\n    RNG  R1  inf\nENDATA", "inf", 11),
+        ("ENDATA", "BOUNDS\n LO BND X1 inf\nENDATA", "inf", 11),
+        ("ENDATA", "BOUNDS\n LO BND X1 nan\nENDATA", "nan", 11),
+        ("ENDATA", "BOUNDS\n FX BND X1 inf\nENDATA", "inf", 11),
+        ("ENDATA", "BOUNDS\n FX BND X1 -inf\nENDATA", "-inf", 11),
+        ("ENDATA", "BOUNDS\n UP BND X1 nan\nENDATA", "nan", 11),
+        ("ENDATA", "BOUNDS\n UP BND X1 -inf\nENDATA", "-inf", 11),
+    ],
+    ids=[
+        "columns-nan",
+        "columns-inf",
+        "columns-minus-inf",
+        "columns-overflow",
+        "rhs-nan",
+        "rhs-minus-infinity",
+        "ranges-nan",
+        "ranges-inf",
+        "lo-inf",
+        "lo-nan",
+        "fx-inf",
+        "fx-minus-inf",
+        "up-nan",
+        "up-minus-inf",
+    ],
+)
+def test_non_finite_number_rejected(old, new, token, line):
+    text = TINY.replace(old, new, 1)
+    assert text != TINY
+    with pytest.raises(MalformedNumber) as err:
+        parse_mps(text)
+    assert str(err.value) == f"line {line}: non-finite number {token!r}"
+
+
+def test_infinite_bound_means_no_bound():
+    raw = parse_mps(TINY.replace("ENDATA", "BOUNDS\n UP BND X1 inf\n LO BND X2 -inf\nENDATA"))
+    assert raw.bounds == [("UP", "X1", math.inf), ("LO", "X2", -math.inf)]
+    assert parse_mps(write_mps(raw)) == raw
+    same = parse_mps(TINY.replace("ENDATA", "BOUNDS\n PL BND X1\n MI BND X2\nENDATA"))
+    (lp, vmap), (lp_same, vmap_same) = to_standard_form(raw), to_standard_form(same)
+    assert (lp.A != lp_same.A).nnz == 0
+    for name in ("b", "c", "upper"):
+        assert np.array_equal(getattr(lp, name), getattr(lp_same, name))
+    assert np.array_equal(vmap.split, vmap_same.split) and vmap.split.tolist() == [False, True]
 
 
 def test_read_mps_replaces_non_ascii_bytes(tmp_path):
