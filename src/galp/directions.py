@@ -84,6 +84,8 @@ def max_step(x, upper, dir, cap=None):
     x = np.asarray(x, dtype=float)
     dir = np.asarray(dir, dtype=float)
     a = np.abs(dir)
+    ratios = np.empty_like(a)
+    ratios.fill(np.inf)
     # distance to the wall dir points at, over |dir|; zero and NaN entries stay +inf
-    ratios = np.divide(np.where(dir < 0, x, upper - x), a, out=np.full(a.shape, np.inf), where=a > 0)
+    np.divide(np.where(dir < 0, x, upper - x), a, out=ratios, where=a > 0)
     return float(ratios.min(initial=np.inf if cap is None else float(cap)))

@@ -146,7 +146,7 @@ class PairPlan:
         sums = np.bincount(
             self.target, (self.left * dinv[self.col]) * self.right, minlength=self.lower.size
         )
-        if not np.all(np.isfinite(sums)):
+        if not np.isfinite(sums).all():
             raise NonFiniteInput("normal matrix has non-finite entries")
         flat = self.M.reshape(-1)
         flat[self.lower] = sums
@@ -206,7 +206,9 @@ def assemble_normal(plan: NormalPlan, dinv: np.ndarray) -> np.ndarray:
     buffer, which its next assembly overwrites.
     """
     dinv = np.asarray(dinv, dtype=float)
-    if not np.all(np.isfinite(dinv)) or np.any(dinv < 0):
+    # min and max propagate NaN, so this fails on NaN, on either infinity and
+    # on a negative entry, as the isfinite and sign tests did, in two reductions
+    if not (dinv.min(initial=0.0) >= 0.0 and dinv.max(initial=0.0) < np.inf):
         raise NonFiniteInput("dinv must be finite and nonnegative")
     return plan.assemble(dinv)
 

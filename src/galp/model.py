@@ -18,25 +18,33 @@ cumsum numbers the standard-form columns, ``np.subtract.at`` moves
 substituted values into b in (column, file) order, and A is built by one
 COO -> CSC conversion.  The same masks give the ``VariableMap`` arrays, so
 the map has one encoding and ``map_back`` is one vector expression.  Bound
-kinds are read from a table.  A row or bound kind outside the MPS set, which
-only a hand-built ``RawMps`` can carry, raises ``ValueError``.  The output
-is bit for bit that of a column-by-column pass, which the tests keep as an
-oracle.
+kinds are read from a table.  A row or bound kind outside the MPS set, or a
+bound value ``parse_mps`` would reject (NaN, or an infinity other than
+``UP +inf`` and ``LO -inf``), can only come from a hand-built ``RawMps``
+and raises ``ValueError``.  The output is bit for bit that of a
+column-by-column pass, which the tests keep as an oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mps import _VALUELESS_BOUNDS, ROW_KINDS, RawMps
+from .mps import _NO_BOUND, _VALUELESS_BOUNDS, ROW_KINDS, RawMps
 
 
 class InfeasibleBounds(Exception):
     pass
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 # Bound kind -> (sets lower, sets upper).  FR, MI and PL carry no value: the
@@ -55,28 +63,46 @@ _BOUND_SETS = {
 class StandardLP:
     """LP data in standard form; ``bounded`` indexes the set I.
 
-    ``A`` is a CSC copy of the caller's matrix with explicit zeros dropped;
-    the caller's matrix is left as it was.  ``At`` is A^t as a CSR matrix over A's own ``data``, ``indices`` and
-    ``indptr``: built once, nothing copied, so every product with A^t on
-    the solve path skips building a new transpose.
+    ``A`` is a CSC copy of the caller's matrix with explicit zeros dropped,
+    and ``b``, ``c`` and ``upper`` are copies of the caller's vectors, so the
+    caller's arrays stay as they were, writeable and unaliased.  The copies
+    are read-only, A's ``data``, ``indices`` and ``indptr`` and ``bounded``
+    included, so what is derived from them once stays valid for the LP's
+    lifetime:
+
+    * ``At`` is A^t as a CSR matrix over A's own arrays: built once, nothing
+      copied, so every product with A^t on the solve path skips building a
+      new transpose.
+    * ``b_scale`` is 1 + ||b||_inf, the denominator of the residual measure,
+      computed on first use.
+    * ``start`` is the starting point, which does not depend on r:
+      ``solver.choose_start`` computes it on the first solve and stores it
+      here, read-only, and every solve starts from a copy of it.
     """
 
     A: sp.csc_matrix
     b: np.ndarray
     c: np.ndarray
     upper: np.ndarray
+    start: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.A = sp.csc_matrix(self.A, copy=True)
         self.A.eliminate_zeros()
-        self.b = np.asarray(self.b, dtype=float)
-        self.c = np.asarray(self.c, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
+        self.b = _read_only(np.array(self.b, dtype=float))
+        self.c = _read_only(np.array(self.c, dtype=float))
+        self.upper = _read_only(np.array(self.upper, dtype=float))
         finite = np.isfinite(self.upper)
         if np.any(self.upper[finite] <= 0):
             raise InfeasibleBounds("finite upper bounds must be positive")
-        self.bounded = np.flatnonzero(finite)
+        self.bounded = _read_only(np.flatnonzero(finite))
+        for arr in (self.A.data, self.A.indices, self.A.indptr):
+            _read_only(arr)
         self.At = self.A.T
+
+    @cached_property
+    def b_scale(self) -> float:
+        return 1.0 + np.abs(self.b).max(initial=0.0)
 
     @property
     def m(self):
@@ -149,6 +175,8 @@ def to_standard_form(raw: RawMps):
         k = col_index[col]
         sets_lower, sets_upper = _BOUND_SETS[kind]
         valueless = kind in _VALUELESS_BOUNDS
+        if not valueless and not math.isfinite(value) and value != _NO_BOUND.get(kind):
+            raise ValueError(f"bound {kind} on column {col!r} has non-finite value {value!r}")
         if sets_lower:
             lb[k] = -np.inf if valueless else value
         if sets_upper:
@@ -240,10 +268,15 @@ def map_back(vmap: VariableMap, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def primal_infeasibility(lp: StandardLP, x: np.ndarray) -> float:
-    """Feasibility measure ||Ax - b||_inf / (||b||_inf + 1)."""
-    resid = lp.A @ x - lp.b
-    return np.abs(resid).max(initial=0.0) / (np.abs(lp.b).max(initial=0.0) + 1.0)
+def primal_infeasibility(lp: StandardLP, x: np.ndarray, resid: np.ndarray | None = None) -> float:
+    """Feasibility measure ||Ax - b||_inf / (||b||_inf + 1).
+
+    A caller that already holds ``resid = b - A x`` passes it in, and x is
+    then not read.
+    """
+    if resid is None:
+        resid = lp.b - lp.A @ x
+    return np.abs(resid).max(initial=0.0) / lp.b_scale
 
 
 def objective(lp: StandardLP, x: np.ndarray, offset: float = 0.0) -> float:

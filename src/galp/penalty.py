@@ -33,7 +33,10 @@ class NotInterior(Exception):
 
 @dataclass
 class GaugeParams:
-    """Penalty exponent r in [0, 1) plus the upper-bound data of the LP."""
+    """Penalty exponent r in [0, 1) plus the upper-bound data of the LP.
+
+    ``bounded`` masks the set I and ``upper_I`` holds u_I, gathered once.
+    """
 
     r: float
     upper: np.ndarray
@@ -43,6 +46,7 @@ class GaugeParams:
             raise ValueError(f"r must lie in [0, 1), got {self.r}")
         self.upper = np.asarray(self.upper, dtype=float)
         self.bounded = np.isfinite(self.upper)
+        self.upper_I = self.upper[self.bounded]
 
 
 @dataclass
@@ -63,7 +67,7 @@ class ScalingDiagonals:
 def _in_domain(x, p):
     if np.any(x < 0):
         return False
-    return not np.any(p.upper[p.bounded] - x[p.bounded] < 0)
+    return not np.any(p.upper_I - x[p.bounded] < 0)
 
 
 def xi_r(x: np.ndarray, p: GaugeParams) -> float:
@@ -71,7 +75,7 @@ def xi_r(x: np.ndarray, p: GaugeParams) -> float:
     x = np.asarray(x, dtype=float)
     if not _in_domain(x, p):
         return -np.inf
-    slack = p.upper[p.bounded] - x[p.bounded]
+    slack = p.upper_I - x[p.bounded]
     if p.r == 0.0:
         vals = np.concatenate([x, slack])
         if np.any(vals == 0.0):
@@ -88,7 +92,7 @@ def penalty_g_r(x: np.ndarray, p: GaugeParams) -> float:
     x = np.asarray(x, dtype=float)
     if not _in_domain(x, p):
         return np.inf
-    slack = p.upper[p.bounded] - x[p.bounded]
+    slack = p.upper_I - x[p.bounded]
     return float(-(np.sum(x**p.r) + np.sum(slack**p.r)) / p.r)
 
 
@@ -102,8 +106,10 @@ def penalized_objective(x: np.ndarray, c: np.ndarray, mu: float, p: GaugeParams)
 def _wall_powers(x, p: GaugeParams, k: float):
     """x^(r-k) and (u_I - x_I)^(r-k) at a strictly interior x."""
     x = np.asarray(x, dtype=float)
-    slack = p.upper[p.bounded] - x[p.bounded]
-    if np.any(x <= 0) or np.any(slack <= 0):
+    slack = p.upper_I - x[p.bounded]
+    # fmin skips NaN as the comparison x <= 0 does, so a NaN entry never trips
+    # the test and a wall entry always does, whatever else the array holds
+    if np.fmin.reduce(x, initial=np.inf) <= 0 or np.fmin.reduce(slack, initial=np.inf) <= 0:
         raise NotInterior("point must satisfy 0 < x and x_I < u_I strictly")
     # near a wall a power may overflow to inf; every caller's clip bounds it
     with np.errstate(over="ignore"):

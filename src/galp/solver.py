@@ -12,8 +12,17 @@ its trace record and its expected relative duality gap Rgap, is built in
 one place (``_state``).  The gap alone triggers reprojection of the descent
 direction: once the entering point's Rgap is below REPROJECT_GAP, which
 costs one more solve with the pass's factor.
-The penalty parameters and the assembly plan of A H^-1 A^t are built once
-per solve.
+
+Each quantity is computed once, at the scope where it changes.  Per LP: the
+starting point does not depend on r, so ``choose_start`` computes it on an
+LP's first solve and keeps it on the LP (``StandardLP.start``); later
+solves, an r-sweep's, start from a copy and never factor x2's A A^t again.
+Rf's denominator 1 + ||b||_inf is per LP as well (``StandardLP.b_scale``).
+Per solve: the penalty parameters, the assembly plan of A H^-1 A^t and the
+bound of the sign safeguard.  Per point: ``_state`` computes A x once; its
+b - A x gives both Rf and the feasibility right-hand side of the point's
+pass.  Only the start's pass forms b - A x0 itself, since it runs before
+the start's state exists.
 
 The feasibility move uses step factor STEP_AGGRESSIVE while the residual is
 large and STEP_CONSERVATIVE once it is small; the descent move swaps the two
@@ -28,6 +37,7 @@ points (Rgap can transiently vanish away from the optimum).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -87,6 +97,7 @@ class IterateState:
     w: np.ndarray
     s: np.ndarray
     record: TraceRecord
+    resid: np.ndarray  # b - A x: rf's residual, and the feasibility right-hand side of x's pass
 
 
 @dataclass
@@ -130,11 +141,19 @@ def starting_point_x2(lp: StandardLP, plan: linalg.NormalPlan) -> np.ndarray:
 
 
 def choose_start(lp: StandardLP, plan: linalg.NormalPlan) -> np.ndarray:
-    x1 = starting_point_x1(lp)
-    x2 = starting_point_x2(lp, plan)
-    if x2.min() > x1.min() or x1.min() < 1.0:
-        return x2
-    return x1
+    """x2 unless x1 is the more interior and has min x1 >= 1; a fresh copy of the LP's memo.
+
+    The start does not depend on r, so it is computed on the first call for
+    an LP and kept, read-only, as ``lp.start``; an r-sweep over one LP
+    factors x2's A A^t once.
+    """
+    if lp.start is None:
+        x1 = starting_point_x1(lp)
+        x2 = starting_point_x2(lp, plan)
+        x0 = x2 if x2.min() > x1.min() or x1.min() < 1.0 else x1
+        x0.flags.writeable = False
+        lp.start = x0
+    return lp.start.copy()
 
 
 class PointPass(NamedTuple):
@@ -152,17 +171,20 @@ class PointPass(NamedTuple):
     clamps: int
 
 
-def recover_duals(lp: StandardLP, x, p: GaugeParams, plan: linalg.NormalPlan) -> PointPass:
+def recover_duals(lp: StandardLP, x, p: GaugeParams, plan: linalg.NormalPlan, resid=None) -> PointPass:
     """Scale and factor at x, then solve once for both moves; the duals come off the descent column.
 
     w_I = -(x_I / u_I) s~_I and s = s~ + w, with s~ = c - A^t y the reduced costs.
+    ``resid`` is b - A x when the caller already has it (``IterateState.resid``).
     """
+    if resid is None:
+        resid = lp.b - lp.A @ x
     sd = scaling_diagonals(x, p)
     hinv = 1.0 / sd.h
     F = linalg.factor(linalg.assemble_normal(plan, hinv))
     # dpotrs returns Fortran order, so each column is contiguous, as a
     # one-column solve's result is, and b @ y sums in the same order
-    v = linalg.solve(F, np.column_stack((lp.A @ (hinv * lp.c), lp.b - lp.A @ x)))
+    v = linalg.solve(F, np.column_stack((lp.A @ (hinv * lp.c), resid)))
     d, y, reduced = descent_direction(lp, hinv, v[:, 0])
     dx = feasibility_direction(lp, hinv, v[:, 1])
     w = np.zeros(lp.n)
@@ -174,18 +196,19 @@ def recover_duals(lp: StandardLP, x, p: GaugeParams, plan: linalg.NormalPlan) ->
 def _state(
     lp: StandardLP, x, y, w, s, iteration=0, clamps=0, rho=0.0, step_feas=0.0, step_desc=0.0
 ) -> IterateState:
-    """The point x with duals (y, w, s), and its trace record.
+    """The point x with duals (y, w, s), its residual b - A x, and its trace record.
 
     ``rgap`` is the expected relative duality gap
     (<c,x> - <b,y> + <u_I, w_I>) / (|<c,x>| + 1).
     """
+    resid = lp.b - lp.A @ x
     cx = float(lp.c @ x)
     idx = lp.bounded
     gap = cx - float(lp.b @ y) + float(lp.upper[idx] @ w[idx])
     record = TraceRecord(
         iteration=iteration,
         objective=cx,
-        rf=primal_infeasibility(lp, x),
+        rf=primal_infeasibility(lp, x, resid),
         rgap=gap / (abs(cx) + 1.0),
         step_feas=step_feas,
         step_desc=step_desc,
@@ -193,7 +216,7 @@ def _state(
         clamps=clamps,
         regularization=rho,
     )
-    return IterateState(x, y, w, s, record)
+    return IterateState(x, y, w, s, record, resid)
 
 
 def iterate_once(state: IterateState, lp: StandardLP, cfg: SolverConfig, pt: PointPass) -> IterateState:
@@ -217,13 +240,13 @@ def iterate_once(state: IterateState, lp: StandardLP, cfg: SolverConfig, pt: Poi
     x = x + t_feas * pt.dx
 
     tmax = max_step(x, lp.upper, d, cap=None)
-    if np.isinf(tmax) and float(lp.c @ d) < 0:
+    if math.isinf(tmax) and float(lp.c @ d) < 0:
         if not infeasible:
             raise UnboundedDirection("descent ray is unconstrained and strictly decreasing")
         t_desc = 0.0  # cannot certify unboundedness at an infeasible point; skip the move
     else:
         t_desc = (STEP_CONSERVATIVE if infeasible else STEP_AGGRESSIVE) * (
-            tmax if np.isfinite(tmax) else 0.0
+            tmax if math.isfinite(tmax) else 0.0
         )
     x = x + t_desc * d
 
@@ -232,8 +255,8 @@ def iterate_once(state: IterateState, lp: StandardLP, cfg: SolverConfig, pt: Poi
     )
 
 
-def _converged(state: IterateState, lp: StandardLP, cfg: SolverConfig) -> bool:
-    safeguard = -DUAL_SAFEGUARD * (1.0 + np.abs(lp.c).max(initial=0.0))
+def _converged(state: IterateState, cfg: SolverConfig, safeguard: float) -> bool:
+    """The stopping test; ``safeguard`` is -DUAL_SAFEGUARD * (1 + ||c||_inf), the least s_j accepted."""
     # |rgap|: a strongly negative gap means the dual estimate is infeasible
     # and the point may be far from optimal even though rf is tiny
     return (
@@ -248,6 +271,7 @@ def solve(lp: StandardLP, cfg: SolverConfig | None = None, offset: float = 0.0) 
     cfg = cfg or SolverConfig()
     p = GaugeParams(r=cfg.r, upper=lp.upper)
     plan = linalg.normal_plan(lp.A)
+    safeguard = -DUAL_SAFEGUARD * (1.0 + np.abs(lp.c).max(initial=0.0))
     trace: list[TraceRecord] = []
 
     def report(state, status):
@@ -273,11 +297,11 @@ def solve(lp: StandardLP, cfg: SolverConfig | None = None, offset: float = 0.0) 
         state = _state(lp, x0, pt.y, pt.w, pt.s, clamps=pt.clamps, rho=pt.F.rho)
         trace.append(state.record)
 
-        while not _converged(state, lp, cfg):
+        while not _converged(state, cfg, safeguard):
             if state.record.iteration >= cfg.max_iterations:
                 return report(state, Status.ITERATION_LIMIT)
             if state.record.iteration > 0:  # the start's pass serves iteration 1
-                pt = recover_duals(lp, state.x, p, plan)
+                pt = recover_duals(lp, state.x, p, plan, state.resid)
             state = iterate_once(state, lp, cfg, pt)
             trace.append(state.record)
         return report(state, Status.OPTIMAL)

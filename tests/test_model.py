@@ -194,6 +194,64 @@ def test_unknown_kind_in_hand_built_raw_mps_raises(rows, bounds, message):
     assert str(err.value) == message
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "kind, value",
+    [("LO", INF), ("LO", NAN), ("UP", NAN), ("UP", -INF), ("FX", NAN), ("FX", INF), ("FX", -INF)],
+    ids=["lo-inf", "lo-nan", "up-nan", "up-minus-inf", "fx-nan", "fx-inf", "fx-minus-inf"],
+)
+def test_non_finite_bound_value_in_hand_built_raw_mps_raises(kind, value):
+    # parse_mps rejects these values; a hand-built RawMps must not turn them
+    # into a free, split or unbounded column
+    raw = RawMps(
+        rows=[("COST", "N"), ("R1", "E")],
+        objective_row="COST",
+        columns=[("X1", "COST", 1.0), ("X1", "R1", 1.0), ("X2", "R1", 1.0)],
+        rhs=[("R1", 1.0)],
+        bounds=[(kind, "X1", value)],
+    )
+    with pytest.raises(ValueError) as err:
+        to_standard_form(raw)
+    assert str(err.value) == f"bound {kind} on column 'X1' has non-finite value {value!r}"
+
+
+def test_no_bound_infinities_in_hand_built_raw_mps_convert():
+    # UP +inf and LO -inf mean "no bound", as they do in a parsed file
+    raw = RawMps(
+        rows=[("COST", "N"), ("R1", "E")],
+        objective_row="COST",
+        columns=[("X1", "COST", 1.0), ("X1", "R1", 1.0), ("X2", "R1", 1.0)],
+        rhs=[("R1", 1.0)],
+        bounds=[("UP", "X1", INF), ("LO", "X2", -INF)],
+    )
+    lp, vmap = to_standard_form(raw)
+    assert vmap.split.tolist() == [False, True]
+    assert np.all(np.isinf(lp.upper))
+
+
+def test_standard_lp_arrays_are_read_only_copies():
+    A = sp.csc_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 3.0, 4.0]]))
+    b, c, upper = np.array([1.0, 2.0]), np.array([1.0, -1.0, 0.5]), np.array([np.inf, 2.0, np.inf])
+    inputs = {"A.data": A.data, "A.indices": A.indices, "A.indptr": A.indptr, "b": b, "c": c, "upper": upper}
+    lp = StandardLP(A=A, b=b, c=c, upper=upper)
+    owned = {
+        "A.data": lp.A.data, "A.indices": lp.A.indices, "A.indptr": lp.A.indptr,
+        "b": lp.b, "c": lp.c, "upper": lp.upper, "bounded": lp.bounded,
+    }
+    for name, arr in owned.items():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+        for caller in inputs.values():
+            assert not np.shares_memory(arr, caller), name
+    # the caller's arrays are neither frozen nor changed
+    for name, arr in inputs.items():
+        assert arr.flags.writeable, name
+        arr[0] = arr[0]
+    assert lp.b_scale == 3.0
+
+
 def random_point_consistency(raw, seed):
     """Mapped-back points satisfy the original rows within round-off."""
     lp, vmap = to_standard_form(raw)

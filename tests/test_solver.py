@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 import galp.solver
 from galp import directions, linalg
 from galp.model import StandardLP, to_standard_form
-from galp.mps import read_mps
+from galp.mps import parse_mps, read_mps
 from galp.penalty import GaugeParams
 from galp.solver import (
     REPROJECT_GAP,
@@ -26,6 +27,7 @@ from galp.solver import (
 )
 
 from conftest import (
+    FIXTURES,
     NETLIB_PROBLEMS,
     make_lp,
     netlib_path,
@@ -49,6 +51,11 @@ def pass_at(lp, x, r):
 
 def step(state, lp, cfg):
     return iterate_once(state, lp, cfg, pass_at(lp, state.x, cfg.r))
+
+
+def fresh(lp):
+    """The same LP as a new StandardLP, whose start is not yet memoized."""
+    return StandardLP(A=lp.A, b=lp.b, c=lp.c, upper=lp.upper)
 
 
 def test_config_validation():
@@ -345,7 +352,7 @@ def test_solve_bit_identical_to_sparse_product_kernel(monkeypatch, r):
     monkeypatch.setattr(linalg, "solve", lower_factor_solve)
     monkeypatch.setattr(directions, "solve", lower_factor_solve)
     for lp, new in zip(lps, planned):
-        old = solve(lp, cfg)
+        old = solve(fresh(lp), cfg)
         assert new.status == old.status == Status.OPTIMAL
         assert [dataclasses.astuple(t) for t in new.trace] == [dataclasses.astuple(t) for t in old.trace]
         assert np.array_equal(new.x, old.x)
@@ -398,7 +405,7 @@ def test_solve_agrees_with_numpy_cholesky_kernel(monkeypatch, r):
     monkeypatch.setattr(linalg, "solve", upper_factor_solve)
     monkeypatch.setattr(directions, "solve", upper_factor_solve)
     for name, lp, new in zip(NETLIB_PROBLEMS, lps, lapack):
-        old = solve(lp, cfg)
+        old = solve(fresh(lp), cfg)
         assert new.status == old.status == Status.OPTIMAL, name
         assert new.iterations == old.iterations, name
         # the integer fields (iteration, clamps) must match exactly under this tolerance
@@ -522,8 +529,96 @@ def test_solve_bit_identical_to_one_column_solves(monkeypatch, rng, r):
     monkeypatch.setattr(linalg, "solve", column_by_column_solve)
     monkeypatch.setattr(directions, "solve", lower_factor_solve)
     for lp, new in zip(lps, reports):
-        old = solve(lp, cfg)
+        old = solve(fresh(lp), cfg)
         assert new.status == old.status
         assert [dataclasses.astuple(t) for t in new.trace] == [dataclasses.astuple(t) for t in old.trace]
         for field in ("x", "y", "w", "s"):
             assert np.array_equal(getattr(new, field), getattr(old, field)), field
+
+
+def test_choose_start_memoizes_per_lp(monkeypatch):
+    lp = make_lp([[1.0, 1.0]], [10.0], [-1.0, -1.0])
+    calls = []
+
+    def counted(*args, _x2=galp.solver.starting_point_x2):
+        calls.append(args)
+        return _x2(*args)
+
+    monkeypatch.setattr(galp.solver, "starting_point_x2", counted)
+    first, second = start(lp), start(lp)
+    assert len(calls) == 1
+    assert np.array_equal(first, second) and np.array_equal(first, lp.start)
+    # each call returns a fresh, writeable copy; the memo itself is read-only
+    assert first.flags.writeable and not lp.start.flags.writeable
+    assert not np.shares_memory(first, second) and not np.shares_memory(first, lp.start)
+
+
+def test_iteration_zero_report_owns_its_x():
+    lp = make_lp([[1.0, 1.0]], [1.0], [1.0, 0.0])
+    report = solve(lp, SolverConfig(r=0.0, max_iterations=0))
+    assert report.status == Status.ITERATION_LIMIT and report.iterations == 0
+    assert report.x.flags.writeable
+    assert report.x is not lp.start and not np.shares_memory(report.x, lp.start)
+    memo = lp.start.copy()
+    report.x[:] = -1.0
+    assert np.array_equal(lp.start, memo)
+    assert np.array_equal(solve(lp, SolverConfig(r=0.0, max_iterations=0)).x, memo)
+
+
+def r_sweep_cases():
+    """(label, RawMps, r grid) for the corpus r-grid, the 20 fixtures and
+    2 generated instances of each perfbench workload shape."""
+    from test_model import load_perfbench_gen
+
+    gen = load_perfbench_gen()
+    corpus_grid = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
+    cases = [(name, read_mps(netlib_path(name)), corpus_grid) for name in NETLIB_PROBLEMS]
+    for k in range(1, 21):
+        cases.append((f"fix{k:02d}", read_mps(os.path.join(FIXTURES, f"fix{k:02d}.mps")), (0.0, 0.2, 0.5)))
+    shapes = {  # the sparse-large and box-heavy shapes and r grids of perfbench/workloads.py
+        "sparse": (gen.Shape(m=600, n=1800, density=0.01, boxed=False), (0.0, 0.5)),
+        "boxed": (gen.Shape(m=200, n=600, density=0.02, boxed=True), (0.0, 0.2, 0.5)),
+    }
+    for label, (shape, grid) in shapes.items():
+        for seed in (0, 1):
+            cases.append((f"{label}_{seed}", parse_mps(gen.generate(seed, shape, label).mps_text()), grid))
+    return cases
+
+
+def solve_bytes(report):
+    """Everything a solve reports: status, iterations, every trace record, and the bytes of x, y, w and s."""
+    trace = repr([dataclasses.astuple(t) for t in report.trace])
+    arrays = (getattr(report, f).tobytes() for f in ("x", "y", "w", "s"))
+    return (report.status, report.iterations, trace, *arrays)
+
+
+def test_memoized_start_is_bit_identical_across_an_r_sweep(monkeypatch):
+    # one StandardLP per problem, solved at every r, against a fresh LP per cell
+    cases = r_sweep_cases()
+    fresh_runs = {
+        (label, r): solve_bytes(solve(to_standard_form(raw)[0], SolverConfig(r=r)))
+        for label, raw, grid in cases
+        for r in grid
+    }
+
+    calls = {}
+
+    def counted(lp, plan, _x2=galp.solver.starting_point_x2):
+        calls[id(lp)] = calls.get(id(lp), 0) + 1
+        return _x2(lp, plan)
+
+    monkeypatch.setattr(galp.solver, "starting_point_x2", counted)
+    unmemoized, lps = set(), []
+    for label, raw, grid in cases:
+        lp = to_standard_form(raw)[0]
+        lps.append(lp)  # keeps every id() in calls distinct
+        for r in grid:
+            assert solve_bytes(solve(lp, SolverConfig(r=r))) == fresh_runs[label, r], (label, r)
+        if lp.start is None:
+            # the start raised (x2's factor failed), so there is nothing to
+            # keep and every solve tries again
+            unmemoized.add(label)
+            assert calls[id(lp)] == len(grid), label
+        else:
+            assert calls[id(lp)] == 1, label
+    assert unmemoized == {"fix01"}
