@@ -11,12 +11,11 @@ convergence.  The same sweep is available from the command line:
 
 import os
 
-from galp import SolverConfig, Status, read_mps, solve, to_standard_form
+from galp import SolverConfig, read_mps, solve, to_standard_form
+from galp.cli import R_GRID, STATUS_TABLE
 
 HERE = os.path.dirname(__file__)
 CORPUS = os.path.join(HERE, "..", "tests", "data", "netlib")
-
-R_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 
 names = sorted(os.path.splitext(f)[0] for f in os.listdir(CORPUS) if f.endswith(".mps"))
 
@@ -27,5 +26,5 @@ for name in names:
     cells = []
     for r in R_GRID:
         report = solve(lp, SolverConfig(r=r), offset=vmap.offset)
-        cells.append(str(report.iterations) if report.status is Status.OPTIMAL else "**")
+        cells.append(STATUS_TABLE[report.status][1].format(report.iterations))  # galp bench's cell
     print(f"{name:10}" + "".join(f"  {c:>6}" for c in cells))

@@ -2,14 +2,15 @@
 
 ``galp solve problem.mps`` parses, converts, and solves one problem.
 ``galp bench corpus/`` solves every MPS file in a directory over a grid of
-penalty exponents and emits a CSV iteration table (cells: iteration count,
-"**" for the iteration cap, "err" for parse/numeric failures) plus a per-r
-solved-percentage summary.  Each file is read and converted once, then
-solved at every r.  Solve times, and each file's read-and-convert time in a
-last ``setup`` column, go to a separate CSV so the main table is
-byte-reproducible.
+penalty exponents (default ``R_GRID``) and emits a CSV iteration table plus
+a per-r solved-percentage summary.  Each file is read and converted once,
+then solved at every r.  Solve times, and each file's read-and-convert time
+in a last ``setup`` column, go to a separate CSV so the main table is
+byte-reproducible.  Solver options default to ``SolverConfig``'s fields.
 
-Exit codes: 0 Optimal, 2 IterationLimit, 3 Unbounded, 4 parse/numeric error.
+Exit codes and cells (``STATUS_TABLE``): Optimal 0 and the iteration count,
+IterationLimit 2 and "**", Unbounded 3 and "err", NumericalFailure 4 and
+"err".  Any other error exits 4; a file that cannot be read gets "err".
 """
 
 from __future__ import annotations
@@ -31,12 +32,14 @@ EXIT_ITERATION_LIMIT = 2
 EXIT_UNBOUNDED = 3
 EXIT_ERROR = 4
 
-_STATUS_EXIT = {
-    Status.OPTIMAL: EXIT_OPTIMAL,
-    Status.ITERATION_LIMIT: EXIT_ITERATION_LIMIT,
-    Status.UNBOUNDED: EXIT_UNBOUNDED,
-    Status.NUMERICAL_FAILURE: EXIT_ERROR,
+# status -> (galp solve exit code, galp bench cell with "{}" for the iteration count)
+STATUS_TABLE = {
+    Status.OPTIMAL: (EXIT_OPTIMAL, "{}"),
+    Status.ITERATION_LIMIT: (EXIT_ITERATION_LIMIT, "**"),
+    Status.UNBOUNDED: (EXIT_UNBOUNDED, "err"),
+    Status.NUMERICAL_FAILURE: (EXIT_ERROR, "err"),
 }
+R_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)  # galp bench's default r grid
 
 
 def _error(exc) -> int:
@@ -63,7 +66,7 @@ def cmd_solve(args) -> int:
     try:
         raw = read_mps(args.path)
         lp, vmap = to_standard_form(raw)
-    except (OSError, MpsError, InfeasibleBounds) as exc:
+    except (OSError, MpsError, InfeasibleBounds, ValueError) as exc:
         return _error(exc)
     report = solve(lp, cfg, offset=vmap.offset)
     if args.trace:
@@ -82,7 +85,7 @@ def cmd_solve(args) -> int:
             x_orig = map_back(vmap, report.x)
             for name, value in zip(vmap.names, x_orig):
                 print(f"  {name} = {value:.10g}")
-    return _STATUS_EXIT[report.status]
+    return STATUS_TABLE[report.status][0]
 
 
 def _bench_cell(lp, cfg):
@@ -90,11 +93,7 @@ def _bench_cell(lp, cfg):
     start = time.perf_counter()
     report = solve(lp, cfg)
     elapsed = f"{time.perf_counter() - start:.6f}"
-    if report.status is Status.OPTIMAL:
-        return str(report.iterations), elapsed
-    if report.status is Status.ITERATION_LIMIT:
-        return "**", elapsed
-    return "err", elapsed
+    return STATUS_TABLE[report.status][1].format(report.iterations), elapsed
 
 
 def cmd_bench(args) -> int:
@@ -119,7 +118,7 @@ def cmd_bench(args) -> int:
                 start = time.perf_counter()
                 try:
                     lp, _ = to_standard_form(read_mps(os.path.join(args.dir, name)))
-                except (OSError, MpsError, InfeasibleBounds):
+                except (OSError, MpsError, InfeasibleBounds, ValueError):
                     cells = [("err", "")] * len(cfgs)  # nothing was solved, so no time
                     setup = ""
                 else:
@@ -147,22 +146,22 @@ def cmd_bench(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="galp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
     ps = sub.add_parser("solve", help="solve a single MPS file")
+    pb = sub.add_parser("bench", help="r-sweep over a directory of MPS files")
+    default = SolverConfig()
+    for p in (ps, pb):
+        p.add_argument("--eps", type=float, default=default.epsilon, help="stopping tolerance")
+        p.add_argument("--max-iter", type=int, default=default.max_iterations)
+
     ps.add_argument("path")
-    ps.add_argument("--r", type=float, default=0.2, help="penalty exponent in [0, 1)")
-    ps.add_argument("--eps", type=float, default=1e-8, help="stopping tolerance")
-    ps.add_argument("--max-iter", type=int, default=300)
+    ps.add_argument("--r", type=float, default=default.r, help="penalty exponent in [0, 1)")
     ps.add_argument("--trace", metavar="CSV", help="write the per-iteration trace here")
     ps.add_argument("--quiet", action="store_true")
     ps.add_argument("--print-solution", action="store_true")
     ps.set_defaults(func=cmd_solve)
 
-    pb = sub.add_parser("bench", help="r-sweep over a directory of MPS files")
     pb.add_argument("dir")
-    pb.add_argument("--r-grid", default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7")
-    pb.add_argument("--eps", type=float, default=1e-8)
-    pb.add_argument("--max-iter", type=int, default=300)
+    pb.add_argument("--r-grid", default=",".join(f"{r:g}" for r in R_GRID))
     pb.add_argument("--out", metavar="CSV", help="iteration table destination (default stdout)")
     pb.add_argument("--timing", metavar="CSV", help="solve- and set-up-time table destination")
     pb.set_defaults(func=cmd_bench)

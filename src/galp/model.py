@@ -63,6 +63,10 @@ _BOUND_SETS = {
 class StandardLP:
     """LP data in standard form; ``bounded`` indexes the set I.
 
+    A, b and c must be finite, and ``upper`` may not hold NaN (``ValueError``,
+    naming the array); an upper bound <= 0, -inf included, makes the box
+    empty (``InfeasibleBounds``).  ``upper_j = +inf`` means no bound.
+
     ``A`` is a CSC copy of the caller's matrix with explicit zeros dropped,
     and ``b``, ``c`` and ``upper`` are copies of the caller's vectors, so the
     caller's arrays stay as they were, writeable and unaliased.  The copies
@@ -92,10 +96,14 @@ class StandardLP:
         self.b = _read_only(np.array(self.b, dtype=float))
         self.c = _read_only(np.array(self.c, dtype=float))
         self.upper = _read_only(np.array(self.upper, dtype=float))
-        finite = np.isfinite(self.upper)
-        if np.any(self.upper[finite] <= 0):
-            raise InfeasibleBounds("finite upper bounds must be positive")
-        self.bounded = _read_only(np.flatnonzero(finite))
+        for name, arr in (("A", self.A.data), ("b", self.b), ("c", self.c)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has a non-finite entry")
+        if not (self.upper > 0).all():  # one pass for NaN and for u_j <= 0, -inf included
+            if np.isnan(self.upper).any():
+                raise ValueError("upper has a NaN entry")
+            raise InfeasibleBounds("upper bounds must be positive")
+        self.bounded = _read_only(np.flatnonzero(np.isfinite(self.upper)))
         for arr in (self.A.data, self.A.indices, self.A.indptr):
             _read_only(arr)
         self.At = self.A.T

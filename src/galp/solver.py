@@ -14,15 +14,14 @@ direction: once the entering point's Rgap is below REPROJECT_GAP, which
 costs one more solve with the pass's factor.
 
 Each quantity is computed once, at the scope where it changes.  Per LP: the
-starting point does not depend on r, so ``choose_start`` computes it on an
-LP's first solve and keeps it on the LP (``StandardLP.start``); later
-solves, an r-sweep's, start from a copy and never factor x2's A A^t again.
-Rf's denominator 1 + ||b||_inf is per LP as well (``StandardLP.b_scale``).
-Per solve: the penalty parameters, the assembly plan of A H^-1 A^t and the
-bound of the sign safeguard.  Per point: ``_state`` computes A x once; its
-b - A x gives both Rf and the feasibility right-hand side of the point's
-pass.  Only the start's pass forms b - A x0 itself, since it runs before
-the start's state exists.
+start, which does not depend on r (``choose_start`` keeps it as
+``StandardLP.start``; it is x1 wherever x2's factor fails), and Rf's
+denominator 1 + ||b||_inf (``StandardLP.b_scale``).  Per solve: the
+penalty parameters, the assembly plan of A H^-1 A^t and the bound of the
+sign safeguard.  Per point: ``_state`` computes A x once; its b - A x gives
+both Rf and the feasibility right-hand side of the point's pass.  Only the
+start's pass forms b - A x0 itself, since it runs before the start's state
+exists.
 
 The feasibility move uses step factor STEP_AGGRESSIVE while the residual is
 large and STEP_CONSERVATIVE once it is small; the descent move swaps the two
@@ -141,15 +140,17 @@ def starting_point_x2(lp: StandardLP, plan: linalg.NormalPlan) -> np.ndarray:
 
 
 def choose_start(lp: StandardLP, plan: linalg.NormalPlan) -> np.ndarray:
-    """x2 unless x1 is the more interior and has min x1 >= 1; a fresh copy of the LP's memo.
+    """x2 unless x1 is the more interior and has min x1 >= 1, or x1 where x2's factor fails.
 
-    The start does not depend on r, so it is computed on the first call for
-    an LP and kept, read-only, as ``lp.start``; an r-sweep over one LP
-    factors x2's A A^t once.
+    The start does not depend on r, so it is computed on an LP's first call
+    and kept, read-only, as ``lp.start``; each call returns a fresh copy.
     """
     if lp.start is None:
         x1 = starting_point_x1(lp)
-        x2 = starting_point_x2(lp, plan)
+        try:
+            x2 = starting_point_x2(lp, plan)
+        except (linalg.FactorizationFailed, linalg.NonFiniteInput):
+            x2 = x1
         x0 = x2 if x2.min() > x1.min() or x1.min() < 1.0 else x1
         x0.flags.writeable = False
         lp.start = x0

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import galp.cli
 from galp import linalg
 from galp.directions import newton_direction
 from galp.model import to_standard_form
@@ -21,6 +22,8 @@ from galp.solver import SolverConfig, Status, solve
 from conftest import FIXTURES, NETLIB_PROBLEMS, netlib_path, random_lp, random_interior_point, solved_directions
 from simplex_oracle import simplex_solve
 
+# the gate's own reference grid, kept apart from the CLI's default
+# (``galp.cli.R_GRID``); test_r_grid_is_the_cli_default holds them equal
 R_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 
 # Reference iteration counts for the mini-corpus at eps = 1e-8, cap 300,
@@ -65,6 +68,10 @@ def _solve_corpus():
                 )
         _solve_corpus.cache = cache
     return _solve_corpus.cache
+
+
+def test_r_grid_is_the_cli_default():
+    assert R_GRID == galp.cli.R_GRID
 
 
 def test_criterion_1_corpus_iteration_counts():

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib
 import importlib.metadata
 import io
 import os
@@ -12,9 +13,11 @@ import pytest
 
 import galp.cli
 from galp.cli import main
-from galp.solver import TraceRecord
+from galp.solver import SolverConfig, Status, TraceRecord
 
 from conftest import DATA, NETLIB, netlib_path
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TINY = """NAME T
 ROWS
@@ -192,6 +195,25 @@ def test_bench_bad_argument_exits_4(tmp_path, capsys, monkeypatch, args):
     assert not out.exists()
 
 
+# finite in the file, but the shift of X1's lower bound overflows b to -inf
+OVERFLOW = TINY.replace("X1  COST  1.0  R1  1.0", "X1  COST  1.0  R1  1e300").replace(
+    "ENDATA", "BOUNDS\n LO BND  X1  1e300\nENDATA"
+)
+
+
+def test_non_finite_standard_form_is_an_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "ovf.mps").write_text(OVERFLOW)
+    out = tmp_path / "table.csv"
+    # to_standard_form warns as the product overflows; StandardLP then refuses b
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["solve", str(corpus / "ovf.mps")]) == 4
+        assert capsys.readouterr().err == "error: b has a non-finite entry\n"
+        assert main(["bench", str(corpus), "--r-grid", "0,0.5", "--out", str(out)]) == 0
+    assert read_csv(out)[1] == ["ovf", "err", "err"]
+
+
 def test_trace_csv_schema(tmp_path, capsys):
     p = tmp_path / "tiny.mps"
     p.write_text(TINY)
@@ -206,6 +228,34 @@ def test_trace_csv_schema(tmp_path, capsys):
         assert float(row[2]) >= 0.0  # rf
         int(row[7])  # clamps is integral
         float(row[8])  # regularization parses
+
+
+def test_parser_defaults_are_solver_config_defaults():
+    default = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+    parser = galp.cli.build_parser()
+    solve_args = parser.parse_args(["solve", "p.mps"])
+    bench_args = parser.parse_args(["bench", "corpus"])
+    assert solve_args.r == default["r"]
+    for args in (solve_args, bench_args):
+        assert (args.eps, args.max_iter) == (default["epsilon"], default["max_iterations"])
+    assert bench_args.r_grid == "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7"
+    assert tuple(float(tok) for tok in bench_args.r_grid.split(",")) == galp.cli.R_GRID
+
+
+def test_every_status_has_an_exit_code_and_a_cell(monkeypatch):
+    expected = {
+        Status.OPTIMAL: (0, "17"),
+        Status.ITERATION_LIMIT: (2, "**"),
+        Status.UNBOUNDED: (3, "err"),
+        Status.NUMERICAL_FAILURE: (4, "err"),
+    }
+    assert set(galp.cli.STATUS_TABLE) == set(Status) == set(expected)
+    # perfbench checks galp bench's table against its own copy of the rule
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    cli_cell = importlib.import_module("harness").cli_cell
+    for status, (code, cell) in galp.cli.STATUS_TABLE.items():
+        assert (code, cell.format(17)) == expected[status], status
+        assert cell.format(17) == cli_cell(status.value, 17), status
 
 
 def test_bench_table(tmp_path, capsys):
@@ -304,7 +354,6 @@ def test_bench_stdout_default(tmp_path, capsys, monkeypatch):
     assert rows[1][0] == "afiro"
 
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PYPROJECT = os.path.join(ROOT, "pyproject.toml")
 
 

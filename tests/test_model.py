@@ -252,6 +252,40 @@ def test_standard_lp_arrays_are_read_only_copies():
     assert lp.b_scale == 3.0
 
 
+def hand_built_lp(**changes):
+    """min x1 + 2 x2 s.t. x1 + x2 = 1, x >= 0, with some of its arrays replaced."""
+    data = dict(A=sp.csc_matrix([[1.0, 1.0]]), b=[1.0], c=[1.0, 2.0], upper=[np.inf, np.inf])
+    data.update(changes)
+    return StandardLP(**data)
+
+
+@pytest.mark.parametrize(
+    "error, match, changes",
+    [
+        (ValueError, "^A has", dict(A=sp.csc_matrix([[NAN, 1.0]]))),
+        (ValueError, "^A has", dict(A=sp.csc_matrix([[1.0, INF]]))),
+        (ValueError, "^A has", dict(A=sp.csc_matrix([[-INF, 1.0]]))),
+        (ValueError, "^b has", dict(b=[NAN])),
+        (ValueError, "^b has", dict(b=[INF])),
+        (ValueError, "^b has", dict(b=[-INF])),
+        (ValueError, "^c has", dict(c=[NAN, 2.0])),
+        (ValueError, "^c has", dict(c=[1.0, INF])),
+        (ValueError, "^c has", dict(c=[-INF, 2.0])),
+        (ValueError, "^upper has", dict(upper=[NAN, INF])),
+        # x1 <= -inf empties the box
+        (InfeasibleBounds, "must be positive", dict(upper=[-INF, INF])),
+    ],
+    ids=["A-nan", "A-inf", "A-minus-inf", "b-nan", "b-inf", "b-minus-inf",
+         "c-nan", "c-inf", "c-minus-inf", "upper-nan", "upper-minus-inf"],
+)
+def test_standard_lp_rejects_non_finite_data(error, match, changes):
+    # unchecked, such data reaches solve, which wastes iterations on a
+    # NumericalFailure, lets a RuntimeWarning out, or, for upper = -inf,
+    # reports a false Unbounded
+    with pytest.raises(error, match=match):
+        hand_built_lp(**changes)
+
+
 def random_point_consistency(raw, seed):
     """Mapped-back points satisfy the original rows within round-off."""
     lp, vmap = to_standard_form(raw)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import os
 
@@ -27,6 +28,7 @@ from galp.solver import (
 )
 
 from conftest import (
+    DATA,
     FIXTURES,
     NETLIB_PROBLEMS,
     make_lp,
@@ -100,7 +102,7 @@ def test_starting_point_x2_respects_bounds():
     assert 0.0 < x[0] <= 0.99 * 2.0
 
 
-def test_choose_start_branches():
+def test_choose_start_branches(monkeypatch):
     # min x1 = 2 >= 1 and min x2 = 0.515 < 2: keep x1
     lp = make_lp([[1.0, 1.0]], [1.0], [-1.0, -1.0])
     assert_allclose(start(lp), starting_point_x1(lp))
@@ -111,6 +113,23 @@ def test_choose_start_branches():
     lp = make_lp([[1.0, 1.0]], [1.0], [1.0, 1.0], upper=[1.0, 1.0])
     assert starting_point_x1(lp).min() < 1.0
     assert_allclose(start(lp), x2(lp))
+    # an empty row with a nonzero right-hand side leaves A A^t singular, so
+    # x2's factor fails and the start is x1, which needs no factor
+    lp = make_lp([[1.0, 1.0], [0.0, 0.0]], [1.0, 2.0], [1.0, 1.0])
+    with pytest.raises(linalg.FactorizationFailed):
+        x2(lp)
+    calls = []
+
+    def counted(*args, _x2=starting_point_x2):
+        calls.append(args)
+        return _x2(*args)
+
+    monkeypatch.setattr(galp.solver, "starting_point_x2", counted)
+    for r in (0.0, 0.2, 0.5):
+        # the start's own pass meets the same empty row
+        assert solve(lp, SolverConfig(r=r)).status == Status.NUMERICAL_FAILURE
+    assert len(calls) == 1  # memoized: x2 is tried on the first solve only
+    assert np.array_equal(lp.start, starting_point_x1(lp))
 
 
 def test_recover_duals_unbounded_case():
@@ -592,15 +611,21 @@ def solve_bytes(report):
     return (report.status, report.iterations, trace, *arrays)
 
 
-def test_memoized_start_is_bit_identical_across_an_r_sweep(monkeypatch):
-    # one StandardLP per problem, solved at every r, against a fresh LP per cell
+@pytest.fixture(scope="module")
+def sweep_runs():
+    """r_sweep_cases() and the solve_bytes of each of its cells, each solved on a fresh LP."""
     cases = r_sweep_cases()
-    fresh_runs = {
+    runs = {
         (label, r): solve_bytes(solve(to_standard_form(raw)[0], SolverConfig(r=r)))
         for label, raw, grid in cases
         for r in grid
     }
+    return cases, runs
 
+
+def test_memoized_start_is_bit_identical_across_an_r_sweep(monkeypatch, sweep_runs):
+    # one StandardLP per problem, solved at every r, against a fresh LP per cell
+    cases, fresh_runs = sweep_runs
     calls = {}
 
     def counted(lp, plan, _x2=galp.solver.starting_point_x2):
@@ -608,17 +633,37 @@ def test_memoized_start_is_bit_identical_across_an_r_sweep(monkeypatch):
         return _x2(lp, plan)
 
     monkeypatch.setattr(galp.solver, "starting_point_x2", counted)
-    unmemoized, lps = set(), []
+    lps = []
     for label, raw, grid in cases:
         lp = to_standard_form(raw)[0]
         lps.append(lp)  # keeps every id() in calls distinct
         for r in grid:
             assert solve_bytes(solve(lp, SolverConfig(r=r))) == fresh_runs[label, r], (label, r)
-        if lp.start is None:
-            # the start raised (x2's factor failed), so there is nothing to
-            # keep and every solve tries again
-            unmemoized.add(label)
-            assert calls[id(lp)] == len(grid), label
-        else:
-            assert calls[id(lp)] == 1, label
-    assert unmemoized == {"fix01"}
+        # every LP memoizes its start, fix01's x1 included, and tries x2 once
+        assert lp.start is not None and calls[id(lp)] == 1, label
+
+
+def test_sweep_cells_are_pinned(sweep_runs):
+    # the fixture and generated cells (the corpus is pinned by
+    # netlib_iterations.csv); the file detects change and claims no
+    # correctness, so a changed cell fails until CHANGES.md explains it
+    cases, runs = sweep_runs
+    cells = [["label", "r", "status", "iterations"]] + [
+        [label, f"{r:g}", runs[label, r][0].value, str(runs[label, r][1])]
+        for label, _, grid in cases
+        if label not in NETLIB_PROBLEMS
+        for r in grid
+    ]
+    with open(os.path.join(DATA, "sweep_cells.csv"), newline="") as fh:
+        assert cells == list(csv.reader(fh))
+
+
+def test_empty_row_fixture_fails_at_iteration_zero(sweep_runs):
+    # fix01's row 2 is empty with b = -2.305: x2's factor fails, the start is
+    # x1, and x1's own pass fails on the same row, so the report is the one
+    # an unstarted solve gives, NaN arrays and an empty trace
+    _, runs = sweep_runs
+    lp = to_standard_form(read_mps(os.path.join(FIXTURES, "fix01.mps")))[0]
+    nan = [np.full(k, np.nan).tobytes() for k in (lp.n, lp.m, lp.n, lp.n)]
+    for r in (0.0, 0.2, 0.5):
+        assert runs["fix01", r] == (Status.NUMERICAL_FAILURE, 0, "[]", *nan), r
