@@ -1,11 +1,10 @@
 """Search directions for the affine scaling iteration.
 
 All directions share one Cholesky factor of A H^-1 A^t and one diagonal
-H^-1 (``hinv``) per iterate, both computed once by the caller.  The descent
-and feasibility directions map vectors the caller has already solved for
-with that factor, so the caller can solve both right-hand sides in one
-two-column ``solve``; only ``reproject`` solves for itself, because its
-right-hand side depends on d:
+H^-1 (``hinv``) per iterate, both computed once by ``solver.recover_duals``,
+the one pass per point.  The descent and feasibility directions map the two
+columns of that pass's one two-column ``solve``; only ``reproject`` solves
+for itself, because its right-hand side depends on d:
 
 * descent:     y = (A H^-1 A^t)^-1 A H^-1 c,  s = c - A^t y,  d = -H^-1 s,
   which equals -H^(-1/2) P H^(-1/2) c with P the orthogonal projector onto
@@ -41,10 +40,9 @@ from .penalty import GaugeParams, penalty_gradient, scaling_diagonals
 
 
 def descent_direction(lp: StandardLP, hinv, y):
-    """Affine scaling descent direction from y = (A H^-1 A^t)^-1 A H^-1 c; returns (d, y, s)."""
+    """Affine scaling descent direction from y = (A H^-1 A^t)^-1 A H^-1 c; returns (d, s)."""
     s = lp.c - lp.At @ y
-    d = -hinv * s
-    return d, y, s
+    return -hinv * s, s
 
 
 def feasibility_direction(lp: StandardLP, hinv, v):

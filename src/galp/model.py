@@ -17,11 +17,12 @@ columns (fixed, shifted, negated, split) and the rows (L, G, E, ranged), a
 cumsum numbers the standard-form columns, ``np.subtract.at`` moves
 substituted values into b in (column, file) order, and A is built by one
 COO -> CSC conversion.  The same masks give the ``VariableMap`` arrays, so
-the map has one encoding and ``map_back`` is one vector expression.  Bound
-kinds are read from a table.  A row or bound kind outside the MPS set, or a
-bound value ``parse_mps`` would reject (NaN, or an infinity other than
-``UP +inf`` and ``LO -inf``), can only come from a hand-built ``RawMps``
-and raises ``ValueError``.  The output is bit for bit that of a
+the map has one encoding and ``map_back`` is one vector expression.  Bounds
+are read by ``parse_mps``'s table, ``mps.BOUND_KINDS``.  A row or bound kind
+outside the MPS set, or a bound value ``parse_mps`` would reject, can only
+come from a hand-built ``RawMps`` and raises ``ValueError``; so does finite
+data that overflows b or the objective offset (a box too wide for a double
+gets width +inf, no upper bound).  The output is bit for bit that of a
 column-by-column pass, which the tests keep as an oracle.
 """
 
@@ -35,7 +36,7 @@ from itertools import repeat
 import numpy as np
 import scipy.sparse as sp
 
-from .mps import _NO_BOUND, _VALUELESS_BOUNDS, ROW_KINDS, RawMps
+from .mps import BOUND_KINDS, ROW_KINDS, RawMps
 
 
 class InfeasibleBounds(Exception):
@@ -45,18 +46,6 @@ class InfeasibleBounds(Exception):
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-# Bound kind -> (sets lower, sets upper).  FR, MI and PL carry no value: the
-# side they set becomes -inf (lower) or +inf (upper).
-_BOUND_SETS = {
-    "UP": (False, True),
-    "LO": (True, False),
-    "FX": (True, True),
-    "FR": (True, True),
-    "MI": (True, False),
-    "PL": (False, True),
-}
 
 
 @dataclass
@@ -178,17 +167,16 @@ def to_standard_form(raw: RawMps):
     lb = np.zeros(ncols)
     ub = np.full(ncols, np.inf)
     for kind, col, value in raw.bounds:
-        if kind not in _BOUND_SETS:
+        spec = BOUND_KINDS.get(kind)
+        if spec is None:
             raise ValueError(f"bound on column {col!r} has unknown kind {kind!r}")
         k = col_index[col]
-        sets_lower, sets_upper = _BOUND_SETS[kind]
-        valueless = kind in _VALUELESS_BOUNDS
-        if not valueless and not math.isfinite(value) and value != _NO_BOUND.get(kind):
+        if spec.valued and not spec.admits(value):
             raise ValueError(f"bound {kind} on column {col!r} has non-finite value {value!r}")
-        if sets_lower:
-            lb[k] = -np.inf if valueless else value
-        if sets_upper:
-            ub[k] = np.inf if valueless else value
+        if spec.lower:
+            lb[k] = value if spec.valued else -np.inf
+        if spec.upper:
+            ub[k] = value if spec.valued else np.inf
 
     infeasible = lb > ub
     if infeasible.any():
@@ -204,8 +192,6 @@ def to_standard_form(raw: RawMps):
     split = ~low_finite & ~up_finite
     substituted = fixed | shifted | negated
     shift = np.where(negated, ub, np.where(substituted, lb, -0.0))
-    col_width = np.full(ncols, np.inf)
-    np.subtract(ub, lb, out=col_width, where=low_finite & up_finite)
     ncopies = np.where(fixed, 0, np.where(split, 2, 1))
     first = np.cumsum(ncopies) - ncopies  # standard-form column (x_pos for a split one)
     norig = int(ncopies.sum())
@@ -216,11 +202,17 @@ def to_standard_form(raw: RawMps):
     on_row = ent_row >= 0
     moved = np.flatnonzero(on_row & substituted[ent_col])
     moved = moved[np.argsort(ent_col[moved], kind="stable")]
-    np.subtract.at(b, ent_row[moved], ent_val[moved] * shift[ent_col[moved]])
     # An RHS entry on the objective row is the negated objective constant.
     offset = -rhs.get(raw.objective_row, 0.0)
-    for k in np.flatnonzero(substituted):
-        offset += obj[k] * shift[k]
+    col_width = np.full(ncols, np.inf)
+    # finite data may overflow here: a width stays +inf, b and offset are checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(ub, lb, out=col_width, where=low_finite & up_finite)
+        np.subtract.at(b, ent_row[moved], ent_val[moved] * shift[ent_col[moved]])
+        for k in np.flatnonzero(substituted):
+            offset += obj[k] * shift[k]
+    if not math.isfinite(offset):
+        raise ValueError("objective offset is non-finite")
 
     # Slack/surplus columns: an L row gets +1 and a G row -1; an E row gets
     # one only when ranged, -1 for R >= 0 (widens upward) and +1 for R < 0.

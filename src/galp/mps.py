@@ -18,7 +18,7 @@ LPs only.
 Every number must be finite: a NaN anywhere, or an infinity in COLUMNS, RHS
 or RANGES, raises ``MalformedNumber`` at its line.  In BOUNDS an infinity is
 read only where it means "no bound": ``UP +inf`` (as PL) and ``LO -inf`` (as
-MI).
+MI).  ``to_standard_form`` reads bounds by the same table, ``BOUND_KINDS``.
 """
 
 from __future__ import annotations
@@ -26,13 +26,33 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 ROW_KINDS = ("N", "L", "G", "E")
-BOUND_KINDS = ("UP", "LO", "FX", "FR", "MI", "PL")
-_VALUELESS_BOUNDS = ("FR", "MI", "PL")
 _INTEGER_BOUNDS = ("BV", "LI", "UI")
-_NO_BOUND = {"UP": math.inf, "LO": -math.inf}  # the infinite value each kind may take
 _SECTION_ORDER = ("NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA")
+
+
+class BoundKind(NamedTuple):
+    """The sides a BOUNDS kind sets; a valueless kind sets lower to -inf, upper to +inf."""
+
+    lower: bool
+    upper: bool
+    valued: bool
+    no_bound: float | None = None  # the one infinity a valued kind admits, meaning "no bound"
+
+    def admits(self, value) -> bool:
+        return math.isfinite(value) or value == self.no_bound
+
+
+BOUND_KINDS = {
+    "UP": BoundKind(False, True, True, math.inf),
+    "LO": BoundKind(True, False, True, -math.inf),
+    "FX": BoundKind(True, True, True),
+    "FR": BoundKind(True, True, False),
+    "MI": BoundKind(True, False, False),
+    "PL": BoundKind(False, True, False),
+}
 
 
 class MpsError(Exception):
@@ -96,13 +116,13 @@ class RawMps:
         return list(dict.fromkeys([col for col, _, _ in self.columns]))
 
 
-def _number(token, lineno, infinity=None):
-    """``float(token)``; NaN, and any infinity other than ``infinity``, raise MalformedNumber."""
+def _number(token, lineno, admits=math.isfinite):
+    """``float(token)``; a value that ``admits`` rejects (by default NaN and ±inf) raises MalformedNumber."""
     try:
         value = float(token)
     except ValueError:
         raise MalformedNumber(f"cannot parse number {token!r}", lineno) from None
-    if not math.isfinite(value) and value != infinity:
+    if not admits(value):
         raise MalformedNumber(f"non-finite number {token!r}", lineno)
     return value
 
@@ -204,23 +224,16 @@ def parse_mps(source) -> RawMps:
                 raise UnknownBoundKind(
                     f"integer bound kind {kind!r} is not supported (continuous LPs only)", lineno
                 )
-            if kind not in BOUND_KINDS:
+            spec = BOUND_KINDS.get(kind)
+            if spec is None:
                 raise UnknownBoundKind(f"unknown bound kind {tokens[0]!r}", lineno)
-            if kind in _VALUELESS_BOUNDS:
-                # kind [set-name] column
-                col = tokens[-1]
-                if len(tokens) not in (2, 3):
-                    raise MalformedNumber(f"malformed bound line {stripped!r}", lineno)
-                value = None
+            # kind [set-name] column, then the value of a valued kind
+            if ntok - spec.valued not in (2, 3):
+                raise MalformedNumber(f"malformed bound line {stripped!r}", lineno)
+            if spec.valued:
+                col, value = tokens[-2], _number(tokens[-1], lineno, spec.admits)
             else:
-                # kind [set-name] column value
-                if len(tokens) == 4:
-                    col, vtok = tokens[2], tokens[3]
-                elif len(tokens) == 3:
-                    col, vtok = tokens[1], tokens[2]
-                else:
-                    raise MalformedNumber(f"malformed bound line {stripped!r}", lineno)
-                value = _number(vtok, lineno, _NO_BOUND.get(kind))
+                col, value = tokens[-1], None
             if col not in col_rows:
                 raise UndeclaredName(f"bound references unknown column {col!r}", lineno)
             if kind == "UP" and value is not None and value < 0:

@@ -18,10 +18,9 @@ start, which does not depend on r (``choose_start`` keeps it as
 ``StandardLP.start``; it is x1 wherever x2's factor fails), and Rf's
 denominator 1 + ||b||_inf (``StandardLP.b_scale``).  Per solve: the
 penalty parameters, the assembly plan of A H^-1 A^t and the bound of the
-sign safeguard.  Per point: ``_state`` computes A x once; its b - A x gives
-both Rf and the feasibility right-hand side of the point's pass.  Only the
-start's pass forms b - A x0 itself, since it runs before the start's state
-exists.
+sign safeguard.  Per point: whoever creates the point (the start, or
+``iterate_once``) forms b - A x once; it gives both Rf and the feasibility
+right-hand side of the point's pass.
 
 The feasibility move uses step factor STEP_AGGRESSIVE while the residual is
 large and STEP_CONSERVATIVE once it is small; the descent move swaps the two
@@ -172,21 +171,20 @@ class PointPass(NamedTuple):
     clamps: int
 
 
-def recover_duals(lp: StandardLP, x, p: GaugeParams, plan: linalg.NormalPlan, resid=None) -> PointPass:
-    """Scale and factor at x, then solve once for both moves; the duals come off the descent column.
+def recover_duals(lp: StandardLP, x, p: GaugeParams, plan: linalg.NormalPlan, resid) -> PointPass:
+    """The pass at x: scale and factor there, then one two-column solve serves both moves.
 
+    ``resid`` is b - A x, formed by whoever made x.  The descent column is y;
     w_I = -(x_I / u_I) s~_I and s = s~ + w, with s~ = c - A^t y the reduced costs.
-    ``resid`` is b - A x when the caller already has it (``IterateState.resid``).
     """
-    if resid is None:
-        resid = lp.b - lp.A @ x
     sd = scaling_diagonals(x, p)
     hinv = 1.0 / sd.h
     F = linalg.factor(linalg.assemble_normal(plan, hinv))
     # dpotrs returns Fortran order, so each column is contiguous, as a
     # one-column solve's result is, and b @ y sums in the same order
     v = linalg.solve(F, np.column_stack((lp.A @ (hinv * lp.c), resid)))
-    d, y, reduced = descent_direction(lp, hinv, v[:, 0])
+    y = v[:, 0]
+    d, reduced = descent_direction(lp, hinv, y)
     dx = feasibility_direction(lp, hinv, v[:, 1])
     w = np.zeros(lp.n)
     idx = lp.bounded
@@ -194,18 +192,16 @@ def recover_duals(lp: StandardLP, x, p: GaugeParams, plan: linalg.NormalPlan, re
     return PointPass(hinv, F, dx, d, y, w, reduced + w, sd.clamp_events)
 
 
-def _state(
-    lp: StandardLP, x, y, w, s, iteration=0, clamps=0, rho=0.0, step_feas=0.0, step_desc=0.0
-) -> IterateState:
-    """The point x with duals (y, w, s), its residual b - A x, and its trace record.
+def _state(lp: StandardLP, x, resid, pt: PointPass, iteration=0, step_feas=0.0, step_desc=0.0) -> IterateState:
+    """The point x with its residual ``resid`` = b - A x and its trace record.
 
-    ``rgap`` is the expected relative duality gap
-    (<c,x> - <b,y> + <u_I, w_I>) / (|<c,x>| + 1).
+    The duals (y, w, s), the clamp count and the regularization come from
+    ``pt``, the pass that served the point.  ``rgap`` is the expected
+    relative duality gap (<c,x> - <b,y> + <u_I, w_I>) / (|<c,x>| + 1).
     """
-    resid = lp.b - lp.A @ x
     cx = float(lp.c @ x)
     idx = lp.bounded
-    gap = cx - float(lp.b @ y) + float(lp.upper[idx] @ w[idx])
+    gap = cx - float(lp.b @ pt.y) + float(lp.upper[idx] @ pt.w[idx])
     record = TraceRecord(
         iteration=iteration,
         objective=cx,
@@ -214,10 +210,10 @@ def _state(
         step_feas=step_feas,
         step_desc=step_desc,
         min_x=float(x.min()) if lp.n else 0.0,
-        clamps=clamps,
-        regularization=rho,
+        clamps=pt.clamps,
+        regularization=pt.F.rho,
     )
-    return IterateState(x, y, w, s, record, resid)
+    return IterateState(x, pt.y, pt.w, pt.s, record, resid)
 
 
 def iterate_once(state: IterateState, lp: StandardLP, cfg: SolverConfig, pt: PointPass) -> IterateState:
@@ -251,9 +247,7 @@ def iterate_once(state: IterateState, lp: StandardLP, cfg: SolverConfig, pt: Poi
         )
     x = x + t_desc * d
 
-    return _state(
-        lp, x, pt.y, pt.w, pt.s, rec.iteration + 1, pt.clamps, pt.F.rho, step_feas=t_feas, step_desc=t_desc
-    )
+    return _state(lp, x, lp.b - lp.A @ x, pt, rec.iteration + 1, step_feas=t_feas, step_desc=t_desc)
 
 
 def _converged(state: IterateState, cfg: SolverConfig, safeguard: float) -> bool:
@@ -294,8 +288,9 @@ def solve(lp: StandardLP, cfg: SolverConfig | None = None, offset: float = 0.0) 
     state = None
     try:
         x0 = choose_start(lp, plan)
-        pt = recover_duals(lp, x0, p, plan)
-        state = _state(lp, x0, pt.y, pt.w, pt.s, clamps=pt.clamps, rho=pt.F.rho)
+        resid = lp.b - lp.A @ x0
+        pt = recover_duals(lp, x0, p, plan, resid)
+        state = _state(lp, x0, resid, pt)
         trace.append(state.record)
 
         while not _converged(state, cfg, safeguard):
@@ -310,6 +305,7 @@ def solve(lp: StandardLP, cfg: SolverConfig | None = None, offset: float = 0.0) 
     except UnboundedDirection:
         return report(state, Status.UNBOUNDED)
     except (linalg.FactorizationFailed, linalg.NonFiniteInput, NotInterior):
-        if state is None:
-            state = _state(lp, *(np.full(k, np.nan) for k in (lp.n, lp.m, lp.n, lp.n)))
+        if state is None:  # no point reached: NaN arrays and record, rf an np.float64 as on every report
+            rec = TraceRecord(0, math.nan, np.float64(math.nan), math.nan, 0.0, 0.0, math.nan, 0, 0.0)
+            state = IterateState(*(np.full(k, np.nan) for k in (lp.n, lp.m, lp.n, lp.n)), rec, None)
         return report(state, Status.NUMERICAL_FAILURE)

@@ -8,9 +8,9 @@ import scipy.sparse as sp
 sys.path.insert(0, os.path.dirname(__file__))
 
 from galp import linalg
-from galp.directions import descent_direction, feasibility_direction
 from galp.model import StandardLP
-from galp.penalty import GaugeParams, scaling_diagonals
+from galp.penalty import GaugeParams
+from galp.solver import recover_duals
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 NETLIB = os.path.join(DATA, "netlib")
@@ -54,17 +54,11 @@ def make_lp(A, b, c, upper=None):
     )
 
 
-def factor_at(lp, x, r):
-    """H^-1 at x for exponent r and the factor of A H^-1 A^t."""
-    hinv = 1.0 / scaling_diagonals(x, GaugeParams(r=r, upper=lp.upper)).h
-    F = linalg.factor(linalg.assemble_normal(linalg.normal_plan(lp.A), hinv))
-    return hinv, F
-
-
-def solved_directions(lp, x, hinv, F):
-    """Descent (d, y, s) and feasibility dx at x, from one two-column solve with F."""
-    v = linalg.solve(F, np.column_stack((lp.A @ (hinv * lp.c), lp.b - lp.A @ x)))
-    return (*descent_direction(lp, hinv, v[:, 0]), feasibility_direction(lp, hinv, v[:, 1]))
+def pass_at(lp, x, r):
+    """The solver's pass at x for exponent r (``recover_duals``): H^-1, the
+    factor of A H^-1 A^t, both directions and the duals."""
+    p = GaugeParams(r=r, upper=lp.upper)
+    return recover_duals(lp, x, p, linalg.normal_plan(lp.A), lp.b - lp.A @ x)
 
 
 def random_lp(rng, m=3, n=6, bounded="some"):

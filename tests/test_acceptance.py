@@ -12,14 +12,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import galp.cli
-from galp import linalg
 from galp.directions import newton_direction
 from galp.model import to_standard_form
 from galp.mps import MpsError, parse_mps, read_mps, write_mps
 from galp.penalty import GaugeParams, penalized_objective, penalty_gradient, scaling_diagonals
 from galp.solver import SolverConfig, Status, solve
 
-from conftest import FIXTURES, NETLIB_PROBLEMS, netlib_path, random_lp, random_interior_point, solved_directions
+from conftest import FIXTURES, NETLIB_PROBLEMS, netlib_path, pass_at, random_lp, random_interior_point
 from simplex_oracle import simplex_solve
 
 # the gate's own reference grid, kept apart from the CLI's default
@@ -121,13 +120,10 @@ def test_criterion_4_directions_match_dense_oracles():
             x = random_interior_point(rng, lp)
             r = float(rng.uniform(0.05, 0.9))
             p = GaugeParams(r=r, upper=lp.upper)
-            h = scaling_diagonals(x, p).h
-            hinv = 1.0 / h
-            F = linalg.factor(linalg.assemble_normal(linalg.normal_plan(lp.A), hinv))
-            d, *_ = solved_directions(lp, x, hinv, F)
+            d = pass_at(lp, x, r).d
 
             # dense projector oracle
-            hs = np.sqrt(h)
+            hs = np.sqrt(scaling_diagonals(x, p).h)
             B = lp.A.toarray() / hs
             P = np.eye(n) - B.T @ np.linalg.pinv(B @ B.T) @ B
             oracle = -(P @ (lp.c / hs)) / hs
@@ -169,12 +165,7 @@ def test_criterion_5_solver_invariants():
             lp, _ = random_lp(rng, m=3, n=7)
             x = random_interior_point(rng, lp)
 
-            def direction_at(r):
-                hinv = 1.0 / scaling_diagonals(x, GaugeParams(r=r, upper=lp.upper)).h
-                F = linalg.factor(linalg.assemble_normal(linalg.normal_plan(lp.A), hinv))
-                return solved_directions(lp, x, hinv, F)[0]
-
-            assert_allclose(direction_at(1e-6), direction_at(0.0), rtol=CONTINUITY_RTOL, atol=1e-8)
+            assert_allclose(pass_at(lp, x, 1e-6).d, pass_at(lp, x, 0.0).d, rtol=CONTINUITY_RTOL, atol=1e-8)
 
         # full solves: interiority, kernel membership of the descent move,
         # residual contraction, monotone objective once feasible
@@ -196,9 +187,7 @@ def test_criterion_5_solver_invariants():
         for _ in range(10):
             lp, _ = random_lp(rng, m=4, n=9)
             x = random_interior_point(rng, lp)
-            hinv = 1.0 / scaling_diagonals(x, GaugeParams(r=0.2, upper=lp.upper)).h
-            F = linalg.factor(linalg.assemble_normal(linalg.normal_plan(lp.A), hinv))
-            d, *_ = solved_directions(lp, x, hinv, F)
+            d = pass_at(lp, x, 0.2).d
             bound = 1e-6 * (1.0 + np.abs(lp.A).max() * np.linalg.norm(d, np.inf))
             assert np.linalg.norm(lp.A @ d, np.inf) <= bound
 

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -201,17 +202,34 @@ OVERFLOW = TINY.replace("X1  COST  1.0  R1  1.0", "X1  COST  1.0  R1  1e300").re
 )
 
 
-def test_non_finite_standard_form_is_an_error(tmp_path, capsys):
+# X3 is in no row, so its cost times its LO shift overflows only the objective offset
+OFFSET_OVERFLOW = TINY.replace("    X2  R1  1.0", "    X2  R1  1.0\n    X3  COST  1e300").replace(
+    "ENDATA", "BOUNDS\n LO BND  X3  1e300\nENDATA"
+)
+
+
+def assert_setup_error(tmp_path, capsys, text, message):
+    """``galp solve`` exits 4 with ``message`` and ``galp bench`` writes err cells, with no warning."""
     corpus = tmp_path / "corpus"
     corpus.mkdir()
-    (corpus / "ovf.mps").write_text(OVERFLOW)
+    (corpus / "ovf.mps").write_text(text)
     out = tmp_path / "table.csv"
-    # to_standard_form warns as the product overflows; StandardLP then refuses b
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(["solve", str(corpus / "ovf.mps")]) == 4
-        assert capsys.readouterr().err == "error: b has a non-finite entry\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert main(["bench", str(corpus), "--r-grid", "0,0.5", "--out", str(out)]) == 0
     assert read_csv(out)[1] == ["ovf", "err", "err"]
+
+
+def test_non_finite_standard_form_is_an_error(tmp_path, capsys):
+    # every number in the file is finite; the substitution overflows b, which StandardLP refuses
+    assert_setup_error(tmp_path, capsys, OVERFLOW, "b has a non-finite entry")
+
+
+def test_overflowing_objective_offset_is_an_error(tmp_path, capsys):
+    # before, galp solve let the overflow warning out and printed "objective:  inf"
+    assert_setup_error(tmp_path, capsys, OFFSET_OVERFLOW, "objective offset is non-finite")
 
 
 def test_trace_csv_schema(tmp_path, capsys):

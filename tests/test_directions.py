@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from galp.directions import max_step, newton_direction, reproject
 from galp.penalty import GaugeParams, scaling_diagonals
 
-from conftest import factor_at, make_lp, random_interior_point, random_lp, solved_directions
+from conftest import make_lp, pass_at, random_interior_point, random_lp
 
 
 def dense_projected_direction(lp, x, r):
@@ -20,22 +20,20 @@ def dense_projected_direction(lp, x, r):
 def test_descent_hand_case():
     lp = make_lp([[1.0, 1.0]], [1.0], [1.0, 0.0])
     x = np.array([0.5, 0.5])
-    hinv, F = factor_at(lp, x, 0.0)
-    d, y, s, _ = solved_directions(lp, x, hinv, F)
-    assert_allclose(y, [0.5])
-    assert_allclose(s, [0.5, -0.5])
-    assert_allclose(d, [-0.125, 0.125])
-    assert lp.c @ d == pytest.approx(-0.125)
+    pt = pass_at(lp, x, 0.0)
+    assert_allclose(pt.y, [0.5])
+    assert_allclose(lp.c - lp.At @ pt.y, [0.5, -0.5])
+    assert_allclose(pt.d, [-0.125, 0.125])
+    assert lp.c @ pt.d == pytest.approx(-0.125)
 
 
 def test_descent_zero_when_c_in_row_space():
     # c = A^t y means s = 0 at the exact minimizer over the affine set
     lp = make_lp([[1.0, 1.0]], [1.0], [2.0, 2.0])
     x = np.array([0.3, 0.7])
-    hinv, F = factor_at(lp, x, 0.4)
-    d, _, s, _ = solved_directions(lp, x, hinv, F)
-    assert_allclose(s, np.zeros(2), atol=1e-12)
-    assert_allclose(d, np.zeros(2), atol=1e-12)
+    pt = pass_at(lp, x, 0.4)
+    assert_allclose(lp.c - lp.At @ pt.y, np.zeros(2), atol=1e-12)
+    assert_allclose(pt.d, np.zeros(2), atol=1e-12)
 
 
 def test_descent_matches_dense_projector(rng):
@@ -43,8 +41,7 @@ def test_descent_matches_dense_projector(rng):
         lp, _ = random_lp(rng, m=3, n=6)
         x = random_interior_point(rng, lp)
         r = rng.uniform(0.0, 0.9)
-        hinv, F = factor_at(lp, x, r)
-        d, *_ = solved_directions(lp, x, hinv, F)
+        d = pass_at(lp, x, r).d
         assert_allclose(d, dense_projected_direction(lp, x, r), rtol=1e-8, atol=1e-10)
 
 
@@ -54,8 +51,7 @@ def test_descent_is_nonascent(rng):
         n = int(rng.integers(m + 1, 9))
         lp, _ = random_lp(rng, m=m, n=n)
         x = random_interior_point(rng, lp)
-        hinv, F = factor_at(lp, x, float(rng.uniform(0.0, 0.95)))
-        d, *_ = solved_directions(lp, x, hinv, F)
+        d = pass_at(lp, x, float(rng.uniform(0.0, 0.95))).d
         assert lp.c @ d <= 1e-10 * (1.0 + np.linalg.norm(lp.c) * np.linalg.norm(d))
 
 
@@ -63,8 +59,7 @@ def test_descent_stays_in_kernel(rng):
     for _ in range(50):
         lp, _ = random_lp(rng, m=4, n=8)
         x = random_interior_point(rng, lp)
-        hinv, F = factor_at(lp, x, float(rng.uniform(0.0, 0.9)))
-        d, *_ = solved_directions(lp, x, hinv, F)
+        d = pass_at(lp, x, float(rng.uniform(0.0, 0.9))).d
         bound = 1e-6 * (1.0 + np.abs(lp.A).max() * np.linalg.norm(d, np.inf))
         assert np.linalg.norm(lp.A @ d, np.inf) <= bound
 
@@ -72,8 +67,7 @@ def test_descent_stays_in_kernel(rng):
 def test_feasibility_hand_case():
     lp = make_lp([[1.0, 1.0]], [1.0], [0.0, 0.0])
     x = np.array([1.0, 1.0])  # residual b - Ax = -1
-    hinv, F = factor_at(lp, x, 0.0)
-    *_, dx = solved_directions(lp, x, hinv, F)
+    dx = pass_at(lp, x, 0.0).dx
     assert_allclose(dx, [-0.5, -0.5])
     assert_allclose(lp.A @ dx, lp.b - lp.A @ x)
 
@@ -82,8 +76,7 @@ def test_feasibility_residual_contraction(rng):
     for _ in range(30):
         lp, _ = random_lp(rng, m=3, n=7)
         x = random_interior_point(rng, lp)
-        hinv, F = factor_at(lp, x, float(rng.uniform(0.0, 0.9)))
-        *_, dx = solved_directions(lp, x, hinv, F)
+        dx = pass_at(lp, x, float(rng.uniform(0.0, 0.9))).dx
         resid = lp.b - lp.A @ x
         for t in (0.25, 0.65, 1.0):
             after = lp.b - lp.A @ (x + t * dx)
@@ -93,11 +86,11 @@ def test_feasibility_residual_contraction(rng):
 def test_reproject_annihilates_row_space(rng):
     lp, _ = random_lp(rng, m=3, n=6)
     x = random_interior_point(rng, lp)
-    hinv, F = factor_at(lp, x, 0.3)
+    pt = pass_at(lp, x, 0.3)
+    d = pt.d
     # contaminate a kernel direction with a row-space component
-    d, *_ = solved_directions(lp, x, hinv, F)
-    bad = d + 0.1 * hinv * (lp.A.T @ rng.normal(size=lp.m))
-    fixed = reproject(bad, lp, F, hinv)
+    bad = d + 0.1 * pt.hinv * (lp.A.T @ rng.normal(size=lp.m))
+    fixed = reproject(bad, lp, pt.F, pt.hinv)
     assert np.linalg.norm(lp.A @ fixed, np.inf) <= 1e-10 * (1.0 + np.linalg.norm(fixed))
     assert_allclose(fixed, d, rtol=1e-8, atol=1e-10)
 
@@ -105,9 +98,9 @@ def test_reproject_annihilates_row_space(rng):
 def test_reproject_does_not_grow_clean_direction(rng):
     lp, _ = random_lp(rng, m=3, n=6)
     x = random_interior_point(rng, lp)
-    hinv, F = factor_at(lp, x, 0.0)
-    d, *_ = solved_directions(lp, x, hinv, F)
-    fixed = reproject(d, lp, F, hinv)
+    pt = pass_at(lp, x, 0.0)
+    d = pt.d
+    fixed = reproject(d, lp, pt.F, pt.hinv)
     assert np.linalg.norm(fixed) <= np.linalg.norm(d) * (1.0 + 1e-12)
     assert_allclose(fixed, d, rtol=1e-10, atol=1e-12)
 
@@ -116,8 +109,7 @@ def test_newton_limit_recovers_descent(rng):
     lp, _ = random_lp(rng, m=3, n=6)
     x = random_interior_point(rng, lp)
     r = 0.4
-    hinv, F = factor_at(lp, x, r)
-    d, *_ = solved_directions(lp, x, hinv, F)
+    d = pass_at(lp, x, r).d
     errs = []
     for mu in (1e-4, 1e-6):
         dn = newton_direction(lp, x, mu, GaugeParams(r=r, upper=lp.upper))
@@ -232,8 +224,6 @@ def test_max_step_boundary_consistency(rng):
 def test_direction_r_continuity(rng):
     lp, _ = random_lp(rng, m=3, n=6)
     x = random_interior_point(rng, lp)
-    hinv0, F0 = factor_at(lp, x, 0.0)
-    d0, *_ = solved_directions(lp, x, hinv0, F0)
-    hinve, Fe = factor_at(lp, x, 1e-6)
-    de, *_ = solved_directions(lp, x, hinve, Fe)
+    d0 = pass_at(lp, x, 0.0).d
+    de = pass_at(lp, x, 1e-6).d
     assert_allclose(de, d0, rtol=1e-4, atol=1e-8)

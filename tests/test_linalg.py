@@ -238,7 +238,7 @@ def test_solve_never_reads_upper_triangle(rng):
         B = rng.uniform(-1, 1, size=(m, m))
         F = factor(B @ B.T + 0.1 * np.eye(m))
         one = rng.normal(size=m)
-        two = np.column_stack((rng.normal(size=m), one))
+        two = np.stack((rng.normal(size=m), one), axis=1)
         z1, z2 = solve(F, one), solve(F, two)
         # a two-column solve gives each column as its own one-column solve
         assert z2.shape == (m, 2)

@@ -2,6 +2,7 @@ import glob
 import importlib.util
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,6 +216,40 @@ def test_non_finite_bound_value_in_hand_built_raw_mps_raises(kind, value):
     with pytest.raises(ValueError) as err:
         to_standard_form(raw)
     assert str(err.value) == f"bound {kind} on column 'X1' has non-finite value {value!r}"
+
+
+@pytest.mark.parametrize(
+    "columns, bounds",
+    [
+        ("    X3  COST  1e300\n", " LO BND  X3  1e300\n"),
+        # inf - inf: the overflowed terms cancel to NaN
+        ("    X3  COST  1e300\n    X4  COST  -1e300\n", " LO BND  X3  1e300\n LO BND  X4  1e300\n"),
+    ],
+    ids=["inf", "nan"],
+)
+def test_overflowing_objective_offset_raises(columns, bounds):
+    # every number is finite, but cost times shift is not; no warning escapes
+    columns = "    X1  R1  1.0\n    X2  R1  1.0\n" + columns
+    raw = build(" E  R1\n", columns, "    RHS  R1  1.0\n", "BOUNDS\n" + bounds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^objective offset is non-finite$"):
+            to_standard_form(raw)
+
+
+def test_overflowing_box_width_is_no_upper_bound():
+    # u - l = 2e308 is past the largest double: the width is +inf, so the
+    # shifted column has no upper bound, and no warning escapes
+    raw = build(
+        " E  R1\n", "    X1  COST  1.0  R1  1.0\n    X2  R1  1.0\n", "    RHS  R1  1.0\n",
+        "BOUNDS\n LO BND  X1  -1e308\n UP BND  X1  1e308\n",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lp, vmap = to_standard_form(raw)
+    assert lp.upper[0] == np.inf and len(lp.bounded) == 0
+    assert vmap.shift[0] == -1e308 and vmap.offset == -1e308
+    assert_allclose(lp.b, [1.0 + 1e308])
 
 
 def test_no_bound_infinities_in_hand_built_raw_mps_convert():

@@ -10,9 +10,9 @@ from numpy.testing import assert_allclose
 
 import galp.solver
 from galp import directions, linalg
+from galp.cli import R_GRID
 from galp.model import StandardLP, to_standard_form
 from galp.mps import parse_mps, read_mps
-from galp.penalty import GaugeParams
 from galp.solver import (
     REPROJECT_GAP,
     STEP_AGGRESSIVE,
@@ -21,7 +21,6 @@ from galp.solver import (
     _state,
     choose_start,
     iterate_once,
-    recover_duals,
     solve,
     starting_point_x1,
     starting_point_x2,
@@ -33,6 +32,7 @@ from conftest import (
     NETLIB_PROBLEMS,
     make_lp,
     netlib_path,
+    pass_at,
     random_lp,
     sparse_product_normal,
 )
@@ -45,10 +45,6 @@ def x2(lp):
 
 def start(lp):
     return choose_start(lp, linalg.normal_plan(lp.A))
-
-
-def pass_at(lp, x, r):
-    return recover_duals(lp, x, GaugeParams(r=r, upper=lp.upper), linalg.normal_plan(lp.A))
 
 
 def step(state, lp, cfg):
@@ -158,12 +154,11 @@ def test_relative_gap_identity(rng):
         idx = lp.bounded
         direct = float(pt.s @ x) + float(pt.w[idx] @ (lp.upper[idx] - x[idx]))
         expected = direct / (abs(float(lp.c @ x)) + 1.0)
-        assert _state(lp, x, pt.y, pt.w, pt.s).record.rgap == pytest.approx(expected, rel=1e-10, abs=1e-12)
+        assert _state(lp, x, lp.b - lp.A @ x, pt).record.rgap == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
 def _fresh_state(lp, x, r=0.0):
-    pt = pass_at(lp, x, r)
-    return _state(lp, x, pt.y, pt.w, pt.s)
+    return _state(lp, x, lp.b - lp.A @ x, pass_at(lp, x, r))
 
 
 def test_iterate_once_descent_step_hand_case():
@@ -435,8 +430,14 @@ def test_solve_agrees_with_numpy_cholesky_kernel(monkeypatch, r):
 
 @pytest.mark.parametrize("r", [0.0, 0.5])
 def test_solve_factors_once_per_point(monkeypatch, r):
-    calls, descents, solves, reprojects = [], [], [], []
+    calls, descents, solves, reprojects, products = [], [], [], [], []
     factor = linalg.factor
+    lp = None  # the LP being solved; only its A's products with a vector are counted
+
+    def counted_matmul(self, other, _matmul=sp.csc_matrix.__matmul__):
+        if lp is not None and self is lp.A and np.ndim(other) == 1:
+            products.append(other.shape)
+        return _matmul(self, other)
 
     def counted(M):
         calls.append(M.shape)
@@ -460,9 +461,10 @@ def test_solve_factors_once_per_point(monkeypatch, r):
     monkeypatch.setattr(linalg, "solve", counted_solve)
     monkeypatch.setattr(directions, "solve", counted_solve)
     monkeypatch.setattr(galp.solver, "reproject", reproject)
+    monkeypatch.setattr(sp.csc_matrix, "__matmul__", counted_matmul)
     for name in NETLIB_PROBLEMS:
         lp = to_standard_form(read_mps(netlib_path(name)))[0]
-        for log in (calls, descents, solves, reprojects):
+        for log in (calls, descents, solves, reprojects, products):
             log.clear()
         report = solve(lp, SolverConfig(r=r))
         assert report.status == Status.OPTIMAL
@@ -474,6 +476,8 @@ def test_solve_factors_once_per_point(monkeypatch, r):
         assert reprojects, name
         assert len(solves) == 1 + report.iterations + len(reprojects), name
         assert solves.count((lp.m, 2)) == report.iterations, name
+        # A x once per point (x0 .. x_k), A H^-1 c once per pass, A d once per reprojection
+        assert len(products) == 2 * report.iterations + 1 + len(reprojects), name
 
 
 def dense_column_lp(rng):
@@ -590,8 +594,7 @@ def r_sweep_cases():
     from test_model import load_perfbench_gen
 
     gen = load_perfbench_gen()
-    corpus_grid = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
-    cases = [(name, read_mps(netlib_path(name)), corpus_grid) for name in NETLIB_PROBLEMS]
+    cases = [(name, read_mps(netlib_path(name)), R_GRID) for name in NETLIB_PROBLEMS]
     for k in range(1, 21):
         cases.append((f"fix{k:02d}", read_mps(os.path.join(FIXTURES, f"fix{k:02d}.mps")), (0.0, 0.2, 0.5)))
     shapes = {  # the sparse-large and box-heavy shapes and r grids of perfbench/workloads.py
@@ -667,3 +670,6 @@ def test_empty_row_fixture_fails_at_iteration_zero(sweep_runs):
     nan = [np.full(k, np.nan).tobytes() for k in (lp.n, lp.m, lp.n, lp.n)]
     for r in (0.0, 0.2, 0.5):
         assert runs["fix01", r] == (Status.NUMERICAL_FAILURE, 0, "[]", *nan), r
+    report = solve(lp, SolverConfig())
+    assert np.isnan([report.objective, report.objective_original, report.rf, report.rgap]).all()
+    assert type(report.rf) is np.float64
