@@ -18,7 +18,6 @@ import scipy.sparse as sp
 
 from galp import StandardLP, GaugeParams
 from galp.directions import max_step, newton_direction
-from galp.linalg import normal_plan
 from galp.solver import recover_duals
 
 lp = StandardLP(
@@ -27,12 +26,11 @@ lp = StandardLP(
     c=np.array([1.0, 0.0]),
     upper=np.full(2, np.inf),
 )
-plan = normal_plan(lp.A)
 
 
 def pass_at(x, r):
     """The solver's pass at x: both directions and the duals from one factor."""
-    return recover_duals(lp, x, GaugeParams(r=r, upper=lp.upper), plan, lp.b - lp.A @ x)
+    return recover_duals(lp, x, GaugeParams(r=r, upper=lp.upper), lp.b - lp.A @ x)
 
 
 x = np.array([0.5, 0.5])

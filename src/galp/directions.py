@@ -21,10 +21,11 @@ that ``StandardLP`` builds once, so no call builds a transpose.
 ``max_step`` is the ratio test.  Each coordinate's distance to the wall its
 direction points at (x_j toward 0, u_j - x_j toward u_j) is divided by
 |dir_j| in one guarded divide; coordinates with dir_j zero or NaN, and those
-heading toward an infinite u_j, give +inf, so the step is the minimum of the
-ratios and the cap.  That is the masked test (-x_j / dir_j over dir_j < 0,
-(u_j - x_j) / dir_j over dir_j > 0 with u_j finite) bit for bit, since
-(-x)/d and x/|d| round to the same double.
+heading toward an infinite u_j, are not divided and give +inf (dir_j = +inf
+toward u_j = +inf would otherwise give inf/inf = NaN), so the step is the
+minimum of the ratios and the cap.  That is the masked test (-x_j / dir_j
+over dir_j < 0, (u_j - x_j) / dir_j over dir_j > 0 with u_j finite) bit for
+bit, since (-x)/d and x/|d| round to the same double.
 
 ``newton_direction`` solves the full Newton system of the penalized problem
 at a given mu; the production path only ever uses its mu-independent limit d.
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import CholeskyFactor, assemble_normal, factor, normal_plan, solve
+from .linalg import CholeskyFactor, assemble_normal, factor, solve
 from .model import StandardLP
 from .penalty import GaugeParams, penalty_gradient, scaling_diagonals
 
@@ -64,7 +65,7 @@ def newton_direction(lp: StandardLP, x, mu: float, p: GaugeParams):
     if not 0.0 < p.r < 1.0 or mu <= 0.0:
         raise ValueError("newton_direction needs r in (0, 1) and mu > 0")
     hinv = 1.0 / scaling_diagonals(x, p).h
-    F = factor(assemble_normal(normal_plan(lp.A), hinv))
+    F = factor(assemble_normal(lp.plan, hinv))
 
     def project(v):
         # H^(-1/2) P H^(-1/2) v, via the normal equations
@@ -79,11 +80,9 @@ def max_step(x, upper, dir, cap=None):
     ``upper`` uses +inf for unbounded variables.  A finite ``cap`` joins the
     minimum (the feasibility phase caps at 1).
     """
-    x = np.asarray(x, dtype=float)
-    dir = np.asarray(dir, dtype=float)
     a = np.abs(dir)
-    ratios = np.empty_like(a)
-    ratios.fill(np.inf)
-    # distance to the wall dir points at, over |dir|; zero and NaN entries stay +inf
-    np.divide(np.where(dir < 0, x, upper - x), a, out=ratios, where=a > 0)
+    wall = np.where(dir < 0, x, upper - x)  # distance to the wall dir points at
+    ratios = np.full(a.shape, np.inf)
+    # zero and NaN entries, and those toward an infinite wall, stay +inf
+    np.divide(wall, a, out=ratios, where=(a > 0) & (wall != np.inf))
     return float(ratios.min(initial=np.inf if cap is None else float(cap)))

@@ -1,6 +1,6 @@
 """Normal-equations kernel: assemble A diag(dinv) A^t and solve by Cholesky.
 
-Assembly runs from a plan of A built once per solve (``normal_plan``), so
+Assembly runs from a plan of A built once per LP (``normal_plan``), so
 each ``assemble_normal`` does numeric work only.  The usual plan is a
 ``PairPlan``: for every column j it lists each pair of stored entries
 (i, j), (k, j) with i >= k, sorted by the flat lower-triangle position
@@ -25,25 +25,28 @@ iterates, and with them the iteration table, stay byte-identical.
 ``np.array_equal``, so a scipy release that changes the order of its sparse
 product is flagged there.
 
-A ``PairPlan`` fills one m x m buffer that it owns, so the M that
-``assemble_normal`` returns is valid until the same plan's next assembly.
-Positions outside the pattern are never written and stay zero.  M is finite
-exactly when the pair sums are, so the finiteness check runs on those nnz
-sums rather than on all m^2 entries.
+Every assembly returns a fresh C-ordered m x m array with both triangles
+written from the same sums; positions outside the pattern stay zero.  M is
+finite exactly when the pair sums are, so the finiteness check runs on
+those nnz sums rather than on all m^2 entries.  The plan is only its pair
+table, so ``StandardLP.plan`` keeps one per LP, built on the LP's first
+solve.
 
-``factor`` copies M once into a Fortran-ordered buffer (for a C-ordered,
-exactly symmetric M that copy of M^t is a plain memcpy) and factors it in
-place with LAPACK ``dpotrf(clean=0)``: the lower triangle becomes the factor
-and the strict upper triangle keeps M's entries, since zeroing it would cost
-a column-strided pass that no reader needs.  ``solve`` hands the buffer
-straight to ``dpotrs``, which reads only the lower triangle, for one
-right-hand side or for several columns at once; an m x 2 solve gives each
-column bit for bit as its own one-column solve.  The lower triangle is
-``scipy.linalg.cholesky(M, lower=True)`` bit for bit.  ``factor`` escalates
-a relative diagonal regularization rho in {0, 1e-12, 1e-10, 1e-8, 1e-6},
-recopying M before each rung, until every pivot is finite and its square
-stays above 1e-30; the rho actually applied is recorded on the factor so
-the solver trace can surface it.  M and L are dense: the solver targets
+``factor`` consumes M: it factors the Fortran-ordered view M^t in place with
+LAPACK ``dpotrf(clean=0)``, so no m x m copy is made.  The lower triangle of
+M^t becomes the factor, and its strict upper triangle (M's strict lower
+one) keeps M's entries, since zeroing it would cost a column-strided pass
+that no reader needs.  A read-only or non-contiguous M is copied first and
+left as it was.  ``solve`` hands the factor straight to ``dpotrs``, which
+reads only the lower triangle, for one right-hand side or for several
+columns at once; an m x 2 solve gives each column bit for bit as its own
+one-column solve.  The lower triangle is ``scipy.linalg.cholesky(M,
+lower=True)`` bit for bit.  ``factor`` escalates a relative diagonal
+regularization rho in {0, 1e-12, 1e-10, 1e-8, 1e-6} until every pivot is
+finite and its square stays above 1e-30; a failed rung restores the
+overwritten triangle from its exact mirror and the saved diagonal before
+the next one.  The rho actually applied is recorded on the factor so the
+solver trace can surface it.  M and L are dense: the solver targets
 desk-scale problems.
 """
 
@@ -87,8 +90,8 @@ class PairPlan:
     Pair p contributes (left[p] * dinv[col[p]]) * right[p] to the distinct
     lower-triangle position ``target[p]``, whose flat index in the m x m
     array is ``lower[target[p]]`` and whose mirror is ``upper[target[p]]``.
-    Pairs are ordered by position and then by column.  ``M`` is the m x m
-    buffer every assembly refills.
+    Pairs are ordered by position and then by column.  The plan holds no
+    m x m array: each assembly returns a new one.
     """
 
     m: int
@@ -98,10 +101,6 @@ class PairPlan:
     target: np.ndarray  # index into lower/upper of each pair
     lower: np.ndarray  # flat positions i*m + k, i >= k, ascending
     upper: np.ndarray  # flat positions k*m + i of the same entries
-    M: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.M = np.zeros((self.m, self.m))
 
     @classmethod
     def build(cls, A) -> "PairPlan":
@@ -148,10 +147,11 @@ class PairPlan:
         )
         if not np.isfinite(sums).all():
             raise NonFiniteInput("normal matrix has non-finite entries")
-        flat = self.M.reshape(-1)
+        M = np.zeros((self.m, self.m))
+        flat = M.reshape(-1)
         flat[self.lower] = sums
         flat[self.upper] = sums
-        return self.M
+        return M
 
 
 @dataclass
@@ -202,8 +202,8 @@ def assemble_normal(plan: NormalPlan, dinv: np.ndarray) -> np.ndarray:
     """Dense symmetric M with M[i, k] = sum_j A[i, j] * dinv[j] * A[k, j].
 
     ``plan`` is ``normal_plan(A)``.  Both triangles are written from the
-    same sums, so M is exactly symmetric.  A ``PairPlan`` returns its own
-    buffer, which its next assembly overwrites.
+    same sums, so M is exactly symmetric, and M is a new C-ordered array
+    that ``factor`` may consume.
     """
     dinv = np.asarray(dinv, dtype=float)
     # min and max propagate NaN, so this fails on NaN, on either infinity and
@@ -214,34 +214,50 @@ def assemble_normal(plan: NormalPlan, dinv: np.ndarray) -> np.ndarray:
 
 
 def factor(M: np.ndarray) -> CholeskyFactor:
-    """Cholesky-factor the exactly symmetric M, escalating the diagonal regularization as needed.
+    """Cholesky-factor the exactly symmetric M in place, escalating the diagonal regularization as needed.
 
-    Only the upper triangle of M is read, as the lower triangle of M^t.  A
-    non-finite entry there makes every rung fail, and only then is M scanned
-    to tell NonFiniteInput from FactorizationFailed.
+    M is consumed: when M^t is Fortran-contiguous and writeable (a C-ordered
+    M from ``assemble_normal``), ``dpotrf`` overwrites it and the factor's
+    ``L`` shares M's memory.  Any other M is copied first and left as it
+    was.  Only the upper triangle of M is read, as the lower triangle of
+    M^t.  A non-finite entry there makes every rung fail, and only then is
+    the restored matrix scanned to tell NonFiniteInput from
+    FactorizationFailed.
     """
-    diag = np.diag(M)
+    A = np.asarray(M, dtype=float).T
+    if not (A.flags.f_contiguous and A.flags.writeable):
+        A = A.copy(order="F")
+    diag = A.diagonal().copy()
     for rho in REGULARIZATIONS:
-        # M^t of a C-ordered M is Fortran-ordered, so this copy is a memcpy
-        shifted = M.T.copy(order="F")
         if rho != 0.0:
             # the same sums as M + rho*np.diag(diag), without an m x m diagonal
-            np.fill_diagonal(shifted, diag + rho * diag)
-        L, info = dpotrf(shifted, lower=1, overwrite_a=1, clean=0)
-        if info != 0:
-            continue
-        # info == 0 leaves no pivot <= 0, though OpenBLAS lets NaN through;
-        # min() propagates NaN, so lo*lo > 1e-30 holds exactly when every
-        # pivot's square does, and max() < inf rules out a +inf pivot
-        pivots = np.diag(L)
-        lo = float(pivots.min(initial=np.inf))
-        if lo * lo > _MIN_PIVOT and pivots.max(initial=0.0) < np.inf:
-            return CholeskyFactor(L=L, rho=rho)
-    if not np.all(np.isfinite(M)):
+            np.fill_diagonal(A, diag + rho * diag)
+        L, info = dpotrf(A, lower=1, overwrite_a=1, clean=0)
+        if info == 0:
+            # info == 0 leaves no pivot <= 0, though OpenBLAS lets NaN through;
+            # min() propagates NaN, so lo*lo > 1e-30 holds exactly when every
+            # pivot's square does, and max() < inf rules out a +inf pivot
+            pivots = L.diagonal()
+            lo = float(pivots.min(initial=np.inf))
+            if lo * lo > _MIN_PIVOT and pivots.max(initial=0.0) < np.inf:
+                return CholeskyFactor(L=L, rho=rho)
+        _restore(A, diag)
+    if not np.isfinite(A).all():
         raise NonFiniteInput("normal matrix has non-finite entries")
     raise FactorizationFailed(
         "normal matrix is numerically rank deficient at every regularization level"
     )
+
+
+def _restore(A: np.ndarray, diag: np.ndarray) -> None:
+    """Undo a failed ``dpotrf`` on A: its lower triangle mirrors the strict upper one again, with diagonal ``diag``.
+
+    ``dpotrf(lower=1)`` never writes the strict upper triangle, and the
+    matrix is exactly symmetric, so the restored A is the input bit for bit.
+    """
+    i, k = np.tril_indices(A.shape[0], -1)
+    A[i, k] = A[k, i]
+    np.fill_diagonal(A, diag)
 
 
 def solve(F: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:

@@ -36,6 +36,7 @@ from itertools import repeat
 import numpy as np
 import scipy.sparse as sp
 
+from . import linalg
 from .mps import BOUND_KINDS, ROW_KINDS, RawMps
 
 
@@ -68,6 +69,10 @@ class StandardLP:
       new transpose.
     * ``b_scale`` is 1 + ||b||_inf, the denominator of the residual measure,
       computed on first use.
+    * ``plan`` is the normal-equations plan of A (``linalg.normal_plan``),
+      built on the LP's first solve, not by ``to_standard_form``, and
+      reused by every later solve, at any r. It lives as long as the LP, so
+      only repeated solves of one LP save its build.
     * ``start`` is the starting point, which does not depend on r:
       ``solver.choose_start`` computes it on the first solve and stores it
       here, read-only, and every solve starts from a copy of it.
@@ -100,6 +105,10 @@ class StandardLP:
     @cached_property
     def b_scale(self) -> float:
         return 1.0 + np.abs(self.b).max(initial=0.0)
+
+    @cached_property
+    def plan(self) -> linalg.NormalPlan:
+        return linalg.normal_plan(self.A)
 
     @property
     def m(self):

@@ -15,12 +15,13 @@ costs one more solve with the pass's factor.
 
 Each quantity is computed once, at the scope where it changes.  Per LP: the
 start, which does not depend on r (``choose_start`` keeps it as
-``StandardLP.start``; it is x1 wherever x2's factor fails), and Rf's
-denominator 1 + ||b||_inf (``StandardLP.b_scale``).  Per solve: the
-penalty parameters, the assembly plan of A H^-1 A^t and the bound of the
-sign safeguard.  Per point: whoever creates the point (the start, or
-``iterate_once``) forms b - A x once; it gives both Rf and the feasibility
-right-hand side of the point's pass.
+``StandardLP.start``; it is x1 wherever x2's factor fails), the assembly
+plan of A H^-1 A^t (``StandardLP.plan``), and Rf's denominator
+1 + ||b||_inf (``StandardLP.b_scale``), each built on the LP's first solve.
+Per solve: the penalty parameters and the bound of the sign safeguard.  Per
+point: whoever creates the point (the start, or ``iterate_once``) forms
+b - A x once; it gives both Rf and the feasibility right-hand side of the
+point's pass.
 
 The feasibility move uses step factor STEP_AGGRESSIVE while the residual is
 large and STEP_CONSERVATIVE once it is small; the descent move swaps the two
@@ -126,9 +127,9 @@ def starting_point_x1(lp: StandardLP) -> np.ndarray:
     return np.minimum(base, frac * lp.upper)
 
 
-def starting_point_x2(lp: StandardLP, plan: linalg.NormalPlan) -> np.ndarray:
+def starting_point_x2(lp: StandardLP) -> np.ndarray:
     """Minimum-norm solution of Ax = b shifted into the open box."""
-    F = linalg.factor(linalg.assemble_normal(plan, np.ones(lp.n)))
+    F = linalg.factor(linalg.assemble_normal(lp.plan, np.ones(lp.n)))
     xhat = lp.At @ linalg.solve(F, lp.b)
     xnorm = np.abs(xhat).max(initial=0.0)
     delta = max(-1.5 * float(xhat.min(initial=0.0)), 0.01 * (1.0 + xnorm))
@@ -138,7 +139,7 @@ def starting_point_x2(lp: StandardLP, plan: linalg.NormalPlan) -> np.ndarray:
     return x
 
 
-def choose_start(lp: StandardLP, plan: linalg.NormalPlan) -> np.ndarray:
+def choose_start(lp: StandardLP) -> np.ndarray:
     """x2 unless x1 is the more interior and has min x1 >= 1, or x1 where x2's factor fails.
 
     The start does not depend on r, so it is computed on an LP's first call
@@ -147,7 +148,7 @@ def choose_start(lp: StandardLP, plan: linalg.NormalPlan) -> np.ndarray:
     if lp.start is None:
         x1 = starting_point_x1(lp)
         try:
-            x2 = starting_point_x2(lp, plan)
+            x2 = starting_point_x2(lp)
         except (linalg.FactorizationFailed, linalg.NonFiniteInput):
             x2 = x1
         x0 = x2 if x2.min() > x1.min() or x1.min() < 1.0 else x1
@@ -171,7 +172,7 @@ class PointPass(NamedTuple):
     clamps: int
 
 
-def recover_duals(lp: StandardLP, x, p: GaugeParams, plan: linalg.NormalPlan, resid) -> PointPass:
+def recover_duals(lp: StandardLP, x, p: GaugeParams, resid) -> PointPass:
     """The pass at x: scale and factor there, then one two-column solve serves both moves.
 
     ``resid`` is b - A x, formed by whoever made x.  The descent column is y;
@@ -179,10 +180,14 @@ def recover_duals(lp: StandardLP, x, p: GaugeParams, plan: linalg.NormalPlan, re
     """
     sd = scaling_diagonals(x, p)
     hinv = 1.0 / sd.h
-    F = linalg.factor(linalg.assemble_normal(plan, hinv))
-    # dpotrs returns Fortran order, so each column is contiguous, as a
-    # one-column solve's result is, and b @ y sums in the same order
-    v = linalg.solve(F, np.column_stack((lp.A @ (hinv * lp.c), resid)))
+    F = linalg.factor(linalg.assemble_normal(lp.plan, hinv))
+    # Fortran order, as dpotrs takes and returns it: each column of v is
+    # contiguous, as a one-column solve's result is, so b @ y sums in the
+    # same order
+    rhs = np.empty((lp.m, 2), order="F")
+    rhs[:, 0] = lp.A @ (hinv * lp.c)
+    rhs[:, 1] = resid
+    v = linalg.solve(F, rhs)
     y = v[:, 0]
     d, reduced = descent_direction(lp, hinv, y)
     dx = feasibility_direction(lp, hinv, v[:, 1])
@@ -265,7 +270,6 @@ def solve(lp: StandardLP, cfg: SolverConfig | None = None, offset: float = 0.0) 
     """Run the full affine scaling iteration; never raises past this API."""
     cfg = cfg or SolverConfig()
     p = GaugeParams(r=cfg.r, upper=lp.upper)
-    plan = linalg.normal_plan(lp.A)
     safeguard = -DUAL_SAFEGUARD * (1.0 + np.abs(lp.c).max(initial=0.0))
     trace: list[TraceRecord] = []
 
@@ -287,9 +291,9 @@ def solve(lp: StandardLP, cfg: SolverConfig | None = None, offset: float = 0.0) 
 
     state = None
     try:
-        x0 = choose_start(lp, plan)
+        x0 = choose_start(lp)
         resid = lp.b - lp.A @ x0
-        pt = recover_duals(lp, x0, p, plan, resid)
+        pt = recover_duals(lp, x0, p, resid)
         state = _state(lp, x0, resid, pt)
         trace.append(state.record)
 
@@ -297,7 +301,7 @@ def solve(lp: StandardLP, cfg: SolverConfig | None = None, offset: float = 0.0) 
             if state.record.iteration >= cfg.max_iterations:
                 return report(state, Status.ITERATION_LIMIT)
             if state.record.iteration > 0:  # the start's pass serves iteration 1
-                pt = recover_duals(lp, state.x, p, plan, state.resid)
+                pt = recover_duals(lp, state.x, p, state.resid)
             state = iterate_once(state, lp, cfg, pt)
             trace.append(state.record)
         return report(state, Status.OPTIMAL)

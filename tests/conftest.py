@@ -7,7 +7,6 @@ import scipy.sparse as sp
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from galp import linalg
 from galp.model import StandardLP
 from galp.penalty import GaugeParams
 from galp.solver import recover_duals
@@ -58,7 +57,7 @@ def pass_at(lp, x, r):
     """The solver's pass at x for exponent r (``recover_duals``): H^-1, the
     factor of A H^-1 A^t, both directions and the duals."""
     p = GaugeParams(r=r, upper=lp.upper)
-    return recover_duals(lp, x, p, linalg.normal_plan(lp.A), lp.b - lp.A @ x)
+    return recover_duals(lp, x, p, lp.b - lp.A @ x)
 
 
 def random_lp(rng, m=3, n=6, bounded="some"):

@@ -183,14 +183,43 @@ def ratio_test_cases(rng):
     yield np.empty(0), np.empty(0), np.empty(0)
 
 
+def ratio_test_edge_cases(rng):
+    """(x, upper, dir) triples with edge entries: dir 0.0, -0.0, NaN and +-inf, x on a
+    wall (x_j = 0 or x_j = u_j) and u_j = +inf, mixed into random entries and then
+    each edge dir against each wall and kind of u alone."""
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        upper = np.where(rng.random(n) < 0.5, rng.uniform(0.5, 4.0, n), np.inf)
+        x = np.minimum(rng.uniform(1e-3, 2.0, n), 0.99 * upper)
+        wall = rng.integers(0, 3, n)  # 0: interior, 1: at 0, 2: at u_j where u_j is finite
+        x = np.where(wall == 1, 0.0, x)
+        x = np.where((wall == 2) & np.isfinite(upper), upper, x)
+        dir = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 3, n)
+        edge = rng.random(n) < 0.5
+        dir[edge] = rng.choice(specials, size=int(edge.sum()))
+        yield x, upper, dir
+    for d in specials:
+        for xj, uj in ((0.0, np.inf), (1.0, np.inf), (0.0, 2.0), (1.0, 2.0), (2.0, 2.0)):
+            yield np.array([xj]), np.array([uj]), np.array([d])
+
+
+def same_double(got, want):
+    """Equal bit for bit up to NaN payload: the same value and sign of zero, or both NaN."""
+    if np.isnan(got) or np.isnan(want):
+        return bool(np.isnan(got) and np.isnan(want))
+    return got == want and np.signbit(got) == np.signbit(want)
+
+
 def test_max_step_matches_masked_oracle(rng):
     count = 0
-    for x, upper, dir in ratio_test_cases(rng):
+    cases = list(ratio_test_cases(rng)) + list(ratio_test_edge_cases(rng))
+    for x, upper, dir in cases:
         for cap in (None, 1.0, 0.25):
             got, want = max_step(x, upper, dir, cap=cap), masked_max_step(x, upper, dir, cap=cap)
-            assert got == want, (x, upper, dir, cap, got, want)  # exact, +inf included
+            assert same_double(got, want), (x, upper, dir, cap, got, want)  # exact, +inf included
             count += 1
-    assert count == 3 * (4 * 300 + 4)
+    assert count == 3 * (4 * 300 + 4 + 200 + 5 * 5)
 
 
 def test_max_step_examples():

@@ -110,6 +110,18 @@ def test_dense_columns_assemble_by_sparse_product(rng):
     assert np.array_equal(M, assemble_normal(PairPlan.build(A), dinv))
 
 
+def test_pair_plan_holds_no_dense_matrix(rng):
+    # the plan is its pair table; every assembly returns a new C-ordered M for factor to consume
+    for A in kernel_test_matrices(rng):
+        plan = normal_plan(A)
+        assert isinstance(plan, PairPlan)
+        assert all(np.ndim(value) <= 1 for value in vars(plan).values())
+        dinv = np.ones(A.shape[1])
+        first, second = assemble_normal(plan, dinv), assemble_normal(plan, dinv)
+        assert not np.shares_memory(first, second)
+        assert first.flags.c_contiguous and first.flags.writeable
+
+
 def test_product_plan_transpose_is_a_view_of_a(rng):
     A = sp.csc_matrix(rng.uniform(-1, 1, size=(6, 9)))
     plan = ProductPlan(A)
@@ -183,7 +195,7 @@ def test_factor_diagonal():
 
 def test_factor_singular_regularizes():
     M = np.array([[1.0, 1.0], [1.0, 1.0]])
-    F = factor(M)
+    F = factor(M.copy())  # factor consumes its argument; the oracle below reads M
     assert F.rho > 0.0
     regularized = M + F.rho * np.diag(np.diag(M))
     L = np.tril(F.L)
@@ -194,17 +206,69 @@ def test_factor_bit_identical_to_shifted_cholesky(rng):
     for m in (2, 5, 60, 300):
         B = rng.uniform(-1, 1, size=(m, m + 3))
         M = B @ B.T
-        F = factor(M)
+        F = factor(M.copy())  # factor consumes its argument; the oracles below read M
         assert F.rho == 0.0
         assert np.array_equal(np.tril(F.L), scipy.linalg.cholesky(M, lower=True))
         # dpotrf(clean=0) leaves M's strict upper triangle in place, regularized or not
         assert np.array_equal(np.triu(F.L, 1), np.triu(M, 1))
         # slightly indefinite: only a regularized factorization succeeds
         M -= (np.linalg.eigvalsh(M)[0] + 1e-9 * np.trace(M) / m) * np.eye(m)
-        F = factor(M)
+        F = factor(M.copy())
         assert F.rho > 0.0
         assert np.array_equal(np.tril(F.L), scipy.linalg.cholesky(M + F.rho * np.diag(np.diag(M)), lower=True))
         assert np.array_equal(np.triu(F.L, 1), np.triu(M, 1))
+
+
+def test_factor_consumes_its_input(rng):
+    for m in (2, 5, 60):  # at m = 1 every layout is contiguous
+        B = rng.uniform(-1, 1, size=(m, m + 3))
+        M = B @ B.T
+        # a C-ordered, writeable M is factored in place: F.L is M's memory, as M^t
+        F = factor(M.copy())
+        C = M.copy()
+        G = factor(C)
+        assert np.shares_memory(G.L, C)
+        assert np.array_equal(G.L, F.L) and G.rho == F.rho
+        # a read-only or non-contiguous M is copied first and left as it was,
+        # and gives the same bits
+        ro = M.copy()
+        ro.flags.writeable = False
+        wide = np.zeros((m, 2 * m))
+        wide[:, ::2] = M
+        strided = wide[:, ::2]
+        fortran = np.asfortranarray(M)
+        for other in (ro, strided, fortran):
+            before = other.copy()
+            H = factor(other)
+            assert not np.shares_memory(H.L, other)
+            assert np.array_equal(other, before)
+            assert np.array_equal(H.L, F.L) and H.rho == F.rho
+
+
+def test_factor_restores_its_input_between_rungs(rng):
+    # a failed rung overwrites the lower triangle of M^t (M's upper one); the
+    # next rung must see M again, so the in-place factor of a slightly
+    # indefinite M is the oracle's factor of the shifted original
+    for m in (3, 40, 200):
+        B = rng.uniform(-1, 1, size=(m, m + 3))
+        M = B @ B.T
+        M -= (np.linalg.eigvalsh(M)[0] + 1e-9 * np.trace(M) / m) * np.eye(m)
+        F = factor(M.copy())
+        assert F.rho > 0.0
+        shifted = M + F.rho * np.diag(np.diag(M))
+        assert np.array_equal(np.tril(F.L), scipy.linalg.cholesky(shifted, lower=True))
+        assert np.array_equal(np.triu(F.L, 1), np.triu(M, 1))
+    # the last pivot fails at every rung, after the others were written; the
+    # error is then told from the restored matrix, which is M bit for bit
+    M = np.array([[4.0, 2.0, 2.0], [2.0, 4.0, 2.0], [2.0, 2.0, -10.0]])
+    for bad, error in ((None, FactorizationFailed), ((2, 1), NonFiniteInput), ((2, 2), NonFiniteInput)):
+        C = M.copy()
+        if bad is not None:
+            C[bad] = C[bad[::-1]] = np.nan
+        before = C.copy()
+        with pytest.raises(error):
+            factor(C)
+        assert np.array_equal(C, before, equal_nan=True)
 
 
 def test_factor_hopeless_matrix_fails():
@@ -254,7 +318,7 @@ def test_solve_matches_gaussian_oracle(rng):
         B = rng.uniform(-1, 1, size=(5, 5))
         M = B @ B.T + 0.5 * np.eye(5)
         rhs = rng.normal(size=5)
-        z = solve(factor(M), rhs)
+        z = solve(factor(M.copy()), rhs)  # factor consumes its argument; the oracle reads M
         assert_allclose(z, gaussian_elimination(M, rhs), rtol=1e-8, atol=1e-10)
 
 
@@ -263,7 +327,7 @@ def test_residual_bound(rng):
         B = rng.uniform(-1, 1, size=(4, 4))
         M = B @ B.T + np.eye(4)
         rhs = rng.normal(size=4)
-        F = factor(M)
+        F = factor(M.copy())  # factor consumes its argument; the residual reads M
         assert F.rho == 0.0
         resid = np.linalg.norm(M @ solve(F, rhs) - rhs, np.inf)
         assert resid <= 1e-8 * (1.0 + np.linalg.norm(rhs, np.inf))

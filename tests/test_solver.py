@@ -39,14 +39,6 @@ from conftest import (
 from test_directions import masked_max_step
 
 
-def x2(lp):
-    return starting_point_x2(lp, linalg.normal_plan(lp.A))
-
-
-def start(lp):
-    return choose_start(lp, linalg.normal_plan(lp.A))
-
-
 def step(state, lp, cfg):
     return iterate_once(state, lp, cfg, pass_at(lp, state.x, cfg.r))
 
@@ -82,38 +74,38 @@ def test_starting_point_x1_values():
 
 def test_starting_point_x2_values():
     lp = make_lp([[1.0, 1.0]], [1.0], [0.0, 0.0])
-    assert_allclose(x2(lp), [0.515, 0.515])
+    assert_allclose(starting_point_x2(lp), [0.515, 0.515])
 
     lp = make_lp([[1.0, 1.0]], [0.0], [0.0, 0.0])
-    assert_allclose(x2(lp), [0.01, 0.01])
+    assert_allclose(starting_point_x2(lp), [0.01, 0.01])
 
     # min-norm solution (1, -1): the shift is driven by the negative entry
     lp = make_lp([[1.0, -1.0]], [2.0], [0.0, 0.0])
-    assert_allclose(x2(lp), [2.5, 0.5])
+    assert_allclose(starting_point_x2(lp), [2.5, 0.5])
 
 
 def test_starting_point_x2_respects_bounds():
     lp = make_lp([[1.0, 1.0]], [100.0], [0.0, 0.0], upper=[2.0, np.inf])
-    x = x2(lp)
+    x = starting_point_x2(lp)
     assert 0.0 < x[0] <= 0.99 * 2.0
 
 
 def test_choose_start_branches(monkeypatch):
     # min x1 = 2 >= 1 and min x2 = 0.515 < 2: keep x1
     lp = make_lp([[1.0, 1.0]], [1.0], [-1.0, -1.0])
-    assert_allclose(start(lp), starting_point_x1(lp))
+    assert_allclose(choose_start(lp), starting_point_x1(lp))
     # min x2 ~ 5 beats min x1 = 2: switch to x2
     lp = make_lp([[1.0, 1.0]], [10.0], [-1.0, -1.0])
-    assert_allclose(start(lp), x2(lp))
+    assert_allclose(choose_start(lp), starting_point_x2(lp))
     # min x1 = 0.1 < 1 forces x2 regardless
     lp = make_lp([[1.0, 1.0]], [1.0], [1.0, 1.0], upper=[1.0, 1.0])
     assert starting_point_x1(lp).min() < 1.0
-    assert_allclose(start(lp), x2(lp))
+    assert_allclose(choose_start(lp), starting_point_x2(lp))
     # an empty row with a nonzero right-hand side leaves A A^t singular, so
     # x2's factor fails and the start is x1, which needs no factor
     lp = make_lp([[1.0, 1.0], [0.0, 0.0]], [1.0, 2.0], [1.0, 1.0])
     with pytest.raises(linalg.FactorizationFailed):
-        x2(lp)
+        starting_point_x2(lp)
     calls = []
 
     def counted(*args, _x2=starting_point_x2):
@@ -199,7 +191,7 @@ def test_iterate_once_swaps_step_factors(rng):
 def test_iterate_preserves_interiority(rng):
     lp, _ = random_lp(rng, m=3, n=7, bounded="all")
     cfg = SolverConfig(r=0.2)
-    state = _fresh_state(lp, start(lp), r=cfg.r)
+    state = _fresh_state(lp, choose_start(lp), r=cfg.r)
     for _ in range(40):
         if state.record.rf <= cfg.epsilon and state.record.rgap <= cfg.epsilon:
             break
@@ -559,6 +551,33 @@ def test_solve_bit_identical_to_one_column_solves(monkeypatch, rng, r):
             assert np.array_equal(getattr(new, field), getattr(old, field)), field
 
 
+def test_plan_is_built_once_per_lp(monkeypatch):
+    calls = []
+
+    def counted(A, _plan=linalg.normal_plan):
+        calls.append(A)
+        return _plan(A)
+
+    monkeypatch.setattr(linalg, "normal_plan", counted)
+    lp = to_standard_form(read_mps(netlib_path("adlittle")))[0]
+    assert calls == []  # set-up builds no plan
+    for r in (0.0, 0.2, 0.5):
+        assert solve(lp, SolverConfig(r=r)).status == Status.OPTIMAL
+    assert len(calls) == 1 and calls[0] is lp.A
+    assert isinstance(lp.plan, linalg.PairPlan)
+
+
+def test_warm_boxed_lp_is_bit_identical_to_a_fresh_one(rng):
+    # the warm LP holds the plan and the start of its solves at the other r;
+    # test_memoized_start_is_bit_identical_across_an_r_sweep checks the
+    # corpus, the fixtures and the generated instances the same way
+    for m, n in ((3, 8), (10, 30), (25, 60)):
+        lp = random_lp(rng, m=m, n=n, bounded="all")[0]
+        for r in (0.0, 0.5, 0.2):
+            warm, cold = solve(lp, SolverConfig(r=r)), solve(fresh(lp), SolverConfig(r=r))
+            assert solve_bytes(warm) == solve_bytes(cold), (m, n, r)
+
+
 def test_choose_start_memoizes_per_lp(monkeypatch):
     lp = make_lp([[1.0, 1.0]], [10.0], [-1.0, -1.0])
     calls = []
@@ -568,7 +587,7 @@ def test_choose_start_memoizes_per_lp(monkeypatch):
         return _x2(*args)
 
     monkeypatch.setattr(galp.solver, "starting_point_x2", counted)
-    first, second = start(lp), start(lp)
+    first, second = choose_start(lp), choose_start(lp)
     assert len(calls) == 1
     assert np.array_equal(first, second) and np.array_equal(first, lp.start)
     # each call returns a fresh, writeable copy; the memo itself is read-only
@@ -627,13 +646,14 @@ def sweep_runs():
 
 
 def test_memoized_start_is_bit_identical_across_an_r_sweep(monkeypatch, sweep_runs):
-    # one StandardLP per problem, solved at every r, against a fresh LP per cell
+    # one StandardLP per problem, solved at every r, against a fresh LP per
+    # cell: every solve after the first reuses the LP's start and plan
     cases, fresh_runs = sweep_runs
     calls = {}
 
-    def counted(lp, plan, _x2=galp.solver.starting_point_x2):
+    def counted(lp, _x2=galp.solver.starting_point_x2):
         calls[id(lp)] = calls.get(id(lp), 0) + 1
-        return _x2(lp, plan)
+        return _x2(lp)
 
     monkeypatch.setattr(galp.solver, "starting_point_x2", counted)
     lps = []
