@@ -37,7 +37,7 @@ x = np.array([0.5, 0.5])
 pt = pass_at(x, 0.0)
 d = pt.d
 print("descent d =", d, "  A d =", lp.A @ d, "  <c, d> =", lp.c @ d)
-print("duals y =", pt.y, "  s =", lp.c - lp.At @ pt.y)
+print("duals y =", pt.y, "  s =", lp.c - lp.A.T @ pt.y)
 print("wall distance along d:", max_step(x, lp.upper, d))
 
 # from an infeasible point the feasibility direction cancels the residual

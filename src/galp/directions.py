@@ -15,8 +15,8 @@ for itself, because its right-hand side depends on d:
 * reprojection: subtracting the row-space component of a computed d shrinks
   ||A d|| when round-off has crept in; algebraically a no-op.
 
-Every product with A^t goes through ``lp.At``, the CSR view of A's arrays
-that ``StandardLP`` builds once, so no call builds a transpose.
+Every product of A or A^t with a vector goes through ``lp.matvec`` or
+``lp.rmatvec``, scipy's compiled kernels bound once per LP to A's arrays.
 
 ``max_step`` is the ratio test.  Each coordinate's distance to the wall its
 direction points at (x_j toward 0, u_j - x_j toward u_j) is divided by
@@ -42,18 +42,18 @@ from .penalty import GaugeParams, penalty_gradient, scaling_diagonals
 
 def descent_direction(lp: StandardLP, hinv, y):
     """Affine scaling descent direction from y = (A H^-1 A^t)^-1 A H^-1 c; returns (d, s)."""
-    s = lp.c - lp.At @ y
+    s = lp.c - lp.rmatvec(y)
     return -hinv * s, s
 
 
 def feasibility_direction(lp: StandardLP, hinv, v):
     """Residual-canceling direction H^-1 A^t v from v = (A H^-1 A^t)^-1 (b - A x), so A dx = b - A x."""
-    return hinv * (lp.At @ v)
+    return hinv * lp.rmatvec(v)
 
 
 def reproject(d, lp: StandardLP, F: CholeskyFactor, hinv):
     """Remove the numerical row-space component from d."""
-    return d - hinv * (lp.At @ solve(F, lp.A @ d))
+    return d - hinv * lp.rmatvec(solve(F, lp.matvec(d)))
 
 
 def newton_direction(lp: StandardLP, x, mu: float, p: GaugeParams):
@@ -69,7 +69,7 @@ def newton_direction(lp: StandardLP, x, mu: float, p: GaugeParams):
 
     def project(v):
         # H^(-1/2) P H^(-1/2) v, via the normal equations
-        return hinv * v - hinv * (lp.At @ solve(F, lp.A @ (hinv * v)))
+        return hinv * v - hinv * lp.rmatvec(solve(F, lp.matvec(hinv * v)))
 
     return -project(penalty_gradient(x, lp.c, mu, p)) / (mu * (1.0 - p.r))
 

@@ -35,6 +35,7 @@ from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from . import linalg
 from .mps import BOUND_KINDS, ROW_KINDS, RawMps
@@ -57,16 +58,19 @@ class StandardLP:
     naming the array); an upper bound <= 0, -inf included, makes the box
     empty (``InfeasibleBounds``).  ``upper_j = +inf`` means no bound.
 
-    ``A`` is a CSC copy of the caller's matrix with explicit zeros dropped,
-    and ``b``, ``c`` and ``upper`` are copies of the caller's vectors, so the
-    caller's arrays stay as they were, writeable and unaliased.  The copies
-    are read-only, A's ``data``, ``indices`` and ``indptr`` and ``bounded``
-    included, so what is derived from them once stays valid for the LP's
-    lifetime:
+    ``b``, ``c`` and ``upper`` must have shapes (m,), (n,) and (n,) for the
+    m x n matrix A (``ValueError``, naming the array).
 
-    * ``At`` is A^t as a CSR matrix over A's own arrays: built once, nothing
-      copied, so every product with A^t on the solve path skips building a
-      new transpose.
+    ``A`` is a float64 CSC copy of the caller's matrix with explicit zeros
+    dropped, and ``b``, ``c`` and ``upper`` are float64 copies of the
+    caller's vectors, so the caller's arrays stay as they were, writeable and
+    unaliased.  The copies are read-only, A's ``data``, ``indices`` and
+    ``indptr`` and ``bounded`` included, so what is derived from them once
+    stays valid for the LP's lifetime:
+
+    * ``matvec(x)`` is A x and ``rmatvec(y)`` is A^t y (``bind_products``),
+      bound once to A's arrays; every product of A or A^t with a vector on
+      the solve path goes through them.
     * ``b_scale`` is 1 + ||b||_inf, the denominator of the residual measure,
       computed on first use.
     * ``plan`` is the normal-equations plan of A (``linalg.normal_plan``),
@@ -85,11 +89,15 @@ class StandardLP:
     start: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.A = sp.csc_matrix(self.A, copy=True)
+        self.A = sp.csc_matrix(self.A, dtype=float, copy=True)
         self.A.eliminate_zeros()
         self.b = _read_only(np.array(self.b, dtype=float))
         self.c = _read_only(np.array(self.c, dtype=float))
         self.upper = _read_only(np.array(self.upper, dtype=float))
+        m, n = self.A.shape
+        for name, arr, shape in (("b", self.b, (m,)), ("c", self.c, (n,)), ("upper", self.upper, (n,))):
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}; A is {m} x {n}, so it needs {shape}")
         for name, arr in (("A", self.A.data), ("b", self.b), ("c", self.c)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} has a non-finite entry")
@@ -100,7 +108,7 @@ class StandardLP:
         self.bounded = _read_only(np.flatnonzero(np.isfinite(self.upper)))
         for arr in (self.A.data, self.A.indices, self.A.indptr):
             _read_only(arr)
-        self.At = self.A.T
+        self.matvec, self.rmatvec = bind_products(self.A)
 
     @cached_property
     def b_scale(self) -> float:
@@ -117,6 +125,38 @@ class StandardLP:
     @property
     def n(self):
         return self.A.shape[1]
+
+
+def bind_products(A: sp.csc_matrix):
+    """(matvec, rmatvec): x -> A x and y -> A^t y for the float64 CSC matrix A.
+
+    Both call the compiled loop that scipy's ``A @ x`` and ``A.T @ y`` end
+    in, ``csc_matvec`` over A's arrays and ``csr_matvec`` over the same
+    arrays read as A^t in CSR, so each result is scipy's bit for bit, without
+    scipy's Python dispatch on every call.  Each call returns a new float64
+    vector.  The input must be a 1-D array of the right length (n for
+    matvec, m for rmatvec), else ``ValueError``: the loop has no bounds check
+    and would read past a short vector.  Any real dtype is converted by the
+    loop's wrapper.  The arrays are captured once, so A must not change.
+    """
+    m, n = A.shape
+    indptr, indices, data = A.indptr, A.indices, A.data
+
+    def matvec(x):
+        if x.shape != (n,):
+            raise ValueError(f"A x needs x of shape ({n},), got {x.shape}")
+        out = np.zeros(m)
+        csc_matvec(m, n, indptr, indices, data, x, out)
+        return out
+
+    def rmatvec(y):
+        if y.shape != (m,):
+            raise ValueError(f"A^t y needs y of shape ({m},), got {y.shape}")
+        out = np.zeros(n)
+        csr_matvec(n, m, indptr, indices, data, y, out)
+        return out
+
+    return matvec, rmatvec
 
 
 @dataclass
@@ -280,11 +320,11 @@ def map_back(vmap: VariableMap, x: np.ndarray) -> np.ndarray:
 def primal_infeasibility(lp: StandardLP, x: np.ndarray, resid: np.ndarray | None = None) -> float:
     """Feasibility measure ||Ax - b||_inf / (||b||_inf + 1).
 
-    A caller that already holds ``resid = b - A x`` passes it in, and x is
-    then not read.
+    x is any 1-D array-like of length n.  A caller that already holds
+    ``resid = b - A x`` passes it in, and x is then not read.
     """
     if resid is None:
-        resid = lp.b - lp.A @ x
+        resid = lp.b - lp.matvec(np.asarray(x))
     return np.abs(resid).max(initial=0.0) / lp.b_scale
 
 

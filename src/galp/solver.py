@@ -17,11 +17,12 @@ Each quantity is computed once, at the scope where it changes.  Per LP: the
 start, which does not depend on r (``choose_start`` keeps it as
 ``StandardLP.start``; it is x1 wherever x2's factor fails), the assembly
 plan of A H^-1 A^t (``StandardLP.plan``), and Rf's denominator
-1 + ||b||_inf (``StandardLP.b_scale``), each built on the LP's first solve.
-Per solve: the penalty parameters and the bound of the sign safeguard.  Per
-point: whoever creates the point (the start, or ``iterate_once``) forms
-b - A x once; it gives both Rf and the feasibility right-hand side of the
-point's pass.
+1 + ||b||_inf (``StandardLP.b_scale``), each built on the LP's first solve,
+and the products A x and A^t y (``lp.matvec``, ``lp.rmatvec``), bound to
+scipy's compiled kernels when the LP is constructed.  Per solve: the penalty
+parameters and the bound of the sign safeguard.  Per point: whoever creates
+the point (the start, or ``iterate_once``) forms b - A x once; it gives both
+Rf and the feasibility right-hand side of the point's pass.
 
 The feasibility move uses step factor STEP_AGGRESSIVE while the residual is
 large and STEP_CONSERVATIVE once it is small; the descent move swaps the two
@@ -130,7 +131,7 @@ def starting_point_x1(lp: StandardLP) -> np.ndarray:
 def starting_point_x2(lp: StandardLP) -> np.ndarray:
     """Minimum-norm solution of Ax = b shifted into the open box."""
     F = linalg.factor(linalg.assemble_normal(lp.plan, np.ones(lp.n)))
-    xhat = lp.At @ linalg.solve(F, lp.b)
+    xhat = lp.rmatvec(linalg.solve(F, lp.b))
     xnorm = np.abs(xhat).max(initial=0.0)
     delta = max(-1.5 * float(xhat.min(initial=0.0)), 0.01 * (1.0 + xnorm))
     x = xhat + delta
@@ -185,7 +186,7 @@ def recover_duals(lp: StandardLP, x, p: GaugeParams, resid) -> PointPass:
     # contiguous, as a one-column solve's result is, so b @ y sums in the
     # same order
     rhs = np.empty((lp.m, 2), order="F")
-    rhs[:, 0] = lp.A @ (hinv * lp.c)
+    rhs[:, 0] = lp.matvec(hinv * lp.c)
     rhs[:, 1] = resid
     v = linalg.solve(F, rhs)
     y = v[:, 0]
@@ -252,7 +253,7 @@ def iterate_once(state: IterateState, lp: StandardLP, cfg: SolverConfig, pt: Poi
         )
     x = x + t_desc * d
 
-    return _state(lp, x, lp.b - lp.A @ x, pt, rec.iteration + 1, step_feas=t_feas, step_desc=t_desc)
+    return _state(lp, x, lp.b - lp.matvec(x), pt, rec.iteration + 1, step_feas=t_feas, step_desc=t_desc)
 
 
 def _converged(state: IterateState, cfg: SolverConfig, safeguard: float) -> bool:
@@ -292,7 +293,7 @@ def solve(lp: StandardLP, cfg: SolverConfig | None = None, offset: float = 0.0) 
     state = None
     try:
         x0 = choose_start(lp)
-        resid = lp.b - lp.A @ x0
+        resid = lp.b - lp.matvec(x0)
         pt = recover_duals(lp, x0, p, resid)
         state = _state(lp, x0, resid, pt)
         trace.append(state.record)

@@ -22,7 +22,7 @@ def test_descent_hand_case():
     x = np.array([0.5, 0.5])
     pt = pass_at(lp, x, 0.0)
     assert_allclose(pt.y, [0.5])
-    assert_allclose(lp.c - lp.At @ pt.y, [0.5, -0.5])
+    assert_allclose(lp.c - lp.A.T @ pt.y, [0.5, -0.5])
     assert_allclose(pt.d, [-0.125, 0.125])
     assert lp.c @ pt.d == pytest.approx(-0.125)
 
@@ -32,7 +32,7 @@ def test_descent_zero_when_c_in_row_space():
     lp = make_lp([[1.0, 1.0]], [1.0], [2.0, 2.0])
     x = np.array([0.3, 0.7])
     pt = pass_at(lp, x, 0.4)
-    assert_allclose(lp.c - lp.At @ pt.y, np.zeros(2), atol=1e-12)
+    assert_allclose(lp.c - lp.A.T @ pt.y, np.zeros(2), atol=1e-12)
     assert_allclose(pt.d, np.zeros(2), atol=1e-12)
 
 

@@ -15,13 +15,16 @@ from galp.mps import RawMps
 from galp.model import (
     InfeasibleBounds,
     StandardLP,
+    bind_products,
     map_back,
     objective,
     primal_infeasibility,
     to_standard_form,
 )
 
-from conftest import FIXTURES, NETLIB, random_lp
+from galp.solver import SolverConfig, Status, solve
+
+from conftest import FIXTURES, NETLIB, NETLIB_PROBLEMS, netlib_path, random_lp
 
 
 def build(rows, columns, rhs="", extra=""):
@@ -139,18 +142,109 @@ def test_bounded_indexes_finite_upper():
     assert lp.bounded is lp.bounded  # computed once, not per access
 
 
-def test_transpose_is_a_view_of_a(rng):
-    A = sp.random(5, 9, density=0.4, format="coo", random_state=rng)
-    A.data[0] = 0.0  # an explicit zero, which construction eliminates
-    lp = StandardLP(A=A, b=np.zeros(5), c=np.zeros(9), upper=np.full(9, np.inf))
-    assert isinstance(lp.At, sp.csr_matrix)
-    assert lp.At.shape == (9, 5)
-    assert (lp.At != lp.A.T).nnz == 0
-    for name in ("data", "indices", "indptr"):
-        assert np.shares_memory(getattr(lp.At, name), getattr(lp.A, name)), name
-    assert lp.At is lp.At  # built once, not per access
-    v = rng.normal(size=5)
-    assert np.array_equal(lp.At @ v, lp.A.T @ v)
+def product_oracle_holds(lp, rng):
+    """lp.matvec and lp.rmatvec give scipy's A @ x and A.T @ y bit for bit, in fresh float64 vectors."""
+    x, y = rng.normal(size=lp.n), rng.normal(size=lp.m)
+    for got, want in ((lp.matvec(x), lp.A @ x), (lp.rmatvec(y), lp.A.T @ y)):
+        assert got.dtype == np.float64 and got.flags.writeable
+        assert np.array_equal(got, want)
+    assert lp.matvec(x) is not lp.matvec(x)
+
+
+@pytest.mark.parametrize("name", NETLIB_PROBLEMS)
+def test_products_match_scipy_on_corpus(name, rng):
+    # a scipy release that changes _sparsetools, or the order of its sums, fails here
+    product_oracle_holds(to_standard_form(read_mps(netlib_path(name)))[0], rng)
+
+
+def test_products_match_scipy_with_empty_row_and_column(rng):
+    A = sp.random(4, 6, density=0.6, format="lil", random_state=rng)
+    A[2, :] = 0.0
+    A[:, 3] = 0.0
+    lp = StandardLP(A=sp.csc_matrix(A), b=np.ones(4), c=np.ones(6), upper=np.full(6, np.inf))
+    assert not lp.A.toarray()[2].any() and not lp.A.toarray()[:, 3].any()
+    product_oracle_holds(lp, rng)
+    for m, n in ((0, 3), (2, 0), (0, 0)):
+        product_oracle_holds(StandardLP(A=sp.csc_matrix((m, n)), b=np.zeros(m), c=np.zeros(n),
+                                        upper=np.full(n, np.inf)), rng)
+
+
+def test_integer_matrix_is_stored_as_float64_with_scipys_products(rng):
+    A_int = sp.csc_matrix(np.array([[1, 0, 2, -3], [0, 4, 5, 0], [7, 0, 0, 1]], dtype=np.int64))
+    A_float = sp.csc_matrix(A_int.toarray().astype(float))
+    lp = StandardLP(A=A_int, b=[3.0, 9.0, 8.0], c=[1.0, 2.0, 0.5, 1.0], upper=np.full(4, np.inf))
+    assert lp.A.dtype == np.float64 and A_int.dtype == np.int64
+    product_oracle_holds(lp, rng)
+    x, y = rng.normal(size=4), rng.normal(size=3)
+    assert np.array_equal(lp.matvec(x), A_int @ x)
+    assert np.array_equal(lp.rmatvec(y), A_int.T @ y)
+    # the solve on the integer matrix is the solve on its float64 copy, bit for bit
+    twin = StandardLP(A=A_float, b=lp.b, c=lp.c, upper=lp.upper)
+    reports = [solve(lp_, SolverConfig(r=0.2)) for lp_ in (lp, twin)]
+    assert reports[0].status == Status.OPTIMAL
+    assert repr(reports[0].trace) == repr(reports[1].trace)
+    for field_ in ("x", "y", "s", "w"):
+        assert np.array_equal(getattr(reports[0], field_), getattr(reports[1], field_)), field_
+
+
+def test_products_with_int64_indices(rng):
+    A = sp.random(5, 7, density=0.5, format="csc", random_state=rng)
+    A.indices, A.indptr = A.indices.astype(np.int64), A.indptr.astype(np.int64)
+    x, y = rng.normal(size=7), rng.normal(size=5)
+    # the kernels bound to the int64 arrays themselves, as an LP whose copy keeps them would be
+    matvec, rmatvec = bind_products(A)
+    assert np.array_equal(matvec(x), A @ x)
+    assert np.array_equal(rmatvec(y), A.T @ y)
+    lp = StandardLP(A=A, b=np.zeros(5), c=np.zeros(7), upper=np.full(7, np.inf))
+    assert np.array_equal(lp.matvec(x), A @ x)
+    assert np.array_equal(lp.rmatvec(y), A.T @ y)
+
+
+def test_products_reject_a_vector_of_the_wrong_shape():
+    # the compiled loop has no bounds check: fed a 1-vector for 3 columns it
+    # reads past the end and returns garbage instead of failing
+    lp = StandardLP(A=sp.csc_matrix([[1.0, 0.0, 2.0], [0.0, 3.0, 4.0]]), b=[1.0, 1.0], c=np.zeros(3),
+                    upper=np.full(3, np.inf))
+    for bad in (np.ones(1), np.ones(2), np.ones(4), np.ones((3, 1)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="needs x of shape"):
+            lp.matvec(bad)
+        with pytest.raises(ValueError, match="needs x of shape"):
+            primal_infeasibility(lp, bad)
+    for bad in (np.ones(1), np.ones(3), np.ones((2, 1))):
+        with pytest.raises(ValueError, match="needs y of shape"):
+            lp.rmatvec(bad)
+    with pytest.raises(ValueError, match="needs x of shape"):
+        primal_infeasibility(lp, [1.0])
+
+
+def test_primal_infeasibility_takes_any_1d_array_like():
+    lp = StandardLP(A=sp.csc_matrix([[1.0, 0.0, 2.0], [0.0, 3.0, 4.0]]), b=[1.0, 1.0], c=np.zeros(3),
+                    upper=np.full(3, np.inf))
+    expected = primal_infeasibility(lp, np.array([1.0, 2.0, 3.0]))
+    assert expected == 17.0 / 2.0
+    strided = np.array([1.0, 0.0, 2.0, 0.0, 3.0])[::2]
+    for x in ([1, 2, 3], [1.0, 2.0, 3.0], (1, 2, 3), np.array([1, 2, 3]), np.array([1, 2, 3], np.float32),
+              strided):
+        assert primal_infeasibility(lp, x) == expected, x
+    start = np.array([1.0, 2.0, 3.0])
+    start.flags.writeable = False
+    assert primal_infeasibility(lp, start) == expected
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [dict(b=np.ones(3)), dict(b=np.ones(1)), dict(b=np.ones((2, 1))), dict(c=np.ones(2)), dict(c=np.ones(1)),
+     dict(upper=np.ones(2)), dict(upper=np.ones(1))],
+    ids=["b-length-3", "b-length-1", "b-2x1", "c-length-2", "c-length-1", "upper-length-2", "upper-length-1"],
+)
+def test_standard_lp_rejects_vectors_that_do_not_match_a(changes):
+    # unchecked, each of these reached solve, which then raised ValueError or IndexError
+    data = dict(A=sp.csc_matrix([[1.0, 0.0, 2.0], [0.0, 3.0, 4.0]]), b=np.ones(2), c=np.ones(3),
+                upper=np.full(3, 5.0))
+    data.update(changes)
+    (name,) = changes
+    with pytest.raises(ValueError, match=f"^{name} has shape"):
+        StandardLP(**data)
 
 
 def test_construction_leaves_callers_matrix_alone():

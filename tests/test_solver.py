@@ -420,16 +420,20 @@ def test_solve_agrees_with_numpy_cholesky_kernel(monkeypatch, r):
         assert within_cross_library_tol(new.x, old.x), name
 
 
+def counting(fn, log):
+    """fn, with the shape of each call's argument appended to log."""
+
+    def counted(v):
+        log.append(v.shape)
+        return fn(v)
+
+    return counted
+
+
 @pytest.mark.parametrize("r", [0.0, 0.5])
 def test_solve_factors_once_per_point(monkeypatch, r):
-    calls, descents, solves, reprojects, products = [], [], [], [], []
+    calls, descents, solves, reprojects, products, rproducts, sparse_matmuls = [], [], [], [], [], [], []
     factor = linalg.factor
-    lp = None  # the LP being solved; only its A's products with a vector are counted
-
-    def counted_matmul(self, other, _matmul=sp.csc_matrix.__matmul__):
-        if lp is not None and self is lp.A and np.ndim(other) == 1:
-            products.append(other.shape)
-        return _matmul(self, other)
 
     def counted(M):
         calls.append(M.shape)
@@ -453,23 +457,55 @@ def test_solve_factors_once_per_point(monkeypatch, r):
     monkeypatch.setattr(linalg, "solve", counted_solve)
     monkeypatch.setattr(directions, "solve", counted_solve)
     monkeypatch.setattr(galp.solver, "reproject", reproject)
-    monkeypatch.setattr(sp.csc_matrix, "__matmul__", counted_matmul)
+    # every product of A or A^t with a vector goes through lp.matvec and
+    # lp.rmatvec; scipy's sparse products, with their Python dispatch, never run
+    for cls in (sp.csc_matrix, sp.csr_matrix):
+        for op in ("__matmul__", "__rmatmul__"):
+            def spy(self, other, _op=getattr(cls, op), _name=f"{cls.__name__}.{op}"):
+                sparse_matmuls.append(_name)
+                return _op(self, other)
+
+            monkeypatch.setattr(cls, op, spy)
     for name in NETLIB_PROBLEMS:
         lp = to_standard_form(read_mps(netlib_path(name)))[0]
-        for log in (calls, descents, solves, reprojects, products):
-            log.clear()
-        report = solve(lp, SolverConfig(r=r))
-        assert report.status == Status.OPTIMAL
-        # x2's start factor, then x0 .. x_{k-1} once each; the final point is not factored
-        assert len(calls) == report.iterations + 1, name
-        # one descent per factored point: the start's pass serves iteration 1
-        assert len(descents) == report.iterations, name
-        # x2's solve, one two-column solve per pass, and one per reprojection
-        assert reprojects, name
-        assert len(solves) == 1 + report.iterations + len(reprojects), name
-        assert solves.count((lp.m, 2)) == report.iterations, name
-        # A x once per point (x0 .. x_k), A H^-1 c once per pass, A d once per reprojection
-        assert len(products) == 2 * report.iterations + 1 + len(reprojects), name
+        lp.matvec = counting(lp.matvec, products)
+        lp.rmatvec = counting(lp.rmatvec, rproducts)
+        for cold in (True, False):  # the first solve computes the start, the second reuses it
+            for log in (calls, descents, solves, reprojects, products, rproducts, sparse_matmuls):
+                log.clear()
+            report = solve(lp, SolverConfig(r=r))
+            assert report.status == Status.OPTIMAL
+            k, nrep = report.iterations, len(reprojects)
+            # x2's start factor, then x0 .. x_{k-1} once each; the final point is not factored
+            assert len(calls) == k + cold, name
+            # one descent per factored point: the start's pass serves iteration 1
+            assert len(descents) == k, name
+            # x2's solve, one two-column solve per pass, and one per reprojection
+            assert nrep, name
+            assert len(solves) == cold + k + nrep, name
+            assert solves.count((lp.m, 2)) == k, name
+            # A x once per point (x0 .. x_k), A H^-1 c once per pass, A d once per reprojection
+            assert products == [(lp.n,)] * (2 * k + 1 + nrep), name
+            # A^t v for x2, A^t y (descent) and A^t v (feasibility) once per
+            # pass, A^t v once per reprojection
+            assert rproducts == [(lp.m,)] * (cold + 2 * k + nrep), name
+            assert sparse_matmuls == [], name
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5])
+def test_bound_products_solve_as_scipys_products(r, rng):
+    """The solve with lp.matvec and lp.rmatvec is the solve with scipy's @, bit for bit."""
+    lps = [to_standard_form(read_mps(netlib_path(name)))[0] for name in NETLIB_PROBLEMS]
+    lps.append(random_lp(rng, m=6, n=14, bounded="all")[0])
+    for lp in lps:
+        twin = fresh(lp)
+        twin.matvec = lambda x, A=twin.A: A @ x
+        twin.rmatvec = lambda y, A=twin.A: A.T @ y
+        new, old = solve(lp, SolverConfig(r=r)), solve(twin, SolverConfig(r=r))
+        assert new.status == old.status
+        assert repr(new.trace) == repr(old.trace)
+        for field_ in ("x", "y", "s", "w"):
+            assert np.array_equal(getattr(new, field_), getattr(old, field_)), field_
 
 
 def dense_column_lp(rng):
