@@ -19,13 +19,20 @@ Every product of A or A^t with a vector goes through ``lp.matvec`` or
 ``lp.rmatvec``, scipy's compiled kernels bound once per LP to A's arrays.
 
 ``max_step`` is the ratio test.  Each coordinate's distance to the wall its
-direction points at (x_j toward 0, u_j - x_j toward u_j) is divided by
-|dir_j| in one guarded divide; coordinates with dir_j zero or NaN, and those
-heading toward an infinite u_j, are not divided and give +inf (dir_j = +inf
-toward u_j = +inf would otherwise give inf/inf = NaN), so the step is the
-minimum of the ratios and the cap.  That is the masked test (-x_j / dir_j
-over dir_j < 0, (u_j - x_j) / dir_j over dir_j > 0 with u_j finite) bit for
-bit, since (-x)/d and x/|d| round to the same double.
+direction points at (x_j toward 0 when dir_j < 0, u_j - x_j otherwise) is
+divided by |dir_j| under one ``np.errstate``, and one ``np.minimum.reduce``
+with the cap as ``initial`` takes the minimum.  At an interior point with a
+finite direction every ratio is a number >= 0, +inf where dir_j = 0 or u_j
+is infinite, so that minimum is the masked test (-x_j / dir_j over
+dir_j < 0, (u_j - x_j) / dir_j over dir_j > 0 with u_j finite) bit for bit,
+since (-x)/d and x/|d| round to the same double.  Only a NaN or negative
+minimum, which needs a non-finite entry or a point outside the box, reduces
+again over the coordinates that count: dir_j nonzero and not NaN, and a wall
+not at +inf.  There 0/0 at a wall, a NaN dir_j and inf/inf toward an
+infinite wall drop out, but the NaN of a NaN x_j, or of x_j = u_j = +inf
+heading up, stays and makes the step NaN.  That NaN is what stops a solve
+whose direction overflowed; a reduction that skipped it (``np.fmin``) lets
+such a solve end IterationLimit or Unbounded instead of NumericalFailure.
 
 ``newton_direction`` solves the full Newton system of the penalized problem
 at a given mu; the production path only ever uses its mu-independent limit d.
@@ -78,11 +85,17 @@ def max_step(x, upper, dir, cap=None):
     """Largest t with x + t*dir inside the closed box; +inf if unconstrained.
 
     ``upper`` uses +inf for unbounded variables.  A finite ``cap`` joins the
-    minimum (the feasibility phase caps at 1).
+    minimum (the feasibility phase caps at 1).  A coordinate counts when
+    dir_j is nonzero and not NaN and its wall is not at +inf; a NaN ratio
+    among those, as from a NaN x_j, makes the step NaN.
     """
     a = np.abs(dir)
-    wall = np.where(dir < 0, x, upper - x)  # distance to the wall dir points at
-    ratios = np.full(a.shape, np.inf)
-    # zero and NaN entries, and those toward an infinite wall, stay +inf
-    np.divide(wall, a, out=ratios, where=(a > 0) & (wall != np.inf))
-    return float(ratios.min(initial=np.inf if cap is None else float(cap)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wall = np.where(dir < 0, x, upper - x)  # distance to the wall dir points at
+        ratios = wall / a
+    initial = np.inf if cap is None else float(cap)
+    step = np.minimum.reduce(ratios, initial=initial)
+    if not step >= 0:
+        # a NaN or negative minimum: keep only the coordinates that count
+        step = np.minimum.reduce(ratios, initial=initial, where=(a > 0) & (wall != np.inf))
+    return float(step)

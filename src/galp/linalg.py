@@ -95,6 +95,7 @@ class PairPlan:
     """
 
     m: int
+    n: int  # columns of A: the length of dinv
     left: np.ndarray  # A[i, j] of each pair
     right: np.ndarray  # A[k, j] of each pair
     col: np.ndarray  # j of each pair
@@ -133,6 +134,7 @@ class PairPlan:
         i, k = np.divmod(lower, m)
         return cls(
             m=m,
+            n=n,
             left=A.data[e_left],
             right=A.data[e_right],
             col=col,
@@ -145,7 +147,7 @@ class PairPlan:
         sums = np.bincount(
             self.target, (self.left * dinv[self.col]) * self.right, minlength=self.lower.size
         )
-        if not np.isfinite(sums).all():
+        if not np.logical_and.reduce(np.isfinite(sums)):
             raise NonFiniteInput("normal matrix has non-finite entries")
         M = np.zeros((self.m, self.m))
         flat = M.reshape(-1)
@@ -160,15 +162,17 @@ class ProductPlan:
 
     A: sp.csc_matrix
     At: sp.csr_matrix = field(init=False, repr=False)
+    n: int = field(init=False, repr=False)
 
     def __post_init__(self):
         # A^t over A's own arrays, built once: what A.T returns, without a copy
         m, n = self.A.shape
+        self.n = n
         self.At = sp.csr_matrix((self.A.data, self.A.indices, self.A.indptr), shape=(n, m))
 
     def assemble(self, dinv: np.ndarray) -> np.ndarray:
-        M = np.asarray((self.A.multiply(dinv) @ self.At).todense())
-        if not np.all(np.isfinite(M)):
+        M = (self.A.multiply(dinv) @ self.At).toarray()
+        if not np.logical_and.reduce(np.isfinite(M), axis=None):
             raise NonFiniteInput("normal matrix has non-finite entries")
         return np.tril(M) + np.tril(M, -1).T
 
@@ -201,14 +205,17 @@ def normal_plan(A) -> NormalPlan:
 def assemble_normal(plan: NormalPlan, dinv: np.ndarray) -> np.ndarray:
     """Dense symmetric M with M[i, k] = sum_j A[i, j] * dinv[j] * A[k, j].
 
-    ``plan`` is ``normal_plan(A)``.  Both triangles are written from the
+    ``plan`` is ``normal_plan(A)``, and ``dinv`` must have shape (n,) for the
+    n columns of A, else ``ValueError``.  Both triangles are written from the
     same sums, so M is exactly symmetric, and M is a new C-ordered array
     that ``factor`` may consume.
     """
     dinv = np.asarray(dinv, dtype=float)
+    if dinv.shape != (plan.n,):
+        raise ValueError(f"dinv needs shape ({plan.n},), got {dinv.shape}")
     # min and max propagate NaN, so this fails on NaN, on either infinity and
     # on a negative entry, as the isfinite and sign tests did, in two reductions
-    if not (dinv.min(initial=0.0) >= 0.0 and dinv.max(initial=0.0) < np.inf):
+    if not (np.minimum.reduce(dinv, initial=0.0) >= 0.0 and np.maximum.reduce(dinv, initial=0.0) < np.inf):
         raise NonFiniteInput("dinv must be finite and nonnegative")
     return plan.assemble(dinv)
 
@@ -238,11 +245,11 @@ def factor(M: np.ndarray) -> CholeskyFactor:
             # min() propagates NaN, so lo*lo > 1e-30 holds exactly when every
             # pivot's square does, and max() < inf rules out a +inf pivot
             pivots = L.diagonal()
-            lo = float(pivots.min(initial=np.inf))
-            if lo * lo > _MIN_PIVOT and pivots.max(initial=0.0) < np.inf:
+            lo = float(np.minimum.reduce(pivots, initial=np.inf))
+            if lo * lo > _MIN_PIVOT and np.maximum.reduce(pivots, initial=0.0) < np.inf:
                 return CholeskyFactor(L=L, rho=rho)
         _restore(A, diag)
-    if not np.isfinite(A).all():
+    if not np.logical_and.reduce(np.isfinite(A), axis=None):
         raise NonFiniteInput("normal matrix has non-finite entries")
     raise FactorizationFailed(
         "normal matrix is numerically rank deficient at every regularization level"

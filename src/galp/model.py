@@ -65,9 +65,11 @@ class StandardLP:
     dropped, and ``b``, ``c`` and ``upper`` are float64 copies of the
     caller's vectors, so the caller's arrays stay as they were, writeable and
     unaliased.  The copies are read-only, A's ``data``, ``indices`` and
-    ``indptr`` and ``bounded`` included, so what is derived from them once
-    stays valid for the LP's lifetime:
+    ``indptr``, ``bounded`` and ``upper_I`` (u_I, gathered once) included,
+    so what is derived from them once stays valid for the LP's lifetime:
 
+    * ``m`` and ``n`` are A's dimensions, plain ints set once, so the solve
+      path reads them without a call into scipy.
     * ``matvec(x)`` is A x and ``rmatvec(y)`` is A^t y (``bind_products``),
       bound once to A's arrays; every product of A or A^t with a vector on
       the solve path goes through them.
@@ -105,26 +107,20 @@ class StandardLP:
             if np.isnan(self.upper).any():
                 raise ValueError("upper has a NaN entry")
             raise InfeasibleBounds("upper bounds must be positive")
+        self.m, self.n = m, n
         self.bounded = _read_only(np.flatnonzero(np.isfinite(self.upper)))
+        self.upper_I = _read_only(self.upper[self.bounded])
         for arr in (self.A.data, self.A.indices, self.A.indptr):
             _read_only(arr)
         self.matvec, self.rmatvec = bind_products(self.A)
 
     @cached_property
     def b_scale(self) -> float:
-        return 1.0 + np.abs(self.b).max(initial=0.0)
+        return 1.0 + np.maximum.reduce(np.abs(self.b), initial=0.0)
 
     @cached_property
     def plan(self) -> linalg.NormalPlan:
         return linalg.normal_plan(self.A)
-
-    @property
-    def m(self):
-        return self.A.shape[0]
-
-    @property
-    def n(self):
-        return self.A.shape[1]
 
 
 def bind_products(A: sp.csc_matrix):
@@ -325,7 +321,7 @@ def primal_infeasibility(lp: StandardLP, x: np.ndarray, resid: np.ndarray | None
     """
     if resid is None:
         resid = lp.b - lp.matvec(np.asarray(x))
-    return np.abs(resid).max(initial=0.0) / lp.b_scale
+    return np.maximum.reduce(np.abs(resid), initial=0.0) / lp.b_scale
 
 
 def objective(lp: StandardLP, x: np.ndarray, offset: float = 0.0) -> float:

@@ -19,7 +19,10 @@ start, which does not depend on r (``choose_start`` keeps it as
 plan of A H^-1 A^t (``StandardLP.plan``), and Rf's denominator
 1 + ||b||_inf (``StandardLP.b_scale``), each built on the LP's first solve,
 and the products A x and A^t y (``lp.matvec``, ``lp.rmatvec``), bound to
-scipy's compiled kernels when the LP is constructed.  Per solve: the penalty
+scipy's compiled kernels when the LP is constructed, which also gathers u_I
+(``lp.upper_I``) and sets m and n as plain ints.  Every reduction on the
+path calls ``np.minimum.reduce`` or ``np.maximum.reduce`` directly, not
+numpy's Python wrappers behind ``ndarray.min`` and ``max``.  Per solve: the penalty
 parameters and the bound of the sign safeguard.  Per point: whoever creates
 the point (the start, or ``iterate_once``) forms b - A x once; it gives both
 Rf and the feasibility right-hand side of the point's pass.
@@ -132,8 +135,8 @@ def starting_point_x2(lp: StandardLP) -> np.ndarray:
     """Minimum-norm solution of Ax = b shifted into the open box."""
     F = linalg.factor(linalg.assemble_normal(lp.plan, np.ones(lp.n)))
     xhat = lp.rmatvec(linalg.solve(F, lp.b))
-    xnorm = np.abs(xhat).max(initial=0.0)
-    delta = max(-1.5 * float(xhat.min(initial=0.0)), 0.01 * (1.0 + xnorm))
+    xnorm = np.maximum.reduce(np.abs(xhat), initial=0.0)
+    delta = max(-1.5 * float(np.minimum.reduce(xhat, initial=0.0)), 0.01 * (1.0 + xnorm))
     x = xhat + delta
     idx = lp.bounded
     x[idx] = np.clip(x[idx], 0.01 * lp.upper[idx], 0.99 * lp.upper[idx])
@@ -152,7 +155,8 @@ def choose_start(lp: StandardLP) -> np.ndarray:
             x2 = starting_point_x2(lp)
         except (linalg.FactorizationFailed, linalg.NonFiniteInput):
             x2 = x1
-        x0 = x2 if x2.min() > x1.min() or x1.min() < 1.0 else x1
+        lo1 = np.minimum.reduce(x1)
+        x0 = x2 if np.minimum.reduce(x2) > lo1 or lo1 < 1.0 else x1
         x0.flags.writeable = False
         lp.start = x0
     return lp.start.copy()
@@ -194,7 +198,7 @@ def recover_duals(lp: StandardLP, x, p: GaugeParams, resid) -> PointPass:
     dx = feasibility_direction(lp, hinv, v[:, 1])
     w = np.zeros(lp.n)
     idx = lp.bounded
-    w[idx] = -(x[idx] / lp.upper[idx]) * reduced[idx]
+    w[idx] = -(x[idx] / lp.upper_I) * reduced[idx]
     return PointPass(hinv, F, dx, d, y, w, reduced + w, sd.clamp_events)
 
 
@@ -206,8 +210,7 @@ def _state(lp: StandardLP, x, resid, pt: PointPass, iteration=0, step_feas=0.0, 
     relative duality gap (<c,x> - <b,y> + <u_I, w_I>) / (|<c,x>| + 1).
     """
     cx = float(lp.c @ x)
-    idx = lp.bounded
-    gap = cx - float(lp.b @ pt.y) + float(lp.upper[idx] @ pt.w[idx])
+    gap = cx - float(lp.b @ pt.y) + float(lp.upper_I @ pt.w[lp.bounded])
     record = TraceRecord(
         iteration=iteration,
         objective=cx,
@@ -215,7 +218,7 @@ def _state(lp: StandardLP, x, resid, pt: PointPass, iteration=0, step_feas=0.0, 
         rgap=gap / (abs(cx) + 1.0),
         step_feas=step_feas,
         step_desc=step_desc,
-        min_x=float(x.min()) if lp.n else 0.0,
+        min_x=float(np.minimum.reduce(x)) if lp.n else 0.0,
         clamps=pt.clamps,
         regularization=pt.F.rho,
     )
@@ -263,7 +266,7 @@ def _converged(state: IterateState, cfg: SolverConfig, safeguard: float) -> bool
     return (
         state.record.rf <= cfg.epsilon
         and abs(state.record.rgap) <= cfg.epsilon
-        and float(state.s.min(initial=0.0)) >= safeguard
+        and float(np.minimum.reduce(state.s, initial=0.0)) >= safeguard
     )
 
 
@@ -271,7 +274,7 @@ def solve(lp: StandardLP, cfg: SolverConfig | None = None, offset: float = 0.0) 
     """Run the full affine scaling iteration; never raises past this API."""
     cfg = cfg or SolverConfig()
     p = GaugeParams(r=cfg.r, upper=lp.upper)
-    safeguard = -DUAL_SAFEGUARD * (1.0 + np.abs(lp.c).max(initial=0.0))
+    safeguard = -DUAL_SAFEGUARD * (1.0 + np.maximum.reduce(np.abs(lp.c), initial=0.0))
     trace: list[TraceRecord] = []
 
     def report(state, status):

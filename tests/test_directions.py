@@ -140,18 +140,23 @@ def test_newton_rejects_bad_parameters(rng):
 
 
 def masked_max_step(x, upper, dir, cap=None):
-    """Ratio test over boolean masks: the form max_step replaced, kept as its oracle."""
+    """Ratio test over boolean masks: the form max_step replaced, kept as its oracle.
+
+    Coordinate j counts when dir_j is nonzero and not NaN and the wall it heads
+    for is not at +inf: x_j < +inf toward 0, u_j - x_j < +inf toward u_j.  A NaN
+    ratio among those (x_j NaN, x_j = u_j = +inf, -inf over -inf) makes the step NaN.
+    """
     x = np.asarray(x, dtype=float)
     dir = np.asarray(dir, dtype=float)
-    candidates = []
-    neg = dir < 0
-    if np.any(neg):
-        candidates.append(np.min(-x[neg] / dir[neg]))
-    pos = (dir > 0) & np.isfinite(upper)
-    if np.any(pos):
-        candidates.append(np.min((upper[pos] - x[pos]) / dir[pos]))
+    with np.errstate(invalid="ignore"):  # inf - inf and inf/inf: NaN ratios, which count
+        neg = (dir < 0) & (x != np.inf)
+        pos = (dir > 0) & (upper - x != np.inf)
+        groups = (-x[neg] / dir[neg], (upper[pos] - x[pos]) / dir[pos])
+    candidates = [np.min(ratios) for ratios in groups if ratios.size]
     if cap is not None:
         candidates.append(float(cap))
+    if np.isnan(candidates).any():
+        return np.nan
     return min(candidates) if candidates else np.inf
 
 
@@ -186,9 +191,10 @@ def ratio_test_cases(rng):
 def ratio_test_edge_cases(rng):
     """(x, upper, dir) triples with edge entries: dir 0.0, -0.0, NaN and +-inf, x on a
     wall (x_j = 0 or x_j = u_j) and u_j = +inf, mixed into random entries and then
-    each edge dir against each wall and kind of u alone."""
+    each edge dir against each wall and kind of u alone; then the same with x_j
+    NaN, +inf and -inf, and x_j = 3 above u_j = 2."""
     specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
-    for _ in range(200):
+    for k in range(400):
         n = int(rng.integers(1, 12))
         upper = np.where(rng.random(n) < 0.5, rng.uniform(0.5, 4.0, n), np.inf)
         x = np.minimum(rng.uniform(1e-3, 2.0, n), 0.99 * upper)
@@ -198,9 +204,17 @@ def ratio_test_edge_cases(rng):
         dir = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 3, n)
         edge = rng.random(n) < 0.5
         dir[edge] = rng.choice(specials, size=int(edge.sum()))
+        if k >= 200:  # infinite x_j in 3 entries of 10, and a NaN in every fourth case
+            inf = rng.random(n) < 0.3
+            x[inf] = rng.choice(specials[3:], size=int(inf.sum()))
+            if k % 4 == 0:
+                x[rng.integers(0, n)] = np.nan
         yield x, upper, dir
     for d in specials:
-        for xj, uj in ((0.0, np.inf), (1.0, np.inf), (0.0, 2.0), (1.0, 2.0), (2.0, 2.0)):
+        for xj, uj in (
+            (0.0, np.inf), (1.0, np.inf), (0.0, 2.0), (1.0, 2.0), (2.0, 2.0), (3.0, 2.0),
+            (np.nan, np.inf), (np.nan, 2.0), (np.inf, np.inf), (np.inf, 2.0), (-np.inf, np.inf), (-np.inf, 2.0),
+        ):
             yield np.array([xj]), np.array([uj]), np.array([d])
 
 
@@ -219,7 +233,7 @@ def test_max_step_matches_masked_oracle(rng):
             got, want = max_step(x, upper, dir, cap=cap), masked_max_step(x, upper, dir, cap=cap)
             assert same_double(got, want), (x, upper, dir, cap, got, want)  # exact, +inf included
             count += 1
-    assert count == 3 * (4 * 300 + 4 + 200 + 5 * 5)
+    assert count == 3 * (4 * 300 + 4 + 400 + 5 * 12)
 
 
 def test_max_step_examples():

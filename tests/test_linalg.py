@@ -138,6 +138,17 @@ def test_assemble_rejects_nonfinite():
         assemble_normal(plan, np.array([1.0, -1.0]))
 
 
+def test_assemble_rejects_dinv_of_the_wrong_shape():
+    # without the check the pair plan reads the first 3 entries of a longer dinv,
+    # and fails with IndexError on a shorter one
+    A = sp.csc_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
+    for plan in (PairPlan.build(A), ProductPlan(A)):
+        for dinv in (np.ones(5), np.ones(2), np.ones(0), np.ones((3, 1)), np.ones((1, 3)), 1.0):
+            with pytest.raises(ValueError, match=r"dinv needs shape \(3,\)"):
+                assemble_normal(plan, dinv)
+        assert np.array_equal(assemble_normal(plan, [1.0, 1.0, 1.0]), [[5.0, 2.0], [2.0, 10.0]])
+
+
 def test_assemble_rejects_overflowing_product(rng):
     # finite A and dinv whose products overflow: A[i, j]**2 is about 1e400
     A = sp.random(8, 12, density=0.4, format="csc", random_state=rng)

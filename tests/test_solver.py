@@ -1,6 +1,9 @@
 import csv
 import dataclasses
 import os
+import pathlib
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -556,6 +559,73 @@ def test_solve_bit_identical_to_masked_ratio_test(monkeypatch, rng, r):
         assert new.status == old.status
         assert [dataclasses.astuple(t) for t in new.trace] == [dataclasses.astuple(t) for t in old.trace]
         assert np.array_equal(new.x, old.x)
+
+
+def test_overflowing_direction_solve_keeps_its_report(monkeypatch):
+    # columns 0 and 2 are empty, so d_0 = -hinv_0 * c_0 overflows to +inf:
+    # the first descent move sends x_0 to +inf on its unbounded column, the
+    # next descent ratio (u_0 - x_0) / d_0 = (inf - inf) / inf is NaN, the
+    # NaN step skips the move, and x_0 = inf + 0 * inf is NaN, so the next
+    # pass fails; a ratio test that skipped the NaN ends IterationLimit
+    lp = make_lp([[0.0, -100.0, 0.0]], [-9e152], [-4e295, -3e19, 2e154])
+    cfg = SolverConfig(r=0.7)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = solve(lp, cfg)
+        monkeypatch.setattr("galp.solver.max_step", masked_max_step)
+        oracle = solve(fresh(lp), cfg)
+    assert report.status == Status.NUMERICAL_FAILURE and report.iterations == 2
+    assert report.trace[1].step_desc > 0 and report.trace[2].step_desc == 0.0
+    assert np.isnan(report.x[0]) and np.isfinite(report.x[1:]).all()
+    assert oracle.status == report.status
+    # repr of each entry as a float: NaN matches NaN, and np.float64 matches float
+    assert [repr(tuple(map(float, dataclasses.astuple(t)))) for t in oracle.trace] == [
+        repr(tuple(map(float, dataclasses.astuple(t)))) for t in report.trace
+    ]
+    for name in ("x", "y", "s", "w"):
+        assert np.array_equal(getattr(oracle, name), getattr(report, name), equal_nan=True), name
+
+
+def python_wrapper_calls(fn):
+    """fn(), and a Counter of the calls it made into numpy's Python reduction
+    wrappers (``_methods._amin``, ``_amax``, ``_all``), ``numpy.full`` and
+    scipy's sparse ``get_shape``, matched by file and function name so that
+    numpy.core (1.x) and numpy._core (2.x) both match."""
+    watched = {("_methods", "_amin"), ("_methods", "_amax"), ("_methods", "_all"), ("numeric", "full")}
+    hits = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            path = pathlib.PurePath(frame.f_code.co_filename)
+            name = frame.f_code.co_name
+            if (path.stem, name) in watched and "numpy" in path.parts:
+                hits[f"{path.stem}.{name}"] += 1
+            elif name == "get_shape" and "scipy" in path.parts:
+                hits[name] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, hits
+
+
+def test_warm_solve_skips_python_wrappers(rng):
+    # a dense A of more than 2 rows gets a ProductPlan, which forms scipy's
+    # sparse product on purpose; 2 x 4 is the largest dense A on the pair plan
+    boxed = random_lp(rng, m=2, n=4, bounded="all")[0]
+    lps = [to_standard_form(read_mps(netlib_path(name)))[0] for name in NETLIB_PROBLEMS] + [boxed]
+    for lp in lps:  # cold: the start and the plan are built here
+        solve(lp, SolverConfig(r=0.2))
+    assert all(isinstance(lp.plan, linalg.PairPlan) for lp in lps)
+    assert boxed.bounded.size == boxed.n
+    reports, hits = python_wrapper_calls(lambda: [solve(lp, SolverConfig(r=0.2)) for lp in lps])
+    assert all(rep.iterations > 0 for rep in reports)
+    assert hits == Counter()
+    # the spy sees each watched function when it is called
+    probe = np.ones(3)
+    _, seen = python_wrapper_calls(lambda: (probe.min(), probe.max(), probe.all(), np.full(2, 0.0), lps[0].A.shape))
+    assert set(seen) == {"_methods._amin", "_methods._amax", "_methods._all", "numeric.full", "get_shape"}
 
 
 def column_by_column_solve(F, rhs):
