@@ -42,7 +42,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import CholeskyFactor, assemble_normal, factor, solve
+from .linalg import CholeskyFactor, factor_normal, solve
+# unused here, but perfbench/tracing.BINDINGS looks both names up in this
+# module; ROADMAP item 3 retires BINDINGS, and these two names with it
+from .linalg import assemble_normal, factor  # noqa: F401
 from .model import StandardLP
 from .penalty import GaugeParams, penalty_gradient, scaling_diagonals
 
@@ -72,7 +75,7 @@ def newton_direction(lp: StandardLP, x, mu: float, p: GaugeParams):
     if not 0.0 < p.r < 1.0 or mu <= 0.0:
         raise ValueError("newton_direction needs r in (0, 1) and mu > 0")
     hinv = 1.0 / scaling_diagonals(x, p).h
-    F = factor(assemble_normal(lp.plan, hinv))
+    F = factor_normal(lp.plan, hinv)
 
     def project(v):
         # H^(-1/2) P H^(-1/2) v, via the normal equations

@@ -133,7 +133,7 @@ def starting_point_x1(lp: StandardLP) -> np.ndarray:
 
 def starting_point_x2(lp: StandardLP) -> np.ndarray:
     """Minimum-norm solution of Ax = b shifted into the open box."""
-    F = linalg.factor(linalg.assemble_normal(lp.plan, np.ones(lp.n)))
+    F = linalg.factor_normal(lp.plan, np.ones(lp.n))
     xhat = lp.rmatvec(linalg.solve(F, lp.b))
     xnorm = np.maximum.reduce(np.abs(xhat), initial=0.0)
     delta = max(-1.5 * float(np.minimum.reduce(xhat, initial=0.0)), 0.01 * (1.0 + xnorm))
@@ -185,7 +185,7 @@ def recover_duals(lp: StandardLP, x, p: GaugeParams, resid) -> PointPass:
     """
     sd = scaling_diagonals(x, p)
     hinv = 1.0 / sd.h
-    F = linalg.factor(linalg.assemble_normal(lp.plan, hinv))
+    F = linalg.factor_normal(lp.plan, hinv)
     # Fortran order, as dpotrs takes and returns it: each column of v is
     # contiguous, as a one-column solve's result is, so b @ y sums in the
     # same order

@@ -32,12 +32,13 @@ def netlib_path(name):
 
 
 def sparse_product_normal(A, dinv):
-    """A diag(dinv) A^t by scipy's sparse product, lower triangle mirrored.
+    """A diag(dinv) A^t by scipy's sparse product: its lower triangle, transposed
+    into the upper one, with the strict lower triangle zero.
 
     The assembly kernel must reproduce this bit for bit.
     """
     M = np.asarray((A.multiply(dinv) @ A.T).todense())
-    return np.tril(M) + np.tril(M, -1).T
+    return np.ascontiguousarray(np.tril(M).T)
 
 
 def make_lp(A, b, c, upper=None):

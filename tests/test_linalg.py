@@ -5,12 +5,15 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from galp.linalg import (
+    PAIR_BUDGET,
+    REGULARIZATIONS,
     FactorizationFailed,
     NonFiniteInput,
     PairPlan,
     ProductPlan,
     assemble_normal,
     factor,
+    factor_normal,
     normal_plan,
     solve,
 )
@@ -29,7 +32,8 @@ def dense_triple_loop(A, dinv):
 
 
 def kernel_test_matrices(rng):
-    """Sparse matrices with empty rows and columns, single-entry columns, and m = 1."""
+    """Sparse matrices with empty rows and columns, single-entry columns, m = 1, and no entries at all."""
+    yield sp.csc_matrix((3, 4))
     yield sp.csc_matrix(np.array([[0.0, 2.5, -1.0, 0.0]]))
     yield sp.csc_matrix(rng.uniform(-1, 1, size=(1, 7)))
     yield sp.csc_matrix(np.diag([1.0, -3.0, 0.5]))
@@ -42,6 +46,27 @@ def kernel_test_matrices(rng):
         A = sp.csc_matrix(A)
         A.data = rng.uniform(-3, 3, size=A.nnz)
         yield A
+
+
+class MatrixPlan:
+    """A stand-in plan for A with no columns whose every assembly is a fresh
+    copy of a given M; it counts its assemblies."""
+
+    n = 0
+
+    def __init__(self, M):
+        self.M = np.array(M, dtype=float)
+        self.assemblies = 0
+
+    def assemble(self, dinv):
+        self.assemblies += 1
+        return self.M.copy()
+
+
+def ladder(M):
+    """factor_normal on a MatrixPlan of M; returns (factor, plan)."""
+    plan = MatrixPlan(M)
+    return factor_normal(plan, np.ones(0)), plan
 
 
 def gaussian_elimination(M, rhs):
@@ -77,13 +102,21 @@ def test_assemble_matches_triple_loop(rng):
     A = rng.uniform(-1, 1, size=(3, 5))
     dinv = rng.uniform(0.1, 2.0, size=5)
     M = assemble_normal(normal_plan(sp.csc_matrix(A)), dinv)
-    assert_allclose(M, dense_triple_loop(A, dinv), rtol=1e-12, atol=1e-14)
+    assert_allclose(np.triu(M), np.triu(dense_triple_loop(A, dinv)), rtol=1e-12, atol=1e-14)
+    assert not np.tril(M, -1).any()
 
 
-def test_assemble_exactly_symmetric(rng):
+def test_assemble_writes_only_the_upper_triangle(rng):
+    # each entry once, at (k, i) with i >= k: the sparse product's lower
+    # triangle transposed, bit for bit, and a strict lower triangle of zeros
     A = sp.csc_matrix(rng.uniform(-1, 1, size=(6, 9)))
-    M = assemble_normal(normal_plan(A), rng.uniform(1e-8, 1e8, size=9))
-    assert np.array_equal(M, M.T)  # bit-identical
+    dinv = rng.uniform(1e-8, 1e8, size=9)
+    product = (A.multiply(dinv) @ A.T).toarray()
+    for plan in (PairPlan.build(A), ProductPlan(A)):
+        M = assemble_normal(plan, dinv)
+        assert np.array_equal(np.triu(M), np.tril(product).T)
+        assert np.array_equal(np.tril(M, -1), np.zeros((6, 6)))
+        assert not np.signbit(np.tril(M, -1)).any()
 
 
 def test_assemble_bit_identical_to_sparse_product(rng):
@@ -108,6 +141,21 @@ def test_dense_columns_assemble_by_sparse_product(rng):
     M = assemble_normal(plan, dinv)
     assert np.array_equal(M, sparse_product_normal(A, dinv))
     assert np.array_equal(M, assemble_normal(PairPlan.build(A), dinv))
+    # a fully dense 200 x 600 A has 600 * 200 * 201 / 2 = 12.06M pairs
+    assert isinstance(normal_plan(sp.csc_matrix(rng.uniform(-1, 1, size=(200, 600)))), ProductPlan)
+
+
+def test_small_dense_a_gets_a_pair_plan(rng):
+    # a dense m x n A has n*m*(m+1)/2 pairs, above nnz + m^2 for every m > 2,
+    # but a table within PAIR_BUDGET pairs is small, and its assembly is a
+    # fraction of the sparse product's Python dispatch
+    for m, n in ((3, 6), (10, 30)):
+        assert n * m * (m + 1) // 2 <= PAIR_BUDGET
+        A = sp.csc_matrix(rng.uniform(-1, 1, size=(m, n)))
+        plan = normal_plan(A)
+        assert isinstance(plan, PairPlan), (m, n)
+        dinv = rng.uniform(0.1, 2.0, size=n)
+        assert np.array_equal(assemble_normal(plan, dinv), sparse_product_normal(A, dinv))
 
 
 def test_pair_plan_holds_no_dense_matrix(rng):
@@ -119,7 +167,7 @@ def test_pair_plan_holds_no_dense_matrix(rng):
         dinv = np.ones(A.shape[1])
         first, second = assemble_normal(plan, dinv), assemble_normal(plan, dinv)
         assert not np.shares_memory(first, second)
-        assert first.flags.c_contiguous and first.flags.writeable
+        assert first.flags.c_contiguous and first.flags.writeable and first.dtype == np.float64
 
 
 def test_product_plan_transpose_is_a_view_of_a(rng):
@@ -146,7 +194,7 @@ def test_assemble_rejects_dinv_of_the_wrong_shape():
         for dinv in (np.ones(5), np.ones(2), np.ones(0), np.ones((3, 1)), np.ones((1, 3)), 1.0):
             with pytest.raises(ValueError, match=r"dinv needs shape \(3,\)"):
                 assemble_normal(plan, dinv)
-        assert np.array_equal(assemble_normal(plan, [1.0, 1.0, 1.0]), [[5.0, 2.0], [2.0, 10.0]])
+        assert np.array_equal(assemble_normal(plan, [1.0, 1.0, 1.0]), [[5.0, 2.0], [0.0, 10.0]])
 
 
 def test_assemble_rejects_overflowing_product(rng):
@@ -157,6 +205,20 @@ def test_assemble_rejects_overflowing_product(rng):
     for plan in (PairPlan.build(A), ProductPlan(A)):
         with pytest.raises(NonFiniteInput), np.errstate(over="ignore"):
             assemble_normal(plan, dinv)
+        with pytest.raises(NonFiniteInput), np.errstate(over="ignore"):
+            factor_normal(plan, dinv)
+
+
+def test_ladder_rejects_an_overflowing_sum():
+    # every product is 1e308, finite, but two of them meet in M[0, 0] = inf:
+    # the pair plan factors it and fails every rung, the product plan's dense
+    # check catches it at once, and both end NonFiniteInput
+    A = sp.csc_matrix(np.array([[1e154, 1e154, 0.0], [0.0, 1.0, 1.0]]))
+    dinv = np.ones(3)
+    assert np.isinf(assemble_normal(PairPlan.build(A), dinv)[0, 0])
+    for plan in (PairPlan.build(A), ProductPlan(A)):
+        with pytest.raises(NonFiniteInput):
+            factor_normal(plan, dinv)
 
 
 def test_plan_reassembly_bit_identical_to_fresh_plan(rng):
@@ -184,13 +246,18 @@ def test_factor_survives_later_assemblies_on_its_plan(rng):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_factor_rejects_nonfinite(rng, value):
+    # one attempt fails on a non-finite entry of the triangle it reads; only
+    # the ladder, which assembles again, tells NonFiniteInput from a
+    # rank-deficient matrix
     B = rng.uniform(-1, 1, size=(70, 73))
-    M = B @ B.T
-    for pos in ((0, 0), (69, 69), (35, 35), (50, 3), (69, 68)):
+    M = np.triu(B @ B.T)
+    for pos in ((0, 0), (69, 69), (35, 35), (3, 50), (68, 69)):
         bad = M.copy()
-        bad[pos] = bad[pos[::-1]] = value
+        bad[pos] = value
+        with pytest.raises(FactorizationFailed):
+            factor(bad.copy())
         with pytest.raises(NonFiniteInput):
-            factor(bad)
+            ladder(bad)
 
 
 def test_factor_scalar():
@@ -205,10 +272,13 @@ def test_factor_diagonal():
 
 
 def test_factor_singular_regularizes():
-    M = np.array([[1.0, 1.0], [1.0, 1.0]])
-    F = factor(M.copy())  # factor consumes its argument; the oracle below reads M
+    # A = [[1], [1]]: M = [[1, 1], [1, 1]] is singular, so rho = 0 fails and a later rung holds
+    plan = normal_plan(sp.csc_matrix(np.array([[1.0], [1.0]])))
+    with pytest.raises(FactorizationFailed):
+        factor(assemble_normal(plan, np.ones(1)))
+    F = factor_normal(plan, np.ones(1))
     assert F.rho > 0.0
-    regularized = M + F.rho * np.diag(np.diag(M))
+    regularized = np.ones((2, 2)) + F.rho * np.eye(2)
     L = np.tril(F.L)
     assert_allclose(L @ L.T, regularized, rtol=1e-8)
 
@@ -220,14 +290,24 @@ def test_factor_bit_identical_to_shifted_cholesky(rng):
         F = factor(M.copy())  # factor consumes its argument; the oracles below read M
         assert F.rho == 0.0
         assert np.array_equal(np.tril(F.L), scipy.linalg.cholesky(M, lower=True))
-        # dpotrf(clean=0) leaves M's strict upper triangle in place, regularized or not
+        # dpotrf(clean=0) leaves M's strict lower triangle in place, as the strict upper one of F.L
         assert np.array_equal(np.triu(F.L, 1), np.triu(M, 1))
-        # slightly indefinite: only a regularized factorization succeeds
+        # slightly indefinite: rho = 0 fails, and each rung that succeeds is
+        # the Cholesky factor of the shifted M
         M -= (np.linalg.eigvalsh(M)[0] + 1e-9 * np.trace(M) / m) * np.eye(m)
-        F = factor(M.copy())
-        assert F.rho > 0.0
-        assert np.array_equal(np.tril(F.L), scipy.linalg.cholesky(M + F.rho * np.diag(np.diag(M)), lower=True))
-        assert np.array_equal(np.triu(F.L, 1), np.triu(M, 1))
+        with pytest.raises(FactorizationFailed):
+            factor(M.copy())
+        held = 0
+        for rho in REGULARIZATIONS[1:]:
+            try:
+                F = factor(M.copy(), rho)
+            except FactorizationFailed:
+                continue
+            held += 1
+            assert F.rho == rho
+            assert np.array_equal(np.tril(F.L), scipy.linalg.cholesky(M + rho * np.diag(np.diag(M)), lower=True))
+            assert np.array_equal(np.triu(F.L, 1), np.triu(M, 1))
+        assert held > 0, m
 
 
 def test_factor_consumes_its_input(rng):
@@ -256,35 +336,38 @@ def test_factor_consumes_its_input(rng):
             assert np.array_equal(H.L, F.L) and H.rho == F.rho
 
 
-def test_factor_restores_its_input_between_rungs(rng):
-    # a failed rung overwrites the lower triangle of M^t (M's upper one); the
-    # next rung must see M again, so the in-place factor of a slightly
-    # indefinite M is the oracle's factor of the shifted original
+def test_ladder_factors_a_fresh_assembly_per_rung(rng):
+    # a failed rung overwrites the triangle it read; the next rung factors a
+    # new assembly, so the ladder's factor of a slightly indefinite M is the
+    # oracle's factor of the shifted original, after one assembly per rung
     for m in (3, 40, 200):
         B = rng.uniform(-1, 1, size=(m, m + 3))
         M = B @ B.T
         M -= (np.linalg.eigvalsh(M)[0] + 1e-9 * np.trace(M) / m) * np.eye(m)
-        F = factor(M.copy())
+        F, plan = ladder(np.triu(M))
         assert F.rho > 0.0
+        assert plan.assemblies == REGULARIZATIONS.index(F.rho) + 1
         shifted = M + F.rho * np.diag(np.diag(M))
         assert np.array_equal(np.tril(F.L), scipy.linalg.cholesky(shifted, lower=True))
-        assert np.array_equal(np.triu(F.L, 1), np.triu(M, 1))
-    # the last pivot fails at every rung, after the others were written; the
-    # error is then told from the restored matrix, which is M bit for bit
-    M = np.array([[4.0, 2.0, 2.0], [2.0, 4.0, 2.0], [2.0, 2.0, -10.0]])
-    for bad, error in ((None, FactorizationFailed), ((2, 1), NonFiniteInput), ((2, 2), NonFiniteInput)):
+        assert not np.triu(F.L, 1).any()  # the assembly's strict lower triangle is zero
+    # the last pivot fails at every rung, after the others were written; one
+    # more assembly then tells the error
+    M = np.triu([[4.0, 2.0, 2.0], [2.0, 4.0, 2.0], [2.0, 2.0, -10.0]])
+    for bad, error in ((None, FactorizationFailed), ((1, 2), NonFiniteInput), ((2, 2), NonFiniteInput)):
         C = M.copy()
         if bad is not None:
-            C[bad] = C[bad[::-1]] = np.nan
-        before = C.copy()
+            C[bad] = np.nan
+        plan = MatrixPlan(C)
         with pytest.raises(error):
-            factor(C)
-        assert np.array_equal(C, before, equal_nan=True)
+            factor_normal(plan, np.ones(0))
+        assert plan.assemblies == len(REGULARIZATIONS) + 1
 
 
 def test_factor_hopeless_matrix_fails():
     with pytest.raises(FactorizationFailed):
         factor(np.zeros((2, 2)))
+    with pytest.raises(FactorizationFailed):
+        ladder(np.zeros((2, 2)))
 
 
 def test_solve_scalar():

@@ -262,6 +262,49 @@ def test_solve_reports_numerical_failure():
     assert np.isnan(report.x).all()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_nonfinite_normal_matrix_ends_the_solve_as_numerical_failure(monkeypatch, value):
+    # from the pass at x_5 on, every assembly carries a non-finite entry in
+    # the triangle the factor reads: each rung fails, the ladder's extra
+    # assembly names NonFiniteInput, and the solve reports the point it reached
+    lp = to_standard_form(read_mps(netlib_path("afiro")))[0]
+    clean = solve(lp, SolverConfig())
+    assert clean.status == Status.OPTIMAL and clean.iterations > 5
+    assemblies, ends = [], []
+
+    def poisoned(plan, dinv, _assemble=linalg.assemble_normal):
+        M = _assemble(plan, dinv)
+        assemblies.append(M.shape)
+        if len(assemblies) > 5:  # the start is memoized, so assembly 1 is x0's pass
+            M[0, -1] = value
+        return M
+
+    def spy(plan, dinv, _factor_normal=linalg.factor_normal):
+        try:
+            return _factor_normal(plan, dinv)
+        except Exception as exc:
+            ends.append(type(exc))
+            raise
+
+    monkeypatch.setattr(linalg, "assemble_normal", poisoned)
+    monkeypatch.setattr(linalg, "factor_normal", spy)
+    report = solve(lp, SolverConfig())
+    assert report.status == Status.NUMERICAL_FAILURE
+    assert ends == [linalg.NonFiniteInput]
+    assert len(assemblies) == 5 + len(linalg.REGULARIZATIONS) + 1
+    assert report.iterations == 5
+    assert [dataclasses.astuple(t) for t in report.trace] == [dataclasses.astuple(t) for t in clean.trace[:6]]
+
+
+def test_overflowing_start_matrix_falls_back_to_x1():
+    # x2 assembles A A^t: both products in row 0 are 1e308, finite, but their
+    # sum is not, so every rung fails and the ladder names NonFiniteInput
+    lp = make_lp([[1e154, 1e154, 0.0], [0.0, 1.0, 1.0]], [2e154, 2.0], [1.0, 1.0, 1.0])
+    with pytest.raises(linalg.NonFiniteInput):
+        starting_point_x2(lp)
+    assert np.array_equal(choose_start(lp), starting_point_x1(lp))
+
+
 def test_solve_iteration_limit():
     lp = make_lp([[1.0, 1.0]], [1.0], [1.0, 0.0])
     report = solve(lp, SolverConfig(r=0.0, max_iterations=2))
@@ -332,16 +375,20 @@ def test_start_record_reports_clamps(monkeypatch):
     assert solve(lp, SolverConfig(r=0.0)).trace[0].clamps == 2
 
 
-def shifted_matrix_factor(M):
-    """Cholesky of M + rho*diag(M) with the m x m diagonal matrix formed."""
-    diag = np.diag(M).copy()
-    for rho in linalg.REGULARIZATIONS:
-        try:
-            L = scipy.linalg.cholesky(M + rho * np.diag(diag), lower=True)
-        except scipy.linalg.LinAlgError:
-            continue
-        if np.min(np.diag(L)) ** 2 > 1e-30:
-            return linalg.CholeskyFactor(L=L, rho=rho)
+def shifted_matrix_factor(M, rho=0.0):
+    """One rung: Cholesky of M + rho*diag(M) with the m x m diagonal matrix formed.
+
+    It reads M's upper triangle, as the lower triangle of M^t, and fails
+    unless every pivot is finite with a square above 1e-30.
+    """
+    S = M.T
+    try:
+        L = scipy.linalg.cholesky(S + rho * np.diag(np.diag(S)), lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        raise linalg.FactorizationFailed("not positive definite") from None
+    pivots = np.diag(L)
+    if np.all(np.isfinite(pivots)) and np.min(pivots) ** 2 > 1e-30:
+        return linalg.CholeskyFactor(L=L, rho=rho)
     raise linalg.FactorizationFailed("rank deficient")
 
 
@@ -367,22 +414,53 @@ def test_solve_bit_identical_to_sparse_product_kernel(monkeypatch, r):
         assert np.array_equal(new.x, old.x)
 
 
-def numpy_cholesky_factor(M):
-    """Regularized factor by np.linalg.cholesky, the shift applied to a copy of M."""
-    if not np.all(np.isfinite(M)):
-        raise linalg.NonFiniteInput("normal matrix has non-finite entries")
-    diag = np.diag(M)
-    for rho in linalg.REGULARIZATIONS:
-        shifted = M
-        if rho != 0.0:
-            shifted = M.copy()
-            np.fill_diagonal(shifted, diag + rho * diag)
+def test_rung_path_bit_identical_to_sparse_product_kernel(monkeypatch):
+    # the corpus never leaves rho = 0; these fixtures climb the ladder: fix02,
+    # fix05 and fix20 factor at rho = 1e-12 after a failed first rung, and
+    # fix01's empty row fails every rung, at x2's factor and at x1's pass
+    cases = [(name, r) for name in ("fix01", "fix02", "fix05", "fix20") for r in (0.0, 0.2, 0.5)]
+    lps = {name: to_standard_form(read_mps(os.path.join(FIXTURES, f"{name}.mps")))[0] for name, _ in cases}
+    planned = {(name, r): solve(fresh(lps[name]), SolverConfig(r=r)) for name, r in cases}
+
+    rungs = Counter()
+
+    def one_rung(M, rho=0.0):
         try:
-            L = np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            continue
-        if np.min(np.diag(L)) ** 2 > 1e-30:
-            return linalg.CholeskyFactor(L=L, rho=rho)
+            F = shifted_matrix_factor(M, rho)
+        except linalg.FactorizationFailed:
+            rungs[rho, "failed"] += 1
+            raise
+        rungs[rho, "ok"] += 1
+        return F
+
+    monkeypatch.setattr(linalg, "normal_plan", lambda A: A)
+    monkeypatch.setattr(linalg, "assemble_normal", sparse_product_normal)
+    monkeypatch.setattr(linalg, "factor", one_rung)
+    monkeypatch.setattr(linalg, "solve", lower_factor_solve)
+    monkeypatch.setattr(directions, "solve", lower_factor_solve)
+    for name, r in cases:
+        new, old = planned[name, r], solve(fresh(lps[name]), SolverConfig(r=r))
+        assert new.status == old.status, (name, r)
+        assert [dataclasses.astuple(t) for t in new.trace] == [dataclasses.astuple(t) for t in old.trace], (name, r)
+        for field in ("x", "y", "w", "s"):
+            assert np.array_equal(getattr(new, field), getattr(old, field), equal_nan=True), (name, r, field)
+    assert rungs[1e-12, "ok"] > 400  # regularized factors
+    assert all(rungs[rho, "failed"] == 6 for rho in linalg.REGULARIZATIONS[1:])  # fix01: 2 ladders per r
+
+
+def numpy_cholesky_factor(M, rho=0.0):
+    """One rung by np.linalg.cholesky of the symmetric matrix whose upper triangle
+    M holds, with the shift applied to a copy."""
+    S = np.triu(M) + np.triu(M, 1).T
+    diag = np.diag(S).copy()
+    np.fill_diagonal(S, diag + rho * diag)
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        raise linalg.FactorizationFailed("not positive definite") from None
+    pivots = np.diag(L)
+    if np.all(np.isfinite(pivots)) and np.min(pivots) ** 2 > 1e-30:
+        return linalg.CholeskyFactor(L=L, rho=rho)
     raise linalg.FactorizationFailed("rank deficient")
 
 
@@ -438,9 +516,9 @@ def test_solve_factors_once_per_point(monkeypatch, r):
     calls, descents, solves, reprojects, products, rproducts, sparse_matmuls = [], [], [], [], [], [], []
     factor = linalg.factor
 
-    def counted(M):
-        calls.append(M.shape)
-        return factor(M)
+    def counted(M, rho=0.0):
+        calls.append((M.shape, rho))
+        return factor(M, rho)
 
     def descent(*args):
         descents.append(args)
@@ -480,7 +558,8 @@ def test_solve_factors_once_per_point(monkeypatch, r):
             assert report.status == Status.OPTIMAL
             k, nrep = report.iterations, len(reprojects)
             # x2's start factor, then x0 .. x_{k-1} once each; the final point is not factored
-            assert len(calls) == k + cold, name
+            # and no rung above rho = 0 is tried
+            assert calls == [((lp.m, lp.m), 0.0)] * (k + cold), name
             # one descent per factored point: the start's pass serves iteration 1
             assert len(descents) == k, name
             # x2's solve, one two-column solve per pass, and one per reprojection
@@ -611,9 +690,9 @@ def python_wrapper_calls(fn):
 
 
 def test_warm_solve_skips_python_wrappers(rng):
-    # a dense A of more than 2 rows gets a ProductPlan, which forms scipy's
-    # sparse product on purpose; 2 x 4 is the largest dense A on the pair plan
-    boxed = random_lp(rng, m=2, n=4, bounded="all")[0]
+    # a dense A within linalg.PAIR_BUDGET pairs, as 10 x 30, gets a PairPlan;
+    # a ProductPlan forms scipy's sparse product on purpose
+    boxed = random_lp(rng, m=10, n=30, bounded="all")[0]
     lps = [to_standard_form(read_mps(netlib_path(name)))[0] for name in NETLIB_PROBLEMS] + [boxed]
     for lp in lps:  # cold: the start and the plan are built here
         solve(lp, SolverConfig(r=0.2))
