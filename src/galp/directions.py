@@ -33,6 +33,8 @@ infinite wall drop out, but the NaN of a NaN x_j, or of x_j = u_j = +inf
 heading up, stays and makes the step NaN.  That NaN is what stops a solve
 whose direction overflowed; a reduction that skipped it (``np.fmin``) lets
 such a solve end IterationLimit or Unbounded instead of NumericalFailure.
+The errstate also ignores overflow: a ratio over a subnormal |dir_j| may
+overflow to +inf, which is the masked test's value too.
 
 ``newton_direction`` solves the full Newton system of the penalized problem
 at a given mu; the production path only ever uses its mu-independent limit d.
@@ -93,7 +95,7 @@ def max_step(x, upper, dir, cap=None):
     among those, as from a NaN x_j, makes the step NaN.
     """
     a = np.abs(dir)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         wall = np.where(dir < 0, x, upper - x)  # distance to the wall dir points at
         ratios = wall / a
     initial = np.inf if cap is None else float(cap)

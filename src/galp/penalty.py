@@ -10,7 +10,11 @@ and the scaling diagonal to the classical affine scaling weights; both
 limits are implemented directly.
 
 ``scaling_diagonals`` returns H's diagonal only, all the solver reads; the
-gradient diagonal g lives in ``penalty_gradient``.
+gradient diagonal g lives in ``penalty_gradient``.  Both form the slack
+u_I - x_I and its power only when the LP has upper-bounded columns
+(``upper_I.size``); for an LP without them, every LP of the netlib corpus,
+the pass is x's power and the clamp, and a boxed LP runs the same formulas
+with the box terms added.
 """
 
 from __future__ import annotations
@@ -104,22 +108,25 @@ def penalized_objective(x: np.ndarray, c: np.ndarray, mu: float, p: GaugeParams)
 
 
 def _wall_powers(x, p: GaugeParams, k: float):
-    """x^(r-k) and (u_I - x_I)^(r-k) at a strictly interior x."""
+    """x^(r-k) and (u_I - x_I)^(r-k) at a strictly interior x; the second is None when I is empty."""
     x = np.asarray(x, dtype=float)
-    slack = p.upper_I - x[p.bounded]
+    slack = p.upper_I - x[p.bounded] if p.upper_I.size else None
     # fmin skips NaN as the comparison x <= 0 does, so a NaN entry never trips
     # the test and a wall entry always does, whatever else the array holds
-    if np.fmin.reduce(x, initial=np.inf) <= 0 or np.fmin.reduce(slack, initial=np.inf) <= 0:
+    if np.fmin.reduce(x, initial=np.inf) <= 0 or (
+        slack is not None and np.fmin.reduce(slack, initial=np.inf) <= 0
+    ):
         raise NotInterior("point must satisfy 0 < x and x_I < u_I strictly")
     # near a wall a power may overflow to inf; every caller's clip bounds it
     with np.errstate(over="ignore"):
-        return x ** (p.r - k), slack ** (p.r - k)
+        return x ** (p.r - k), None if slack is None else slack ** (p.r - k)
 
 
 def scaling_diagonals(x: np.ndarray, p: GaugeParams) -> ScalingDiagonals:
     """Hessian diagonal h at a strictly interior x; valid for every r in [0, 1)."""
     h, slack_h = _wall_powers(x, p, 2.0)
-    h[p.bounded] += slack_h
+    if slack_h is not None:
+        h[p.bounded] += slack_h
     clamped = np.minimum(np.maximum(h, CLAMP_LO), CLAMP_HI)  # np.clip's result, with less call overhead
     return ScalingDiagonals(h=clamped, clamp_events=int(np.count_nonzero(clamped != h)))
 
@@ -127,7 +134,8 @@ def scaling_diagonals(x: np.ndarray, p: GaugeParams) -> ScalingDiagonals:
 def penalty_gradient(x: np.ndarray, c: np.ndarray, mu: float, p: GaugeParams) -> np.ndarray:
     """grad F = c - mu * G e; g_j = x_j^(r-1), less (u_j - x_j)^(r-1) on I, clamped to +-1e32."""
     g, slack_g = _wall_powers(x, p, 1.0)
-    g[p.bounded] -= slack_g
+    if slack_g is not None:
+        g[p.bounded] -= slack_g
     return np.asarray(c, dtype=float) - mu * np.clip(g, -CLAMP_HI, CLAMP_HI)
 
 

@@ -20,9 +20,13 @@ plan of A H^-1 A^t (``StandardLP.plan``), and Rf's denominator
 1 + ||b||_inf (``StandardLP.b_scale``), each built on the LP's first solve,
 and the products A x and A^t y (``lp.matvec``, ``lp.rmatvec``), bound to
 scipy's compiled kernels when the LP is constructed, which also gathers u_I
-(``lp.upper_I``) and sets m and n as plain ints.  Every reduction on the
-path calls ``np.minimum.reduce`` or ``np.maximum.reduce`` directly, not
-numpy's Python wrappers behind ``ndarray.min`` and ``max``.  Per solve: the penalty
+(``lp.upper_I``) and sets m and n as plain ints.  The box terms, w_I in the
+pass and <u_I, w_I> in the gap, are formed only when I is nonempty
+(``lp.upper_I.size``): for an LP without upper bounds w stays zero and the
+gap's term is 0.0, so the iterates are the general formulas' bit for bit.
+Every reduction on the path calls ``np.minimum.reduce`` or
+``np.maximum.reduce`` directly, not numpy's Python wrappers behind
+``ndarray.min`` and ``max``.  Per solve: the penalty
 parameters and the bound of the sign safeguard.  Per point: whoever creates
 the point (the start, or ``iterate_once``) forms b - A x once; it gives both
 Rf and the feasibility right-hand side of the point's pass.
@@ -35,6 +39,10 @@ Stopping declares optimality only when the feasibility measure Rf, the
 expected relative duality gap Rgap, and a sign safeguard on s all hold;
 stopping on min(Rf, Rgap) alone would accept feasible-but-unconverged
 points (Rgap can transiently vanish away from the optimum).
+
+``solve`` runs under one ``np.errstate(over="ignore")``: an overflow on the
+way ends in NonFiniteInput, a failed factor or a NaN step, and is reported
+as a status, so numpy's warning about it is not raised as well.
 """
 
 from __future__ import annotations
@@ -197,8 +205,10 @@ def recover_duals(lp: StandardLP, x, p: GaugeParams, resid) -> PointPass:
     d, reduced = descent_direction(lp, hinv, y)
     dx = feasibility_direction(lp, hinv, v[:, 1])
     w = np.zeros(lp.n)
-    idx = lp.bounded
-    w[idx] = -(x[idx] / lp.upper_I) * reduced[idx]
+    if lp.upper_I.size:
+        idx = lp.bounded
+        w[idx] = -(x[idx] / lp.upper_I) * reduced[idx]
+    # the add stays when I is empty: it turns each -0.0 of s~ into the +0.0 s reports
     return PointPass(hinv, F, dx, d, y, w, reduced + w, sd.clamp_events)
 
 
@@ -210,7 +220,9 @@ def _state(lp: StandardLP, x, resid, pt: PointPass, iteration=0, step_feas=0.0, 
     relative duality gap (<c,x> - <b,y> + <u_I, w_I>) / (|<c,x>| + 1).
     """
     cx = float(lp.c @ x)
-    gap = cx - float(lp.b @ pt.y) + float(lp.upper_I @ pt.w[lp.bounded])
+    # with I empty the term is the 0.0 an empty dot product gives, still added: a -0.0 gap becomes +0.0
+    box = float(lp.upper_I @ pt.w[lp.bounded]) if lp.upper_I.size else 0.0
+    gap = cx - float(lp.b @ pt.y) + box
     record = TraceRecord(
         iteration=iteration,
         objective=cx,
@@ -294,26 +306,27 @@ def solve(lp: StandardLP, cfg: SolverConfig | None = None, offset: float = 0.0) 
         )
 
     state = None
-    try:
-        x0 = choose_start(lp)
-        resid = lp.b - lp.matvec(x0)
-        pt = recover_duals(lp, x0, p, resid)
-        state = _state(lp, x0, resid, pt)
-        trace.append(state.record)
-
-        while not _converged(state, cfg, safeguard):
-            if state.record.iteration >= cfg.max_iterations:
-                return report(state, Status.ITERATION_LIMIT)
-            if state.record.iteration > 0:  # the start's pass serves iteration 1
-                pt = recover_duals(lp, state.x, p, state.resid)
-            state = iterate_once(state, lp, cfg, pt)
+    with np.errstate(over="ignore"):  # overflow is reported as a status, not warned about
+        try:
+            x0 = choose_start(lp)
+            resid = lp.b - lp.matvec(x0)
+            pt = recover_duals(lp, x0, p, resid)
+            state = _state(lp, x0, resid, pt)
             trace.append(state.record)
-        return report(state, Status.OPTIMAL)
 
-    except UnboundedDirection:
-        return report(state, Status.UNBOUNDED)
-    except (linalg.FactorizationFailed, linalg.NonFiniteInput, NotInterior):
-        if state is None:  # no point reached: NaN arrays and record, rf an np.float64 as on every report
-            rec = TraceRecord(0, math.nan, np.float64(math.nan), math.nan, 0.0, 0.0, math.nan, 0, 0.0)
-            state = IterateState(*(np.full(k, np.nan) for k in (lp.n, lp.m, lp.n, lp.n)), rec, None)
-        return report(state, Status.NUMERICAL_FAILURE)
+            while not _converged(state, cfg, safeguard):
+                if state.record.iteration >= cfg.max_iterations:
+                    return report(state, Status.ITERATION_LIMIT)
+                if state.record.iteration > 0:  # the start's pass serves iteration 1
+                    pt = recover_duals(lp, state.x, p, state.resid)
+                state = iterate_once(state, lp, cfg, pt)
+                trace.append(state.record)
+            return report(state, Status.OPTIMAL)
+
+        except UnboundedDirection:
+            return report(state, Status.UNBOUNDED)
+        except (linalg.FactorizationFailed, linalg.NonFiniteInput, NotInterior):
+            if state is None:  # no point reached: NaN arrays and record, rf an np.float64 as on every report
+                rec = TraceRecord(0, math.nan, np.float64(math.nan), math.nan, 0.0, 0.0, math.nan, 0, 0.0)
+                state = IterateState(*(np.full(k, np.nan) for k in (lp.n, lp.m, lp.n, lp.n)), rec, None)
+            return report(state, Status.NUMERICAL_FAILURE)

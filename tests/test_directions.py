@@ -148,7 +148,8 @@ def masked_max_step(x, upper, dir, cap=None):
     """
     x = np.asarray(x, dtype=float)
     dir = np.asarray(dir, dtype=float)
-    with np.errstate(invalid="ignore"):  # inf - inf and inf/inf: NaN ratios, which count
+    # inf - inf and inf/inf: NaN ratios, which count; x_j over a subnormal dir_j: +inf
+    with np.errstate(invalid="ignore", over="ignore"):
         neg = (dir < 0) & (x != np.inf)
         pos = (dir > 0) & (upper - x != np.inf)
         groups = (-x[neg] / dir[neg], (upper[pos] - x[pos]) / dir[pos])
@@ -192,7 +193,8 @@ def ratio_test_edge_cases(rng):
     """(x, upper, dir) triples with edge entries: dir 0.0, -0.0, NaN and +-inf, x on a
     wall (x_j = 0 or x_j = u_j) and u_j = +inf, mixed into random entries and then
     each edge dir against each wall and kind of u alone; then the same with x_j
-    NaN, +inf and -inf, and x_j = 3 above u_j = 2."""
+    NaN, +inf and -inf, and x_j = 3 above u_j = 2; last, subnormal dir_j, whose
+    ratio overflows to +inf unless x_j or u_j - x_j is tiny."""
     specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
     for k in range(400):
         n = int(rng.integers(1, 12))
@@ -216,6 +218,9 @@ def ratio_test_edge_cases(rng):
             (np.nan, np.inf), (np.nan, 2.0), (np.inf, np.inf), (np.inf, 2.0), (-np.inf, np.inf), (-np.inf, 2.0),
         ):
             yield np.array([xj]), np.array([uj]), np.array([d])
+    for d in (-1e-310, 1e-310, -5e-324, 5e-324):
+        for xj, uj in ((1.0, np.inf), (1.0, 2.0), (1e-300, np.inf), (2.0 - 2.0**-52, 2.0), (0.0, 2.0)):
+            yield np.array([xj, 2.0]), np.array([uj, np.inf]), np.array([d, 1.0])
 
 
 def same_double(got, want):
@@ -233,7 +238,7 @@ def test_max_step_matches_masked_oracle(rng):
             got, want = max_step(x, upper, dir, cap=cap), masked_max_step(x, upper, dir, cap=cap)
             assert same_double(got, want), (x, upper, dir, cap, got, want)  # exact, +inf included
             count += 1
-    assert count == 3 * (4 * 300 + 4 + 400 + 5 * 12)
+    assert count == 3 * (4 * 300 + 4 + 400 + 5 * 12 + 4 * 5)
 
 
 def test_max_step_examples():

@@ -3,6 +3,7 @@ import dataclasses
 import os
 import pathlib
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -16,6 +17,7 @@ from galp import directions, linalg
 from galp.cli import R_GRID
 from galp.model import StandardLP, to_standard_form
 from galp.mps import parse_mps, read_mps
+from galp.penalty import CLAMP_HI, CLAMP_LO, GaugeParams, NotInterior, penalty_gradient, scaling_diagonals
 from galp.solver import (
     REPROJECT_GAP,
     STEP_AGGRESSIVE,
@@ -303,6 +305,26 @@ def test_overflowing_start_matrix_falls_back_to_x1():
     with pytest.raises(linalg.NonFiniteInput):
         starting_point_x2(lp)
     assert np.array_equal(choose_start(lp), starting_point_x1(lp))
+
+
+def test_overflow_on_either_plan_ends_numerical_failure(rng):
+    # entries of 1e154 overflow products on the way: the pair table's
+    # A[0,j] dinv_j A[0,j] on the small LP, and on the dense-column LP, whose
+    # plan is the sparse product, the squares of its column norms at the
+    # start; each overflow is handled, so solve reports instead of warning
+    pair = make_lp([[1e154, 1e154, 0.0], [0.0, 1.0, 1.0]], [2e154, 2.0], [1.0, 1.0, 1.0])
+    dense = dense_column_lp(rng)
+    A = dense.A.tolil()
+    A[:2, :8] = 1e154
+    b = dense.b.copy()
+    b[:2] = 8e154
+    product = StandardLP(A=sp.csc_matrix(A), b=b, c=dense.c, upper=dense.upper)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lp, plan in ((pair, linalg.PairPlan), (product, linalg.ProductPlan)):
+            for r in (0.0, 0.5):
+                assert solve(lp, SolverConfig(r=r)).status == Status.NUMERICAL_FAILURE
+            assert isinstance(lp.plan, plan)
 
 
 def test_solve_iteration_limit():
@@ -790,6 +812,77 @@ def test_iteration_zero_report_owns_its_x():
     report.x[:] = -1.0
     assert np.array_equal(lp.start, memo)
     assert np.array_equal(solve(lp, SolverConfig(r=0.0, max_iterations=0)).x, memo)
+
+
+def general_scaling_diagonals(x, p):
+    """H's diagonal and clamp count with the box terms formed whatever I holds: the
+    form ``scaling_diagonals`` had before it skipped them for an empty I, kept as its oracle."""
+    x = np.asarray(x, dtype=float)
+    slack = p.upper_I - x[p.bounded]
+    if np.fmin.reduce(x, initial=np.inf) <= 0 or np.fmin.reduce(slack, initial=np.inf) <= 0:
+        raise NotInterior("point must satisfy 0 < x and x_I < u_I strictly")
+    with np.errstate(over="ignore"):
+        h, slack_h = x ** (p.r - 2.0), slack ** (p.r - 2.0)
+    h[p.bounded] += slack_h
+    clamped = np.minimum(np.maximum(h, CLAMP_LO), CLAMP_HI)
+    return clamped, int(np.count_nonzero(clamped != h))
+
+
+def general_duals(lp, x, reduced):
+    """(w, s) from the reduced costs, with w_I gathered and scattered whatever I holds."""
+    w = np.zeros(lp.n)
+    idx = lp.bounded
+    w[idx] = -(x[idx] / lp.upper_I) * reduced[idx]
+    return w, reduced + w
+
+
+def test_box_free_pass_matches_general_formulas(monkeypatch, rng):
+    # every point of every solve is checked: the pass and the state as the
+    # solver calls them against the general formulas, bit for bit (tobytes
+    # and repr tell -0.0 from +0.0)
+    points = Counter()
+
+    def checked_pass(lp, x, p, resid, _real=galp.solver.recover_duals):
+        pt = _real(lp, x, p, resid)
+        h, clamps = general_scaling_diagonals(x, p)
+        assert scaling_diagonals(x, p).h.tobytes() == h.tobytes()
+        assert pt.hinv.tobytes() == (1.0 / h).tobytes() and pt.clamps == clamps
+        w, s = general_duals(lp, x, lp.c - lp.rmatvec(pt.y))
+        assert pt.w.tobytes() == w.tobytes() and pt.s.tobytes() == s.tobytes()
+        points[lp.upper_I.size == 0] += 1
+        return pt
+
+    def checked_state(lp, x, resid, pt, *args, _real=galp.solver._state, **kwargs):
+        state = _real(lp, x, resid, pt, *args, **kwargs)
+        cx = float(lp.c @ x)
+        gap = cx - float(lp.b @ pt.y) + float(lp.upper_I @ pt.w[lp.bounded])
+        assert repr(state.record.rgap) == repr(gap / (abs(cx) + 1.0))
+        return state
+
+    monkeypatch.setattr(galp.solver, "recover_duals", checked_pass)
+    monkeypatch.setattr(galp.solver, "_state", checked_state)
+    corpus = [to_standard_form(read_mps(netlib_path(name)))[0] for name in NETLIB_PROBLEMS]
+    assert all(lp.upper_I.size == 0 for lp in corpus)
+    for lp in corpus:
+        for r in R_GRID:
+            assert solve(lp, SolverConfig(r=r)).status == Status.OPTIMAL
+    # a random I-empty LP, and a boxed one on the general path; each gets an
+    # empty column of cost -0.0, whose reduced cost -0.0 - 0.0 is -0.0 and s_j +0.0
+    for bounded in ("none", "some"):
+        lp = random_lp(rng, m=4, n=9, bounded=bounded)[0]
+        lp = make_lp(np.c_[lp.A.toarray(), np.zeros(4)], lp.b, np.r_[lp.c, -0.0], np.r_[lp.upper, np.inf])
+        for r in R_GRID:
+            assert solve(lp, SolverConfig(r=r)).iterations > 0
+    assert points[True] > 800 and points[False] > 8
+
+    # the interior check on x holds without I: a 0 entry raises, a NaN does not
+    p = GaugeParams(r=0.5, upper=np.full(3, np.inf))
+    for fn in (lambda x: scaling_diagonals(x, p).h, lambda x: penalty_gradient(x, np.ones(3), 1.0, p)):
+        with pytest.raises(NotInterior):
+            fn(np.array([1.0, 0.0, 2.0]))
+        with pytest.raises(NotInterior):
+            fn(np.array([np.nan, 0.0, 2.0]))
+        assert np.isnan(fn(np.array([1.0, np.nan, 2.0]))).any()
 
 
 def r_sweep_cases():
