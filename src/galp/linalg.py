@@ -1,39 +1,44 @@
 """Normal-equations kernel: assemble A diag(dinv) A^t and solve by Cholesky.
 
 Assembly runs from a plan of A built once per LP (``normal_plan``), so
-each ``assemble_normal`` does numeric work only.  The usual plan is a
-``PairPlan``: for every column j it lists each pair of stored entries
-(i, j), (k, j) with i >= k, with the flat position k*m + i of the entry
-they feed in M's upper triangle, sorted by that position and then by j.
-Assembly is one product (A[i,j]*dinv[j])*A[k,j] per pair and one
-``np.bincount`` that sums the pairs of each position straight into a new
-m x m array.  Only the upper triangle is written, because it is all that
-``factor`` reads; the strict lower triangle is ``bincount``'s zeros.
+each ``assemble_normal`` does numeric work only.  The plan is a
+``PairPlan``: for every column j of its sparse part it lists each pair of
+stored entries (i, j), (k, j) with i >= k, with the flat position k*m + i
+of the entry they feed in M's upper triangle, sorted by that position and
+then by j.  Assembly is one product (A[i,j]*dinv[j])*A[k,j] per pair and
+one ``np.bincount`` that sums the pairs of each position straight into a
+new m x m array.  Only the upper triangle is written, because it is all
+that ``factor`` reads; the strict lower triangle is ``bincount``'s zeros.
 
 The pair table costs memory per pair, and a column with c entries has
 c(c+1)/2 pairs, so dense columns blow it up: a fully dense 200 x 600 A has
-12M pairs.  When the pairs outnumber both PAIR_BUDGET and nnz(A) + m^2, the
-plan is a ``ProductPlan`` that forms scipy's sparse product each time
-instead, whose memory stays of order nnz(A) + m^2.  Below that bound the
-table keeps 32 bytes per pair, within a small factor of A and of the dense
-M that every assembly fills anyway; below the budget (64 KB) it is small
-whatever A's shape, so a small dense A is not sent through scipy's Python
-dispatch.
+12M pairs.  Such columns go to a dense block instead (Lustig, Marsten &
+Shanno, Linear Algebra Appl. 152, 1991): columns move to the m x k block
+most pairs first, and only until the pairs left fit within
+max(PAIR_BUDGET, nnz(A) + m^2).  Within that bound the table keeps 32
+bytes per pair, within a small factor of A and of the dense M that every
+assembly fills anyway; within the budget (64 KB) it is small whatever A's
+shape.  Each assembly adds the block, scaled by sqrt(dinv), into the same
+triangle with one BLAS ``dsyrk``.  M is dense here, so the split changes
+only the assembly.
 
-The summation order is fixed on purpose.  The pair plan sums every entry
+The summation order is fixed on purpose.  The pair table sums every entry
 over ascending j with the product association of scipy's
 ``A.multiply(dinv) @ A.T``, and writes the sum of entry (i, k) at (k, i),
-so both plans give the upper triangle bit for bit as the product's lower
-one, transposed, and the iterates, and with them the iteration table, stay
-byte-identical.  ``tests/test_linalg.py`` keeps that product as its oracle
-and compares with ``np.array_equal``, so a scipy release that changes the
-order of its sparse product is flagged there.
+so for an A whose pairs fit the bound, which has no block (every corpus
+and generated LP), the upper triangle is the product's lower one,
+transposed, bit for bit, and the iterates, and with them the iteration
+table, stay byte-identical.  ``tests/test_linalg.py`` keeps that product
+as its oracle and compares with ``np.array_equal``, so a scipy release
+that changes the order of its sparse product is flagged there.  An A with
+a block sums in BLAS's order and rounds sqrt(dinv), so its M is that
+product only to within a stated rounding bound, also tested there.
 
-Every assembly returns a fresh C-ordered m x m array.  The pair plan checks
-that its nnz-sized products are finite; a sum of finite products can still
-overflow, and that is caught where the factor fails (below).  The plan is
-only its pair table, so ``StandardLP.plan`` keeps one per LP, built on the
-LP's first solve.
+Every assembly returns a fresh C-ordered m x m array.  The plan checks
+that the pair products, and the products of the scaled block, are finite;
+a sum of finite products can still overflow, and that is caught where the
+factor fails (below).  The plan is its pair table and its block, so
+``StandardLP.plan`` keeps one per LP, built on the LP's first solve.
 
 ``factor(M, rho)`` makes one attempt on M + rho*diag(M) and consumes M: it
 factors the Fortran-ordered view M^t in place with LAPACK
@@ -55,15 +60,16 @@ dense: the solver targets desk-scale problems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 REGULARIZATIONS = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
 _MIN_PIVOT = 1e-30
-PAIR_BUDGET = 2048  # pairs (64 KB of table) that always get a PairPlan
+PAIR_BUDGET = 2048  # pairs (64 KB of table) that never need a dense block
 
 
 class NonFiniteInput(Exception):
@@ -90,13 +96,14 @@ class CholeskyFactor:
 
 @dataclass
 class PairPlan:
-    """Pair table of A diag(dinv) A^t for one constraint matrix A.
+    """Pair table and dense block of A diag(dinv) A^t for one constraint matrix A.
 
     Pair p contributes (left[p] * dinv[col[p]]) * right[p] to the entry of
     M's upper triangle at flat position ``pos[p]`` = k*m + i (i >= k) of the
     m x m array.  Pairs are ordered by position and then by column, so each
-    entry sums over ascending j.  The plan holds no m x m array: each
-    assembly returns a new one.
+    entry sums over ascending j.  The columns ``block_cols`` of A have no
+    pairs: they are the m x k ``block``, empty for most A.  The plan holds
+    no m x m array: each assembly returns a new one.
     """
 
     m: int
@@ -105,32 +112,8 @@ class PairPlan:
     right: np.ndarray  # A[k, j] of each pair
     col: np.ndarray  # j of each pair
     pos: np.ndarray  # flat upper-triangle position k*m + i of each pair
-
-    @classmethod
-    def build(cls, A) -> "PairPlan":
-        """Pair table of a sparse m x n matrix A."""
-        A = _canonical_csc(A)
-        m, n = A.shape
-        counts = np.diff(A.indptr)
-        start = np.repeat(A.indptr[:-1], counts)  # first stored entry of each entry's column
-        # entry e pairs with itself and every entry above it in its column
-        npairs = np.arange(A.nnz) - start + 1
-        first_pair = np.cumsum(npairs) - npairs
-        e_left = np.repeat(np.arange(A.nnz), npairs)
-        e_right = np.arange(e_left.size) - np.repeat(first_pair - start, npairs)
-        col = np.repeat(np.arange(n), counts)[e_left]
-        pos = A.indices[e_right].astype(np.int64) * m + A.indices[e_left]
-        # (position, column) keys are distinct; m*m*n stays below 2**63 for
-        # any m whose dense m x m matrix fits in memory
-        order = np.argsort(pos * n + col)
-        # one reordered copy at a time keeps the peak at six arrays per pair
-        e_left = e_left[order]
-        left = A.data[e_left]
-        del e_left
-        e_right = e_right[order]
-        right = A.data[e_right]
-        del e_right
-        return cls(m=m, n=n, left=left, right=right, col=col[order], pos=pos[order])
+    block_cols: np.ndarray  # ascending columns of A held densely
+    block: np.ndarray  # A[:, block_cols], Fortran-ordered
 
     def assemble(self, dinv: np.ndarray) -> np.ndarray:
         w = (self.left * dinv[self.col]) * self.right
@@ -138,66 +121,75 @@ class PairPlan:
             raise NonFiniteInput("normal matrix has non-finite entries")
         # bincount of no pairs returns integer zeros, hence the astype (a no-op otherwise)
         M = np.bincount(self.pos, w, minlength=self.m * self.m).astype(float, copy=False)
-        return M.reshape(self.m, self.m)
+        M = M.reshape(self.m, self.m)
+        if self.block_cols.size:
+            B = self.block * np.sqrt(dinv[self.block_cols])
+            # every product of two entries of B is at most the larger square of
+            # its extremes, and min and max propagate NaN
+            lo = float(np.minimum.reduce(B, axis=None))
+            hi = float(np.maximum.reduce(B, axis=None))
+            if not (lo * lo < np.inf and hi * hi < np.inf):
+                raise NonFiniteInput("normal matrix has non-finite entries")
+            # the lower triangle of the Fortran-ordered M^t is M's upper one
+            dsyrk(1.0, B, beta=1.0, c=M.T, lower=1, overwrite_c=1)
+        return M
 
 
-@dataclass
-class ProductPlan:
-    """Assembly by scipy's sparse product, for a CSC A whose pair table is too large."""
+def normal_plan(A) -> PairPlan:
+    """Plan for assembling A diag(dinv) A^t repeatedly with the same A.
 
-    A: sp.csc_matrix
-    At: sp.csr_matrix = field(init=False, repr=False)
-    n: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # A^t over A's own arrays, built once: what A.T returns, without a copy
-        m, n = self.A.shape
-        self.n = n
-        self.At = sp.csr_matrix((self.A.data, self.A.indices, self.A.indptr), shape=(n, m))
-
-    def assemble(self, dinv: np.ndarray) -> np.ndarray:
-        M = (self.A.multiply(dinv) @ self.At).toarray()
-        if not np.logical_and.reduce(np.isfinite(M), axis=None):
-            raise NonFiniteInput("normal matrix has non-finite entries")
-        # the pair plan's upper triangle: the product's lower one, transposed
-        return np.ascontiguousarray(np.tril(M).T)
-
-
-NormalPlan = PairPlan | ProductPlan
-
-
-def _canonical_csc(A):
+    The block takes the fewest columns, those with the most pairs first
+    (ties in column order), that leave at most max(PAIR_BUDGET,
+    nnz(A) + m^2) pairs in the table; the count is taken before anything per
+    pair is allocated.
+    """
     A = sp.csc_matrix(A)
     if not A.has_canonical_format:
         A = A.copy()
         A.sum_duplicates()
-    return A
+    m, n = A.shape
+    col_pairs = np.diff(A.indptr).astype(np.int64)
+    col_pairs = col_pairs * (col_pairs + 1) // 2
+    by_pairs = np.argsort(-col_pairs, kind="stable")
+    moved = np.concatenate(([0], np.cumsum(col_pairs[by_pairs])))
+    k = int(np.count_nonzero(moved[-1] - moved > max(PAIR_BUDGET, A.nnz + m * m)))
+    block_cols = np.sort(by_pairs[:k])
+    rest = np.sort(by_pairs[k:])
+    S = A[:, rest]
+    counts = np.diff(S.indptr)
+    start = np.repeat(S.indptr[:-1], counts)  # first stored entry of each entry's column
+    # entry e pairs with itself and every entry above it in its column
+    npairs = np.arange(S.nnz) - start + 1
+    first_pair = np.cumsum(npairs) - npairs
+    e_left = np.repeat(np.arange(S.nnz), npairs)
+    e_right = np.arange(e_left.size) - np.repeat(first_pair - start, npairs)
+    col = np.repeat(rest, counts)[e_left]
+    pos = S.indices[e_right].astype(np.int64) * m + S.indices[e_left]
+    # (position, column) keys are distinct; m*m*n stays below 2**63 for
+    # any m whose dense m x m matrix fits in memory
+    order = np.argsort(pos * n + col)
+    # one reordered copy at a time keeps the peak at six arrays per pair
+    e_left = e_left[order]
+    left = S.data[e_left]
+    del e_left
+    e_right = e_right[order]
+    right = S.data[e_right]
+    del e_right
+    return PairPlan(
+        m=m, n=n, left=left, right=right, col=col[order], pos=pos[order],
+        block_cols=block_cols, block=A[:, block_cols].toarray(order="F"),
+    )
 
 
-def normal_plan(A) -> NormalPlan:
-    """Plan for assembling A diag(dinv) A^t repeatedly with the same A.
-
-    A pair table when it has at most PAIR_BUDGET pairs or at most
-    nnz(A) + m^2 of them, else the sparse product; the count is taken before
-    anything per pair is allocated.
-    """
-    C = _canonical_csc(A)
-    m = C.shape[0]
-    counts = np.diff(C.indptr).astype(np.int64)
-    pairs = int(counts @ (counts + 1)) // 2
-    if pairs > PAIR_BUDGET and pairs > C.nnz + m * m:
-        return ProductPlan(sp.csc_matrix(A))
-    return PairPlan.build(C)
-
-
-def assemble_normal(plan: NormalPlan, dinv: np.ndarray) -> np.ndarray:
+def assemble_normal(plan: PairPlan, dinv: np.ndarray) -> np.ndarray:
     """The upper triangle of M = A diag(dinv) A^t, as a new C-ordered m x m array.
 
     ``plan`` is ``normal_plan(A)``, and ``dinv`` must have shape (n,) for the
     n columns of A, else ``ValueError``.  Entry (k, i), i >= k, holds
-    M[i, k] = sum_j (A[i, j] * dinv[j]) * A[k, j], summed over ascending j;
-    the strict lower triangle is zero.  That triangle is the lower triangle
-    of M^t, all that ``factor`` reads, and ``factor`` may consume the array.
+    M[i, k] = sum_j (A[i, j] * dinv[j]) * A[k, j], summed over ascending j
+    when the plan has no block; the strict lower triangle is zero.  That
+    triangle is the lower triangle of M^t, all that ``factor`` reads, and
+    ``factor`` may consume the array.
     """
     dinv = np.asarray(dinv, dtype=float)
     if dinv.shape != (plan.n,):
@@ -238,7 +230,7 @@ def factor(M: np.ndarray, rho: float = 0.0) -> CholeskyFactor:
     raise FactorizationFailed(f"normal matrix is not numerically positive definite at rho = {rho:g}")
 
 
-def factor_normal(plan: NormalPlan, dinv: np.ndarray) -> CholeskyFactor:
+def factor_normal(plan: PairPlan, dinv: np.ndarray) -> CholeskyFactor:
     """Factor A diag(dinv) A^t, climbing the regularization rungs until one succeeds.
 
     Each rung factors a fresh ``assemble_normal(plan, dinv)``, so a failed

@@ -119,7 +119,7 @@ class StandardLP:
         return 1.0 + np.maximum.reduce(np.abs(self.b), initial=0.0)
 
     @cached_property
-    def plan(self) -> linalg.NormalPlan:
+    def plan(self) -> linalg.PairPlan:
         return linalg.normal_plan(self.A)
 
 

@@ -39,7 +39,8 @@ class NotInterior(Exception):
 class GaugeParams:
     """Penalty exponent r in [0, 1) plus the upper-bound data of the LP.
 
-    ``bounded`` masks the set I and ``upper_I`` holds u_I, gathered once.
+    ``bounded`` indexes the set I, as ``StandardLP.bounded`` does, and
+    ``upper_I`` holds u_I, gathered once.
     """
 
     r: float
@@ -49,7 +50,7 @@ class GaugeParams:
         if not 0.0 <= self.r < 1.0:
             raise ValueError(f"r must lie in [0, 1), got {self.r}")
         self.upper = np.asarray(self.upper, dtype=float)
-        self.bounded = np.isfinite(self.upper)
+        self.bounded = np.flatnonzero(np.isfinite(self.upper))
         self.upper_I = self.upper[self.bounded]
 
 

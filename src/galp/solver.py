@@ -23,7 +23,7 @@ scipy's compiled kernels when the LP is constructed, which also gathers u_I
 (``lp.upper_I``) and sets m and n as plain ints.  The box terms, w_I in the
 pass and <u_I, w_I> in the gap, are formed only when I is nonempty
 (``lp.upper_I.size``): for an LP without upper bounds w stays zero and the
-gap's term is 0.0, so the iterates are the general formulas' bit for bit.
+gap has no box term, so the iterates are the general formulas' bit for bit.
 Every reduction on the path calls ``np.minimum.reduce`` or
 ``np.maximum.reduce`` directly, not numpy's Python wrappers behind
 ``ndarray.min`` and ``max``.  Per solve: the penalty
@@ -220,9 +220,9 @@ def _state(lp: StandardLP, x, resid, pt: PointPass, iteration=0, step_feas=0.0, 
     relative duality gap (<c,x> - <b,y> + <u_I, w_I>) / (|<c,x>| + 1).
     """
     cx = float(lp.c @ x)
-    # with I empty the term is the 0.0 an empty dot product gives, still added: a -0.0 gap becomes +0.0
-    box = float(lp.upper_I @ pt.w[lp.bounded]) if lp.upper_I.size else 0.0
-    gap = cx - float(lp.b @ pt.y) + box
+    gap = cx - float(lp.b @ pt.y)
+    if lp.upper_I.size:
+        gap += float(lp.upper_I @ pt.w[lp.bounded])
     record = TraceRecord(
         iteration=iteration,
         objective=cx,

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import sys
 
@@ -25,6 +26,16 @@ NETLIB_OPTIMA = {
     "adlittle": 225494.96316,
     "blend": -30.812149846,
 }
+
+
+def load_perfbench_gen():
+    """perfbench/gen.py, the generator of the sparse-large and box-heavy instances."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "gen.py")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def netlib_path(name):

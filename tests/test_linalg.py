@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,8 +11,6 @@ from galp.linalg import (
     REGULARIZATIONS,
     FactorizationFailed,
     NonFiniteInput,
-    PairPlan,
-    ProductPlan,
     assemble_normal,
     factor,
     factor_normal,
@@ -18,7 +18,10 @@ from galp.linalg import (
     solve,
 )
 
-from conftest import sparse_product_normal
+from galp.model import to_standard_form
+from galp.mps import parse_mps, read_mps
+
+from conftest import NETLIB_PROBLEMS, load_perfbench_gen, netlib_path, sparse_product_normal
 
 
 def dense_triple_loop(A, dinv):
@@ -46,6 +49,36 @@ def kernel_test_matrices(rng):
         A = sp.csc_matrix(A)
         A.data = rng.uniform(-3, 3, size=A.nnz)
         yield A
+
+
+def blockless_matrices(rng):
+    """kernel_test_matrices, the corpus and the perfbench sparse-large and
+    box-heavy shapes: every A whose pair table fits without a dense block."""
+    yield from kernel_test_matrices(rng)
+    for name in NETLIB_PROBLEMS:
+        yield to_standard_form(read_mps(netlib_path(name)))[0].A
+    gen = load_perfbench_gen()
+    for shape in (gen.Shape(m=600, n=1800, density=0.01, boxed=False), gen.Shape(m=200, n=600, density=0.02, boxed=True)):
+        yield to_standard_form(parse_mps(gen.generate(0, shape, "shape").mps_text()))[0].A
+
+
+def dense_column_matrix(rng, m=60, n=40, density=0.05, dense=8):
+    """A sparse m x n matrix whose first ``dense`` columns are full."""
+    A = sp.random(m, n, density=density, format="lil", random_state=rng)
+    A[:, :dense] = rng.uniform(-1, 1, size=(m, dense))
+    return sp.csc_matrix(A)
+
+
+def fsum_normal(A, dinv):
+    """The upper triangle of A diag(dinv) A^t, each entry the correctly rounded
+    sum (math.fsum) of its products (A[i, j] * dinv[j]) * A[k, j]."""
+    D = A.toarray()
+    m = D.shape[0]
+    ref = np.zeros((m, m))
+    for k in range(m):
+        for i in range(k, m):
+            ref[k, i] = math.fsum((D[i] * dinv) * D[k])
+    return ref
 
 
 class MatrixPlan:
@@ -112,70 +145,81 @@ def test_assemble_writes_only_the_upper_triangle(rng):
     A = sp.csc_matrix(rng.uniform(-1, 1, size=(6, 9)))
     dinv = rng.uniform(1e-8, 1e8, size=9)
     product = (A.multiply(dinv) @ A.T).toarray()
-    for plan in (PairPlan.build(A), ProductPlan(A)):
-        M = assemble_normal(plan, dinv)
-        assert np.array_equal(np.triu(M), np.tril(product).T)
-        assert np.array_equal(np.tril(M, -1), np.zeros((6, 6)))
-        assert not np.signbit(np.tril(M, -1)).any()
+    M = assemble_normal(normal_plan(A), dinv)
+    assert np.array_equal(np.triu(M), np.tril(product).T)
+    assert np.array_equal(np.tril(M, -1), np.zeros((6, 6)))
+    assert not np.signbit(np.tril(M, -1)).any()
 
 
 def test_assemble_bit_identical_to_sparse_product(rng):
-    for A in kernel_test_matrices(rng):
-        assert isinstance(normal_plan(A), PairPlan)
-        plans = (PairPlan.build(A), ProductPlan(A))
+    # every A whose pairs fit has no block, and its M is the product's bit for bit
+    for A in blockless_matrices(rng):
+        plan = normal_plan(A)
+        assert plan.block_cols.size == 0 and plan.block.shape == (A.shape[0], 0)
         for lo, hi in ((1.0, 1.0), (1e-3, 1e3), (1e-30, 1e30)):
             dinv = np.exp(rng.uniform(np.log(lo), np.log(hi), size=A.shape[1]))
-            expected = sparse_product_normal(A, dinv)
-            for plan in plans:
-                assert np.array_equal(assemble_normal(plan, dinv), expected)
+            assert np.array_equal(assemble_normal(plan, dinv), sparse_product_normal(A, dinv))
 
 
-def test_dense_columns_assemble_by_sparse_product(rng):
-    # 8 full columns give 8 * 60 * 61 / 2 = 14640 pairs, above nnz + m^2 = 4120
-    A = sp.random(60, 40, density=0.05, format="lil", random_state=rng)
-    A[:, :8] = rng.uniform(-1, 1, size=(60, 8))
-    A = sp.csc_matrix(A)
-    plan = normal_plan(A)
-    assert isinstance(plan, ProductPlan)
-    dinv = np.exp(rng.uniform(np.log(1e-30), np.log(1e30), size=40))
-    M = assemble_normal(plan, dinv)
-    assert np.array_equal(M, sparse_product_normal(A, dinv))
-    assert np.array_equal(M, assemble_normal(PairPlan.build(A), dinv))
-    # a fully dense 200 x 600 A has 600 * 200 * 201 / 2 = 12.06M pairs
-    assert isinstance(normal_plan(sp.csc_matrix(rng.uniform(-1, 1, size=(200, 600)))), ProductPlan)
+def test_dense_columns_assemble_within_a_rounding_bound(rng):
+    # 8 full columns give 8 * 60 * 61 / 2 = 14640 pairs, above nnz + m^2 = 4120;
+    # a fully dense 40 x 120 A has 120 * 40 * 41 / 2 = 98400
+    matrices = (
+        dense_column_matrix(rng),
+        dense_column_matrix(rng, m=30, n=60, density=0.1),
+        dense_column_matrix(rng, m=100, n=300, density=0.02, dense=3),
+        sp.csc_matrix(rng.uniform(-1, 1, size=(40, 120))),
+    )
+    for A in matrices:
+        m, n = A.shape
+        plan = normal_plan(A)
+        # the block is minimal: the table fits, and the best block of one
+        # column fewer, which keeps the block's smallest column, would not
+        counts = np.diff(A.indptr)
+        pairs = counts * (counts + 1) // 2
+        limit = max(PAIR_BUDGET, A.nnz + m * m)
+        assert plan.pos.size == pairs.sum() - pairs[plan.block_cols].sum() <= limit
+        assert plan.pos.size + pairs[plan.block_cols].min() > limit
+        assert np.array_equal(plan.block, A[:, plan.block_cols].toarray())
+        assert plan.block.flags.f_contiguous
+        assert not np.isin(plan.col, plan.block_cols).any()
+        for lo, hi in ((1.0, 1.0), (1e-30, 1e30)):
+            dinv = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
+            M = assemble_normal(plan, dinv)
+            assert M.flags.c_contiguous
+            assert np.array_equal(np.tril(M, -1), np.zeros((m, m)))
+            # first order, a pair term carries 2 roundings and a block term 5
+            # (sqrt(dinv), both scaled entries and their product); any order of
+            # summing n terms adds n - 1, and the reference's own products and
+            # rounding add 3, so |M - ref| <= (n + 7) u |A| diag(dinv) |A|^t
+            scale = np.triu(abs(A).multiply(dinv) @ abs(A).T.toarray())
+            assert (np.abs(M - fsum_normal(A, dinv)) <= (n + 7) * 2.0**-53 * scale).all()
 
 
 def test_small_dense_a_gets_a_pair_plan(rng):
     # a dense m x n A has n*m*(m+1)/2 pairs, above nnz + m^2 for every m > 2,
-    # but a table within PAIR_BUDGET pairs is small, and its assembly is a
-    # fraction of the sparse product's Python dispatch
+    # but a table within PAIR_BUDGET pairs is small, so it keeps every column
+    # and the sparse product's bits
     for m, n in ((3, 6), (10, 30)):
         assert n * m * (m + 1) // 2 <= PAIR_BUDGET
         A = sp.csc_matrix(rng.uniform(-1, 1, size=(m, n)))
         plan = normal_plan(A)
-        assert isinstance(plan, PairPlan), (m, n)
+        assert plan.block_cols.size == 0, (m, n)
         dinv = rng.uniform(0.1, 2.0, size=n)
         assert np.array_equal(assemble_normal(plan, dinv), sparse_product_normal(A, dinv))
 
 
 def test_pair_plan_holds_no_dense_matrix(rng):
-    # the plan is its pair table; every assembly returns a new C-ordered M for factor to consume
+    # the plan is its pair table and an m x 0 block; every assembly returns a
+    # new C-ordered M for factor to consume
     for A in kernel_test_matrices(rng):
         plan = normal_plan(A)
-        assert isinstance(plan, PairPlan)
-        assert all(np.ndim(value) <= 1 for value in vars(plan).values())
+        assert plan.block.shape == (A.shape[0], 0)
+        assert all(np.ndim(value) <= 1 for name, value in vars(plan).items() if name != "block")
         dinv = np.ones(A.shape[1])
         first, second = assemble_normal(plan, dinv), assemble_normal(plan, dinv)
         assert not np.shares_memory(first, second)
         assert first.flags.c_contiguous and first.flags.writeable and first.dtype == np.float64
-
-
-def test_product_plan_transpose_is_a_view_of_a(rng):
-    A = sp.csc_matrix(rng.uniform(-1, 1, size=(6, 9)))
-    plan = ProductPlan(A)
-    assert (plan.At != A.T).nnz == 0
-    for name in ("data", "indices", "indptr"):
-        assert np.shares_memory(getattr(plan.At, name), getattr(A, name)), name
 
 
 def test_assemble_rejects_nonfinite():
@@ -186,37 +230,54 @@ def test_assemble_rejects_nonfinite():
         assemble_normal(plan, np.array([1.0, -1.0]))
 
 
-def test_assemble_rejects_dinv_of_the_wrong_shape():
-    # without the check the pair plan reads the first 3 entries of a longer dinv,
+def test_assemble_rejects_dinv_of_the_wrong_shape(rng):
+    # without the check the pair plan reads the first n entries of a longer dinv,
     # and fails with IndexError on a shorter one
-    A = sp.csc_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
-    for plan in (PairPlan.build(A), ProductPlan(A)):
-        for dinv in (np.ones(5), np.ones(2), np.ones(0), np.ones((3, 1)), np.ones((1, 3)), 1.0):
-            with pytest.raises(ValueError, match=r"dinv needs shape \(3,\)"):
+    small = sp.csc_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
+    for A in (small, dense_column_matrix(rng)):
+        plan = normal_plan(A)
+        n = A.shape[1]
+        for dinv in (np.ones(n + 2), np.ones(n - 1), np.ones(0), np.ones((n, 1)), np.ones((1, n)), 1.0):
+            with pytest.raises(ValueError, match=rf"dinv needs shape \({n},\)"):
                 assemble_normal(plan, dinv)
-        assert np.array_equal(assemble_normal(plan, [1.0, 1.0, 1.0]), [[5.0, 2.0], [0.0, 10.0]])
+    assert np.array_equal(assemble_normal(normal_plan(small), [1.0, 1.0, 1.0]), [[5.0, 2.0], [0.0, 10.0]])
 
 
 def test_assemble_rejects_overflowing_product(rng):
-    # finite A and dinv whose products overflow: A[i, j]**2 is about 1e400
+    # finite A and dinv whose products overflow: A[i, j]**2 is about 1e400,
+    # in the pair table of the first A and only in the block of the second
     A = sp.random(8, 12, density=0.4, format="csc", random_state=rng)
     A.data = rng.uniform(0.5, 2.0, size=A.nnz) * 1e200
-    dinv = np.ones(12)
-    for plan in (PairPlan.build(A), ProductPlan(A)):
+    dense = dense_column_matrix(rng)
+    block_cols = normal_plan(dense).block_cols
+    scale = np.ones(dense.shape[1])
+    scale[block_cols] = 1e200
+    dense = sp.csc_matrix(dense.multiply(scale))
+    assert np.array_equal(normal_plan(dense).block_cols, block_cols)
+    for A in (A, dense):
+        plan = normal_plan(A)
+        dinv = np.ones(A.shape[1])
         with pytest.raises(NonFiniteInput), np.errstate(over="ignore"):
             assemble_normal(plan, dinv)
         with pytest.raises(NonFiniteInput), np.errstate(over="ignore"):
             factor_normal(plan, dinv)
 
 
-def test_ladder_rejects_an_overflowing_sum():
-    # every product is 1e308, finite, but two of them meet in M[0, 0] = inf:
-    # the pair plan factors it and fails every rung, the product plan's dense
-    # check catches it at once, and both end NonFiniteInput
-    A = sp.csc_matrix(np.array([[1e154, 1e154, 0.0], [0.0, 1.0, 1.0]]))
-    dinv = np.ones(3)
-    assert np.isinf(assemble_normal(PairPlan.build(A), dinv)[0, 0])
-    for plan in (PairPlan.build(A), ProductPlan(A)):
+def test_ladder_rejects_an_overflowing_sum(rng):
+    # every product is 1e308, finite, but two of them meet in M[0, 0] = inf,
+    # in the pair table of the first A and in the block of the second: the
+    # assembly passes, every rung fails, and the ladder ends NonFiniteInput
+    small = sp.csc_matrix(np.array([[1e154, 1e154, 0.0], [0.0, 1.0, 1.0]]))
+    dense = dense_column_matrix(rng)
+    block_cols = normal_plan(dense).block_cols
+    dense = dense.tolil()
+    dense[0, block_cols] = 1e154
+    dense = sp.csc_matrix(dense)
+    assert np.array_equal(normal_plan(dense).block_cols, block_cols) and block_cols.size >= 2
+    for A in (small, dense):
+        plan = normal_plan(A)
+        dinv = np.ones(A.shape[1])
+        assert np.isinf(assemble_normal(plan, dinv)[0, 0])
         with pytest.raises(NonFiniteInput):
             factor_normal(plan, dinv)
 

@@ -1,7 +1,5 @@
 import glob
-import importlib.util
 import os
-import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,7 +22,7 @@ from galp.model import (
 
 from galp.solver import SolverConfig, Status, solve
 
-from conftest import FIXTURES, NETLIB, NETLIB_PROBLEMS, netlib_path, random_lp
+from conftest import FIXTURES, NETLIB, NETLIB_PROBLEMS, load_perfbench_gen, netlib_path, random_lp
 
 
 def build(rows, columns, rhs="", extra=""):
@@ -671,9 +669,6 @@ def entries_as_arrays(entries):
     return [list(column) for column in zip(*rows)] or [[], [], [], []]
 
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
 def assert_same_arrays(new, old):
     assert new.dtype == old.dtype and new.shape == old.shape
     assert new.tobytes() == old.tobytes()
@@ -717,15 +712,6 @@ def assert_map_back_matches_loop(vmap, old_map, n):
         with np.errstate(invalid="ignore"):  # inf - inf on a split column
             new, old = map_back(vmap, x), loop_map_back(old_map, x)
         assert_same_arrays(new, old)
-
-
-def load_perfbench_gen():
-    path = os.path.join(ROOT, "perfbench", "gen.py")
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize(

@@ -41,6 +41,7 @@ from conftest import (
     random_lp,
     sparse_product_normal,
 )
+from test_acceptance import highs_objective
 from test_directions import masked_max_step
 
 
@@ -310,8 +311,8 @@ def test_overflowing_start_matrix_falls_back_to_x1():
 def test_overflow_on_either_plan_ends_numerical_failure(rng):
     # entries of 1e154 overflow products on the way: the pair table's
     # A[0,j] dinv_j A[0,j] on the small LP, and on the dense-column LP, whose
-    # plan is the sparse product, the squares of its column norms at the
-    # start; each overflow is handled, so solve reports instead of warning
+    # plan has a dense block, the squares of its column norms at the start;
+    # each overflow is handled, so solve reports instead of warning
     pair = make_lp([[1e154, 1e154, 0.0], [0.0, 1.0, 1.0]], [2e154, 2.0], [1.0, 1.0, 1.0])
     dense = dense_column_lp(rng)
     A = dense.A.tolil()
@@ -321,10 +322,10 @@ def test_overflow_on_either_plan_ends_numerical_failure(rng):
     product = StandardLP(A=sp.csc_matrix(A), b=b, c=dense.c, upper=dense.upper)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for lp, plan in ((pair, linalg.PairPlan), (product, linalg.ProductPlan)):
+        for lp, has_block in ((pair, False), (product, True)):
             for r in (0.0, 0.5):
                 assert solve(lp, SolverConfig(r=r)).status == Status.NUMERICAL_FAILURE
-            assert isinstance(lp.plan, plan)
+            assert (lp.plan.block_cols.size > 0) == has_block
 
 
 def test_solve_iteration_limit():
@@ -613,14 +614,26 @@ def test_bound_products_solve_as_scipys_products(r, rng):
 
 
 def dense_column_lp(rng):
-    """Boxed, feasible LP whose 8 full columns push normal_plan onto the ProductPlan path."""
+    """Boxed, feasible LP whose 8 full columns give its plan a dense block."""
     A = sp.random(30, 60, density=0.1, format="lil", random_state=rng)
     A[:, :8] = rng.uniform(-1, 1, size=(30, 8))
     A = sp.csc_matrix(A)
     x_feas = rng.uniform(0.5, 1.5, size=60)
     lp = StandardLP(A=A, b=A @ x_feas, c=rng.uniform(-1, 1, size=60), upper=x_feas + 1.0)
-    assert isinstance(linalg.normal_plan(lp.A), linalg.ProductPlan)
+    assert linalg.normal_plan(lp.A).block_cols.size > 0
     return lp
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dense_column_lps_match_highs(seed):
+    # the dense block's rounding differs from the pair table's, so the family
+    # is checked end to end against an independent solver at each r
+    lp = dense_column_lp(np.random.default_rng(seed))
+    optimum = highs_objective(lp)
+    for r in (0.0, 0.2, 0.5):
+        report = solve(lp, SolverConfig(r=r))
+        assert report.status == Status.OPTIMAL, (r, report.status)
+        assert abs(report.objective - optimum) <= 1e-6 * (1.0 + abs(optimum)), (r, report.objective, optimum)
 
 
 def test_solve_builds_no_transpose(monkeypatch, rng):
@@ -712,13 +725,13 @@ def python_wrapper_calls(fn):
 
 
 def test_warm_solve_skips_python_wrappers(rng):
-    # a dense A within linalg.PAIR_BUDGET pairs, as 10 x 30, gets a PairPlan;
-    # a ProductPlan forms scipy's sparse product on purpose
+    # a dense A within linalg.PAIR_BUDGET pairs, as 10 x 30, has no dense
+    # block; the dense-column LP's block goes through dsyrk
     boxed = random_lp(rng, m=10, n=30, bounded="all")[0]
-    lps = [to_standard_form(read_mps(netlib_path(name)))[0] for name in NETLIB_PROBLEMS] + [boxed]
+    lps = [to_standard_form(read_mps(netlib_path(name)))[0] for name in NETLIB_PROBLEMS] + [boxed, dense_column_lp(rng)]
     for lp in lps:  # cold: the start and the plan are built here
         solve(lp, SolverConfig(r=0.2))
-    assert all(isinstance(lp.plan, linalg.PairPlan) for lp in lps)
+    assert [lp.plan.block_cols.size > 0 for lp in lps] == [False] * (len(lps) - 1) + [True]
     assert boxed.bounded.size == boxed.n
     reports, hits = python_wrapper_calls(lambda: [solve(lp, SolverConfig(r=0.2)) for lp in lps])
     assert all(rep.iterations > 0 for rep in reports)

@@ -11,12 +11,16 @@ trace records as ``dataclasses.astuple``, and then the bytes of x, y, w and
 s.
 
 A change that claims bit-identical iterates prints the same digest as its
-parent.  The digest depends on the BLAS build and on its thread count, so
-the script runs OpenBLAS on one thread, as perfbench does, and two trees
-are compared on one machine; the digest is not a constant to pin.
+parent.  The digest depends on the BLAS build, on the kernel that build
+picks for the CPU and on its thread count, so the script runs OpenBLAS on
+one thread, as perfbench does, and two trees are compared on one machine;
+the digest is not a constant to pin.  The kernel's name goes to stderr, as
+``openblas kernel: NAME`` (``unknown`` where numpy's OpenBLAS cannot be
+queried), before any solve.
 
 Usage: python tools/iterate_hash.py [--limit N]
-``--limit N`` hashes only the first N solves of the panel.
+``--limit N`` hashes only the first N solves of the panel; ``--limit 0``
+only reports the kernel.
 """
 
 from __future__ import annotations
@@ -67,6 +71,25 @@ def panel():
             yield label, lambda s=seed, sh=shape, lb=label: parse_mps(gen.generate(s, sh, lb).mps_text()), grid
 
 
+def openblas_kernel():
+    """Name of the kernel numpy's OpenBLAS runs on, or "unknown" where it cannot be queried."""
+    import ctypes
+    import glob
+
+    import numpy as np
+
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                fn.argtypes = []
+                return fn().decode()
+    return "unknown"
+
+
 def iterate_hash(limit=None):
     """(hex digest, number of solves hashed) over the first ``limit`` solves of the panel."""
     digest = hashlib.sha256()
@@ -92,6 +115,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.limit is not None and args.limit < 0:
         parser.error("--limit must be nonnegative")
+    print(f"openblas kernel: {openblas_kernel()}", file=sys.stderr)
     hexdigest, count = iterate_hash(args.limit)
     print(f"{hexdigest}  {count} solves")
     return 0
