@@ -78,12 +78,8 @@ def newton_direction(lp: StandardLP, x, mu: float, p: GaugeParams):
         raise ValueError("newton_direction needs r in (0, 1) and mu > 0")
     hinv = 1.0 / scaling_diagonals(x, p).h
     F = factor_normal(lp.plan, hinv)
-
-    def project(v):
-        # H^(-1/2) P H^(-1/2) v, via the normal equations
-        return hinv * v - hinv * lp.rmatvec(solve(F, lp.matvec(hinv * v)))
-
-    return -project(penalty_gradient(x, lp.c, mu, p)) / (mu * (1.0 - p.r))
+    # H^(-1/2) P H^(-1/2) g is reproject applied to H^-1 g
+    return -reproject(hinv * penalty_gradient(x, lp.c, mu, p), lp, F, hinv) / (mu * (1.0 - p.r))
 
 
 def max_step(x, upper, dir, cap=None):

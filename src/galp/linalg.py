@@ -4,10 +4,11 @@ Assembly runs from a plan of A built once per LP (``normal_plan``), so
 each ``assemble_normal`` does numeric work only.  The plan is a
 ``PairPlan``: for every column j of its sparse part it lists each pair of
 stored entries (i, j), (k, j) with i >= k, with the flat position k*m + i
-of the entry they feed in M's upper triangle, sorted by that position and
-then by j.  Assembly is one product (A[i,j]*dinv[j])*A[k,j] per pair and
-one ``np.bincount`` that sums the pairs of each position straight into a
-new m x m array.  Only the upper triangle is written, because it is all
+of the entry they feed in M's upper triangle, in A's column order.
+Assembly is one product (A[i,j]*dinv[j])*A[k,j] per pair and one
+``np.bincount`` that sums the pairs of each position straight into a new
+m x m array; ``bincount`` adds in input order, so each entry is summed
+over ascending j.  Only the upper triangle is written, because it is all
 that ``factor`` reads; the strict lower triangle is ``bincount``'s zeros.
 
 The pair table costs memory per pair, and a column with c entries has
@@ -100,10 +101,11 @@ class PairPlan:
 
     Pair p contributes (left[p] * dinv[col[p]]) * right[p] to the entry of
     M's upper triangle at flat position ``pos[p]`` = k*m + i (i >= k) of the
-    m x m array.  Pairs are ordered by position and then by column, so each
-    entry sums over ascending j.  The columns ``block_cols`` of A have no
-    pairs: they are the m x k ``block``, empty for most A.  The plan holds
-    no m x m array: each assembly returns a new one.
+    m x m array.  Pairs are in A's column order, each column's pairs one
+    run, so ``bincount`` sums each entry over ascending j.  The columns
+    ``block_cols`` of A have no pairs: they are the m x k ``block``, empty
+    for most A.  The plan holds no m x m array: each assembly returns a new
+    one.
     """
 
     m: int
@@ -163,20 +165,9 @@ def normal_plan(A) -> PairPlan:
     first_pair = np.cumsum(npairs) - npairs
     e_left = np.repeat(np.arange(S.nnz), npairs)
     e_right = np.arange(e_left.size) - np.repeat(first_pair - start, npairs)
-    col = np.repeat(rest, counts)[e_left]
-    pos = S.indices[e_right].astype(np.int64) * m + S.indices[e_left]
-    # (position, column) keys are distinct; m*m*n stays below 2**63 for
-    # any m whose dense m x m matrix fits in memory
-    order = np.argsort(pos * n + col)
-    # one reordered copy at a time keeps the peak at six arrays per pair
-    e_left = e_left[order]
-    left = S.data[e_left]
-    del e_left
-    e_right = e_right[order]
-    right = S.data[e_right]
-    del e_right
     return PairPlan(
-        m=m, n=n, left=left, right=right, col=col[order], pos=pos[order],
+        m=m, n=n, left=S.data[e_left], right=S.data[e_right], col=np.repeat(rest, col_pairs[rest]),
+        pos=S.indices[e_right].astype(np.int64) * m + S.indices[e_left],
         block_cols=block_cols, block=A[:, block_cols].toarray(order="F"),
     )
 

@@ -147,7 +147,7 @@ def starting_point_x2(lp: StandardLP) -> np.ndarray:
     delta = max(-1.5 * float(np.minimum.reduce(xhat, initial=0.0)), 0.01 * (1.0 + xnorm))
     x = xhat + delta
     idx = lp.bounded
-    x[idx] = np.clip(x[idx], 0.01 * lp.upper[idx], 0.99 * lp.upper[idx])
+    x[idx] = np.clip(x[idx], 0.01 * lp.upper_I, 0.99 * lp.upper_I)
     return x
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -159,6 +160,58 @@ def test_assemble_bit_identical_to_sparse_product(rng):
         for lo, hi in ((1.0, 1.0), (1e-3, 1e3), (1e-30, 1e30)):
             dinv = np.exp(rng.uniform(np.log(lo), np.log(hi), size=A.shape[1]))
             assert np.array_equal(assemble_normal(plan, dinv), sparse_product_normal(A, dinv))
+
+
+def non_canonical_csc(rng, m=30, n=50, density=0.1):
+    """A CSC matrix whose columns hold their entries in shuffled row order,
+    with some entries split into two stored duplicates."""
+    A = sp.random(m, n, density=density, format="coo", random_state=rng)
+    split = rng.random(A.nnz) < 0.3
+    part = rng.uniform(0.2, 0.8, size=split.sum())
+    rows = np.concatenate((A.row, A.row[split]))
+    cols = np.concatenate((A.col, A.col[split]))
+    data = np.concatenate((A.data, A.data[split] * (1 - part)))
+    data[np.flatnonzero(split)] *= part
+    order = np.lexsort((rng.random(rows.size), cols))  # by column, rows shuffled
+    indptr = np.searchsorted(cols[order], np.arange(n + 1))
+    return sp.csc_matrix((data[order], rows[order], indptr), shape=(m, n))
+
+
+def test_non_canonical_a_assembles_as_its_canonical_form(rng):
+    # the plan canonicalizes a copy, so that within each column the row of
+    # every pair's right entry is at most its left one's; the caller's A keeps
+    # its duplicates and its order
+    small = sp.csc_matrix(
+        ([1.5, -2.0, 0.25, 4.0, 3.0, -1.0, 0.5, 2.0, 7.0], [3, 0, 3, 1, 4, 2, 2, 2, 0], [0, 4, 4, 6, 9]),
+        shape=(5, 4),
+    )
+    for A in (small, non_canonical_csc(rng)):
+        assert not A.has_canonical_format
+        data, indices, indptr = A.data.copy(), A.indices.copy(), A.indptr.copy()
+        canonical = A.copy()
+        canonical.sum_duplicates()
+        plan = normal_plan(A)
+        for lo, hi in ((1.0, 1.0), (1e-3, 1e3)):
+            dinv = np.exp(rng.uniform(np.log(lo), np.log(hi), size=A.shape[1]))
+            assert np.array_equal(assemble_normal(plan, dinv), sparse_product_normal(canonical, dinv))
+        assert np.array_equal(A.data, data) and np.array_equal(A.indices, indices) and np.array_equal(A.indptr, indptr)
+
+
+def test_assemble_sums_each_entry_over_ascending_j():
+    # M[0, 1] gets the products 1e16, 1 and -1e16, whose rounded sum depends
+    # on their order; for each order of the three columns it must be the left
+    # fold over ascending j, which reads 0.0 or 1.0
+    A0 = np.array([[1e8, 1.0, 1e8], [1e8, 1.0, -1e8]])
+    dinv = np.ones(3)
+    seen = set()
+    for perm in itertools.permutations(range(3)):
+        A = A0[:, perm]
+        fold = 0.0
+        for j in range(3):
+            fold += (A[1, j] * dinv[j]) * A[0, j]
+        seen.add(fold)
+        assert assemble_normal(normal_plan(sp.csc_matrix(A)), dinv)[0, 1] == fold, perm
+    assert seen == {0.0, 1.0}
 
 
 def test_dense_columns_assemble_within_a_rounding_bound(rng):

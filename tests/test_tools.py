@@ -31,8 +31,13 @@ def test_iterate_hash_smoke():
     assert proc.returncode == 0, proc.stderr
     match = re.fullmatch(r"([0-9a-f]{64})  2 solves\n", proc.stdout)
     assert match, proc.stdout
-    # the kernel the digest was made on, before any solve
-    assert re.fullmatch(r"openblas kernel: \S+\n", proc.stderr), proc.stderr
+    # the OpenBLAS copies the digest was made on, before any solve: numpy's,
+    # and scipy's, which runs the factor
+    assert re.fullmatch(
+        r"numpy openblas: kernel \S+, version \S+\n"
+        r"scipy openblas: kernel \S+, version \S+, runs the factor\n",
+        proc.stderr,
+    ), proc.stderr
     digest = hashlib.sha256()
     raw = read_mps(netlib_path("adlittle"))
     for r in R_GRID[:2]:

@@ -14,19 +14,24 @@ A change that claims bit-identical iterates prints the same digest as its
 parent.  The digest depends on the BLAS build, on the kernel that build
 picks for the CPU and on its thread count, so the script runs OpenBLAS on
 one thread, as perfbench does, and two trees are compared on one machine;
-the digest is not a constant to pin.  The kernel's name goes to stderr, as
-``openblas kernel: NAME`` (``unknown`` where numpy's OpenBLAS cannot be
-queried), before any solve.
+the digest is not a constant to pin.  numpy and scipy each bundle their own
+OpenBLAS, and scipy's runs the Cholesky (``dpotrf``, ``dpotrs``, ``dsyrk``),
+so before any solve one stderr line per copy gives its kernel and version,
+as ``numpy openblas: kernel NAME, version V`` and ``scipy openblas: kernel
+NAME, version V, runs the factor`` (``unknown`` where a copy cannot be
+queried).
 
 Usage: python tools/iterate_hash.py [--limit N]
 ``--limit N`` hashes only the first N solves of the panel; ``--limit 0``
-only reports the kernel.
+only reports the two OpenBLAS copies.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import glob
 import hashlib
 import importlib.util
 import os
@@ -71,23 +76,31 @@ def panel():
             yield label, lambda s=seed, sh=shape, lb=label: parse_mps(gen.generate(s, sh, lb).mps_text()), grid
 
 
-def openblas_kernel():
-    """Name of the kernel numpy's OpenBLAS runs on, or "unknown" where it cannot be queried."""
-    import ctypes
-    import glob
+def _openblas_string(lib, name):
+    """The string ``openblas_get_<name>`` returns under any of its exported spellings, or None."""
+    for spelling in ("scipy_openblas_get_{}64_", "openblas_get_{}64_", "scipy_openblas_get_{}", "openblas_get_{}"):
+        fn = getattr(lib, spelling.format(name), None)
+        if fn is not None:
+            fn.restype = ctypes.c_char_p
+            fn.argtypes = []
+            return fn().decode()
+    return None
 
+
+def openblas_builds():
+    """(package, kernel, version) of the OpenBLAS that numpy and that scipy bundle, "unknown" where not found."""
     import numpy as np
+    import scipy
 
-    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libdir, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for sym in ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"):
-            fn = getattr(lib, sym, None)
-            if fn is not None:
-                fn.restype = ctypes.c_char_p
-                fn.argtypes = []
-                return fn().decode()
-    return "unknown"
+    for module in (np, scipy):
+        kernel = version = "unknown"
+        libdir = os.path.join(os.path.dirname(module.__file__), os.pardir, f"{module.__name__}.libs")
+        for path in glob.glob(os.path.join(libdir, "*openblas*")):
+            lib = ctypes.CDLL(path)
+            kernel = _openblas_string(lib, "corename") or kernel
+            config = _openblas_string(lib, "config")  # "OpenBLAS 0.3.30 DYNAMIC_ARCH ..."
+            version = config.split()[1] if config else version
+        yield module.__name__, kernel, version
 
 
 def iterate_hash(limit=None):
@@ -115,7 +128,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.limit is not None and args.limit < 0:
         parser.error("--limit must be nonnegative")
-    print(f"openblas kernel: {openblas_kernel()}", file=sys.stderr)
+    for package, kernel, version in openblas_builds():
+        runs = ", runs the factor" if package == "scipy" else ""
+        print(f"{package} openblas: kernel {kernel}, version {version}{runs}", file=sys.stderr)
     hexdigest, count = iterate_hash(args.limit)
     print(f"{hexdigest}  {count} solves")
     return 0
