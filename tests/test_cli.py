@@ -145,6 +145,48 @@ def test_solve_print_solution_maps_every_variable_kind(tmp_path, capsys):
     assert c @ x == pytest.approx(ref.fun, rel=1e-6)
 
 
+# No constraint rows: X1 shifted (1 <= X1 <= 4), X2 direct (X2 <= 2.5), X3
+# negated (X3 <= 3) and X4 fixed (= 2); NOROWS_FREE makes X3 free, a ray.
+NOROWS = """NAME NOROWS
+ROWS
+ N  COST
+COLUMNS
+    X1  COST  1.0
+    X2  COST  -2.0
+    X3  COST  -1.0
+    X4  COST  0.5
+BOUNDS
+ LO BND  X1  1.0
+ UP BND  X1  4.0
+ UP BND  X2  2.5
+ MI BND  X3
+ UP BND  X3  3.0
+ FX BND  X4  2.0
+ENDATA
+"""
+NOROWS_FREE = NOROWS.replace(" MI BND  X3\n UP BND  X3  3.0\n", " FR BND  X3\n")
+
+
+@pytest.mark.parametrize("text", [NOROWS, NOROWS_FREE], ids=["optimal", "unbounded"])
+def test_solve_without_rows_matches_highs(tmp_path, capsys, text):
+    from scipy.optimize import linprog
+
+    p = tmp_path / "norows.mps"
+    p.write_text(text)
+    free = text == NOROWS_FREE
+    bounds = [(1.0, 4.0), (0.0, 2.5), (None, None if free else 3.0), (2.0, 2.0)]
+    ref = linprog([1.0, -2.0, -1.0, 0.5], bounds=bounds, method="highs")
+    code = main(["solve", str(p), "--print-solution"])
+    out = capsys.readouterr().out
+    if free:
+        assert ref.status == 3 and code == 3 and "status:     Unbounded" in out
+        return
+    assert ref.status == 0 and code == 0 and "status:     Optimal" in out
+    assert float(out.split("objective:")[1].split()[0]) == pytest.approx(ref.fun, rel=1e-12)
+    printed = dict(line.strip().split(" = ") for line in out.splitlines() if " = " in line)
+    assert [float(printed[f"X{k}"]) for k in range(1, 5)] == pytest.approx(ref.x, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from galp.directions import max_step, newton_direction, reproject
+from galp.directions import arc_direction, arc_step, max_step, newton_direction, reproject
 from galp.penalty import GaugeParams, scaling_diagonals
 
 from conftest import make_lp, pass_at, random_interior_point, random_lp
@@ -275,3 +275,80 @@ def test_direction_r_continuity(rng):
     d0 = pass_at(lp, x, 0.0).d
     de = pass_at(lp, x, 1e-6).d
     assert_allclose(de, d0, rtol=1e-4, atol=1e-8)
+
+
+def arc_terms(lp, x, r):
+    """The pass at x, and the reprojected d and the arc's d2 built from it as ``iterate_once`` builds them."""
+    pt = pass_at(lp, x, r)
+    g = (r - 2.0) * pt.hinv * pt.curvature * pt.d * pt.d
+    d, d2 = arc_direction(pt.d, g, lp, pt.F, pt.hinv)
+    return pt, d, d2
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5])
+def test_arc_second_order_term_stays_in_the_null_space_of_a(rng, r):
+    for bounded in ("all", "some"):
+        for _ in range(10):
+            lp, _ = random_lp(rng, m=10, n=30, bounded=bounded)
+            if not lp.bounded.size:
+                continue
+            x = random_interior_point(rng, lp)
+            pt, d, d2 = arc_terms(lp, x, r)
+            scale = np.abs(lp.A).sum(axis=1).max()  # ||A||_inf
+            assert np.abs(d2).max() > 0
+            assert np.linalg.norm(lp.A @ d2, np.inf) <= 1e-12 * scale * np.linalg.norm(d2, np.inf)
+            assert_allclose(d, pt.d, rtol=1e-10, atol=1e-14 * np.abs(pt.d).max())
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5])
+def test_arc_second_order_term_is_the_derivative_of_d(rng, r):
+    # d2 is the derivative of the descent direction d(x) along d, so a
+    # central difference of the pass's d at x -+ eps d matches it to O(eps^2)
+    for _ in range(5):
+        lp, _ = random_lp(rng, m=10, n=30, bounded="all")
+        x = random_interior_point(rng, lp)
+        pt, _, d2 = arc_terms(lp, x, r)
+        room = min(x.min(), (lp.upper - x).min())
+        eps = 1e-4 * room / np.abs(pt.d).max()
+        fd = (pass_at(lp, x + eps * pt.d, r).d - pass_at(lp, x - eps * pt.d, r).d) / (2.0 * eps)
+        assert np.linalg.norm(fd - d2, np.inf) <= 1e-7 * np.linalg.norm(d2, np.inf)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5])
+def test_arc_point_is_strictly_inside_the_box(rng, r):
+    for _ in range(20):
+        lp, _ = random_lp(rng, m=10, n=30, bounded="all")
+        x = random_interior_point(rng, lp)
+        _, d, d2 = arc_terms(lp, x, r)
+        t = arc_step(x, lp.upper, d, d2)
+        assert 0.0 < t < np.inf
+        inside = x + (0.95 * t) * d + (0.5 * (0.95 * t) ** 2) * d2
+        assert inside.min() > 0.0 and (lp.upper - inside).min() > 0.0
+        # the root is the wall: some coordinate meets it there
+        at = x + t * d + (0.5 * t * t) * d2
+        assert np.minimum(at, lp.upper - at).min() <= 1e-12 * lp.upper.max()
+
+
+def least_positive_root(c0, b, a):
+    """Least t > 0 with a t^2 + b t + c0 = 0 for c0 > 0, by numpy's companion-matrix roots; +inf if none."""
+    roots = np.roots([a, b, c0]) if a != 0.0 else (np.array([-c0 / b]) if b != 0.0 else np.empty(0))
+    real = roots[np.abs(roots.imag) <= 1e-12 * np.abs(roots)].real
+    return real[real > 0].min(initial=np.inf)
+
+
+def test_arc_step_matches_quadratic_roots(rng):
+    for k in range(300):
+        n = int(rng.integers(1, 10))
+        upper = np.where(rng.random(n) < 0.6, rng.uniform(0.5, 4.0, n), np.inf)
+        x = np.minimum(rng.uniform(1e-3, 2.0, n), rng.uniform(0.05, 0.95, n) * upper)
+        d = rng.normal(size=n) * np.where(rng.random(n) < 0.2, 0.0, 1.0)
+        d2 = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 2, n) * np.where(rng.random(n) < 0.2, 0.0, 1.0)
+        want = np.inf
+        for j in range(n):
+            want = min(want, least_positive_root(x[j], d[j], 0.5 * d2[j]))
+            if np.isfinite(upper[j]):
+                want = min(want, least_positive_root(upper[j] - x[j], -d[j], -0.5 * d2[j]))
+        got = arc_step(x, upper, d, d2)
+        assert got == pytest.approx(want, rel=1e-9), (x, upper, d, d2)
+        # with no curvature the arc is the line, and its step is max_step's to rounding
+        assert arc_step(x, upper, d, np.zeros(n)) == pytest.approx(max_step(x, upper, d), rel=1e-15)

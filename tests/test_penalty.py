@@ -121,6 +121,22 @@ def test_scaling_diagonals_clamped():
         assert sd.h[0] == 1e32
 
 
+def test_curvature_weight_is_the_next_power(rng):
+    # x^(r-3) - (u_I - x_I)^(r-3), formed from the powers of h: the weight of
+    # h's derivative, h' = (r - 2) * weight; None without an upper bound
+    for r in (0.0, 0.3, 0.5):
+        upper = np.where(rng.random(12) < 0.5, rng.uniform(1.0, 3.0, 12), np.inf)
+        x = np.minimum(rng.uniform(0.05, 2.0, 12), rng.uniform(0.1, 0.9, 12) * upper)
+        p = params(r, upper)
+        want = x ** (r - 3.0)
+        want[p.bounded] -= (p.upper_I - x[p.bounded]) ** (r - 3.0)
+        assert_allclose(scaling_diagonals(x, p).curvature, want, rtol=1e-14)
+        eps = 1e-6 * x
+        dh = (scaling_diagonals(x + eps, p).h - scaling_diagonals(x - eps, p).h) / (2.0 * eps)
+        assert_allclose(dh, (r - 2.0) * scaling_diagonals(x, p).curvature, rtol=1e-6)
+        assert scaling_diagonals(x, params(r, np.full(12, np.inf))).curvature is None
+
+
 def test_gradient_hand_value():
     p = params(0.5, NO_UB)
     grad = penalty_gradient(np.array([1.0, 1.0]), np.array([1.0, 0.0]), 1.0, p)

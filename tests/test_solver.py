@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 import galp.solver
 from galp import directions, linalg
 from galp.cli import R_GRID
+from galp.directions import max_step
 from galp.model import StandardLP, to_standard_form
 from galp.mps import parse_mps, read_mps
 from galp.penalty import CLAMP_HI, CLAMP_LO, GaugeParams, NotInterior, penalty_gradient, scaling_diagonals
@@ -365,6 +366,75 @@ def test_duals_lag_primal_by_one_move():
     pre = pass_at(lp, state.x, 0.0)
     assert_allclose(out.y, pre.y)
     assert_allclose(out.s, pre.s)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("r", [0.0, 0.5])
+def test_non_finite_d2_keeps_the_linear_move(monkeypatch, rng, r, bad):
+    # on a seeded all-boxed LP, at every feasible state up to the first where
+    # the arc beats the line, a d2 with one non-finite entry gives the line
+    lp = random_lp(rng, m=10, n=30, bounded="all")[0]
+    cfg = SolverConfig(r=r)
+    state = _fresh_state(lp, choose_start(lp), r=r)
+    seen = []
+
+    def spoiled(*args):
+        d, d2 = directions.arc_direction(*args)
+        seen.append(d)
+        return d, np.where(np.arange(lp.n) == 3, bad, d2)
+
+    for _ in range(100):
+        pt = pass_at(lp, state.x, r)
+        arc = iterate_once(state, lp, cfg, pt)
+        if state.record.rf <= cfg.epsilon:
+            with monkeypatch.context() as patch:
+                patch.setattr(galp.solver, "arc_direction", spoiled)
+                line = iterate_once(state, lp, cfg, pt)
+            x = state.x + line.record.step_feas * pt.dx
+            t = STEP_AGGRESSIVE * max_step(x, lp.upper, seen[-1])
+            assert line.record.step_desc == t
+            assert np.array_equal(line.x, x + t * seen[-1])
+            if arc.record.step_desc != t:
+                # the arc won: a lower objective than the line's, strictly inside the box
+                assert arc.record.objective < line.record.objective
+                assert arc.x.min() > 0.0 and (lp.upper - arc.x).min() > 0.0
+                break
+        state = arc
+    else:
+        raise AssertionError("the arc never beat the line")
+
+
+def rowless_lp(c, upper):
+    """min <c, x> over 0 <= x <= upper, with no rows."""
+    c = np.asarray(c, dtype=float)
+    return StandardLP(A=sp.csc_matrix((0, c.size)), b=np.zeros(0), c=c, upper=np.asarray(upper, dtype=float))
+
+
+def test_rowless_lp_gets_its_exact_answer(rng):
+    from scipy.optimize import linprog
+
+    statuses = Counter()
+    for _ in range(60):
+        n = int(rng.integers(1, 8))
+        c = rng.normal(size=n) * (rng.random(n) < 0.8)  # some c_j exactly 0
+        upper = np.where(rng.random(n) < 0.6, rng.uniform(0.5, 3.0, n), np.inf)
+        lp = rowless_lp(c, upper)
+        ref = linprog(c, bounds=[(0.0, u if np.isfinite(u) else None) for u in upper], method="highs")
+        for r in (0.0, 0.5):
+            report = solve(lp, SolverConfig(r=r))
+            statuses[report.status] += 1
+            assert report.status == {0: Status.OPTIMAL, 3: Status.UNBOUNDED}[ref.status], (c, upper)
+            assert report.iterations == 0 and len(report.trace) == 1 and report.y.shape == (0,)
+            assert (report.x >= 0).all() and (report.x <= upper).all()
+            assert report.objective == float(c @ report.x) and report.rf == 0.0
+            assert np.array_equal(report.s, c + report.w) and (report.w >= 0).all()
+            if report.status == Status.OPTIMAL:
+                assert report.objective == pytest.approx(ref.fun, rel=1e-12, abs=1e-12)
+                assert (report.s >= 0).all() and abs(report.rgap) <= 1e-15
+    assert statuses[Status.OPTIMAL] > 20 and statuses[Status.UNBOUNDED] > 20
+    # no rows and no columns: Optimal at the empty point
+    report = solve(rowless_lp([], []))
+    assert report.status == Status.OPTIMAL and report.objective == 0.0 and report.x.shape == (0,)
 
 
 def test_reproject_follows_the_gap_alone(monkeypatch):
@@ -724,7 +794,7 @@ def python_wrapper_calls(fn):
     return result, hits
 
 
-def test_warm_solve_skips_python_wrappers(rng):
+def test_warm_solve_skips_python_wrappers(monkeypatch, rng):
     # a dense A within linalg.PAIR_BUDGET pairs, as 10 x 30, has no dense
     # block; the dense-column LP's block goes through dsyrk
     boxed = random_lp(rng, m=10, n=30, bounded="all")[0]
@@ -733,9 +803,17 @@ def test_warm_solve_skips_python_wrappers(rng):
         solve(lp, SolverConfig(r=0.2))
     assert [lp.plan.block_cols.size > 0 for lp in lps] == [False] * (len(lps) - 1) + [True]
     assert boxed.bounded.size == boxed.n
+    arcs = Counter()  # the two boxed LPs run the arc path, and no corpus LP does
+
+    def counted(d, g, lp, *args):
+        arcs[id(lp)] += 1
+        return directions.arc_direction(d, g, lp, *args)
+
+    monkeypatch.setattr(galp.solver, "arc_direction", counted)
     reports, hits = python_wrapper_calls(lambda: [solve(lp, SolverConfig(r=0.2)) for lp in lps])
     assert all(rep.iterations > 0 for rep in reports)
     assert hits == Counter()
+    assert all(arcs[id(lp)] > 0 for lp in lps[-2:]) and len(arcs) == 2
     # the spy sees each watched function when it is called
     probe = np.ones(3)
     _, seen = python_wrapper_calls(lambda: (probe.min(), probe.max(), probe.all(), np.full(2, 0.0), lps[0].A.shape))

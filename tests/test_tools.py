@@ -32,12 +32,20 @@ def test_iterate_hash_smoke():
     match = re.fullmatch(r"([0-9a-f]{64})  2 solves\n", proc.stdout)
     assert match, proc.stdout
     # the OpenBLAS copies the digest was made on, before any solve: numpy's,
-    # and scipy's, which runs the factor
-    assert re.fullmatch(
+    # and scipy's, which runs the factor; then one digest per family, where
+    # both solves are the corpus's and the other families hashed none
+    empty = hashlib.sha256().hexdigest()
+    families = re.fullmatch(
         r"numpy openblas: kernel \S+, version \S+\n"
-        r"scipy openblas: kernel \S+, version \S+, runs the factor\n",
+        r"scipy openblas: kernel \S+, version \S+, runs the factor\n"
+        r"corpus: ([0-9a-f]{64})  2 solves\n"
+        rf"fixtures: {empty}  0 solves\n"
+        rf"sparse_large: {empty}  0 solves\n"
+        rf"box_heavy: {empty}  0 solves\n",
         proc.stderr,
-    ), proc.stderr
+    )
+    assert families, proc.stderr
+    assert families.group(1) == match.group(1)
     digest = hashlib.sha256()
     raw = read_mps(netlib_path("adlittle"))
     for r in R_GRID[:2]:

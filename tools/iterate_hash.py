@@ -9,6 +9,10 @@ perfbench/workloads.py).  Each solve adds
 to the hash, in that order, its status value, the repr of the list of its
 trace records as ``dataclasses.astuple``, and then the bytes of x, y, w and
 s.
+After the solves, stderr gets one line per family, ``FAMILY: DIGEST  N
+solves``, for corpus, fixtures, sparse_large and box_heavy in that order:
+the same hash over that family's solves alone (over none, when ``--limit``
+stops first), so a change that moves only one family shows which.
 
 A change that claims bit-identical iterates prints the same digest as its
 parent.  The digest depends on the BLAS build, on the kernel that build
@@ -23,7 +27,7 @@ queried).
 
 Usage: python tools/iterate_hash.py [--limit N]
 ``--limit N`` hashes only the first N solves of the panel; ``--limit 0``
-only reports the two OpenBLAS copies.
+solves nothing, so of use only for its two OpenBLAS lines.
 """
 
 from __future__ import annotations
@@ -57,14 +61,18 @@ def _load_gen():
     return module
 
 
+FAMILIES = ("corpus", "fixtures", "sparse_large", "box_heavy")
+
+
 def panel():
-    """(label, thunk returning a RawMps, r grid), in hashing order."""
+    """(family, label, thunk returning a RawMps, r grid), in hashing order."""
     data = os.path.join(ROOT, "tests", "data")
     netlib = os.path.join(data, "netlib")
     for name in sorted(f for f in os.listdir(netlib) if f.endswith(".mps")):
-        yield name[:-4], lambda p=os.path.join(netlib, name): read_mps(p), R_GRID
+        yield "corpus", name[:-4], lambda p=os.path.join(netlib, name): read_mps(p), R_GRID
     for k in range(1, 21):
-        yield f"fix{k:02d}", lambda p=os.path.join(data, "fixtures", f"fix{k:02d}.mps"): read_mps(p), FIXTURE_GRID
+        path = os.path.join(data, "fixtures", f"fix{k:02d}.mps")
+        yield "fixtures", f"fix{k:02d}", lambda p=path: read_mps(p), FIXTURE_GRID
     gen = _load_gen()
     families = (
         ("sparse_large", gen.Shape(m=600, n=1800, density=0.01, boxed=False), range(4), (0.0, 0.5)),
@@ -73,7 +81,7 @@ def panel():
     for family, shape, seeds, grid in families:
         for seed in seeds:
             label = f"{family}_{seed}"
-            yield label, lambda s=seed, sh=shape, lb=label: parse_mps(gen.generate(s, sh, lb).mps_text()), grid
+            yield family, label, lambda s=seed, sh=shape, lb=label: parse_mps(gen.generate(s, sh, lb).mps_text()), grid
 
 
 def _openblas_string(lib, name):
@@ -104,22 +112,26 @@ def openblas_builds():
 
 
 def iterate_hash(limit=None):
-    """(hex digest, number of solves hashed) over the first ``limit`` solves of the panel."""
+    """(hex digest, number of solves hashed, {family: (hex digest, solves)}) over
+    the first ``limit`` solves of the panel."""
     digest = hashlib.sha256()
+    families = {family: [hashlib.sha256(), 0] for family in FAMILIES}
     count = 0
-    for _, read, grid in panel():
+    for family, _, read, grid in panel():
         raw = None
         for r in grid:
             if limit is not None and count >= limit:
-                return digest.hexdigest(), count
+                break
             raw = raw if raw is not None else read()
             report = solve(to_standard_form(raw)[0], SolverConfig(r=r))
-            digest.update(report.status.value.encode())
-            digest.update(repr([dataclasses.astuple(t) for t in report.trace]).encode())
-            for field in ("x", "y", "w", "s"):
-                digest.update(getattr(report, field).tobytes())
+            chunks = [report.status.value.encode(), repr([dataclasses.astuple(t) for t in report.trace]).encode()]
+            chunks += [getattr(report, field).tobytes() for field in ("x", "y", "w", "s")]
+            for chunk in chunks:
+                digest.update(chunk)
+                families[family][0].update(chunk)
+            families[family][1] += 1
             count += 1
-    return digest.hexdigest(), count
+    return digest.hexdigest(), count, {family: (h.hexdigest(), k) for family, (h, k) in families.items()}
 
 
 def main(argv=None):
@@ -131,8 +143,10 @@ def main(argv=None):
     for package, kernel, version in openblas_builds():
         runs = ", runs the factor" if package == "scipy" else ""
         print(f"{package} openblas: kernel {kernel}, version {version}{runs}", file=sys.stderr)
-    hexdigest, count = iterate_hash(args.limit)
+    hexdigest, count, families = iterate_hash(args.limit)
     print(f"{hexdigest}  {count} solves")
+    for family, (family_digest, solves) in families.items():
+        print(f"{family}: {family_digest}  {solves} solves", file=sys.stderr)
     return 0
 
 
