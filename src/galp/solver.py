@@ -14,6 +14,17 @@ reprojection of the descent direction: once the entering point's Rgap is
 below REPROJECT_GAP, which costs one more solve with the pass's factor; an
 arc iteration (below) always reprojects, in the arc's own solve.
 
+The start x2 is the minimum-norm solution of A x = b shifted by delta
+(``starting_point_x2``), with every boxed coordinate then clipped into
+[m_j, u_j - m_j], m_j = min(u_j / 2, delta): at least delta from both walls,
+and at the box centre u_j / 2 where the box is narrower than 2 delta.  Each
+boxed coordinate's term of the gauge, x^r + (u - x)^r, is largest at that
+centre, where its share of H, x^(r-2) + (u - x)^(r-2), is least.  A clip
+to a fixed fraction of u_j, such as [0.01 u, 0.99 u], leaves most of
+box-heavy's coordinates about 1% from a wall, and the solves then take 3.5
+times as many iterations.  Columns without an upper bound start at
+xhat + delta.
+
 Each quantity is computed once, at the scope where it changes.  Per LP: the
 start, which does not depend on r (``choose_start`` keeps it as
 ``StandardLP.start``; it is x1 wherever x2's factor fails), the assembly
@@ -51,8 +62,10 @@ x + t d + (t^2/2) d2 is taken at 0.95 of the least t at which it meets a
 wall (``arc_step``), and replaces the linear move only where
 t <c, d> + (t^2/2) <c, d2> is below the linear move's t_lin <c, d>; a
 non-finite <c, d2> keeps the linear move.  The trace's step_desc is then
-the arc's t.  On perfbench's box-heavy LPs the arc takes 2.5 times fewer
-iterations, and every solve ends Optimal within 1e-6 of HiGHS's objective.
+the arc's t.  On perfbench's box-heavy LPs (seeds 0-5 at r 0, 0.2 and 0.5)
+every solve ends Optimal within 1e-6 of HiGHS's objective, in 445
+iterations with the arc and 442 with the linear move alone; from a start
+clipped into [0.01 u, 0.99 u] the arc took 1560 against 3977.
 
 An LP with no rows (m = 0) has no normal matrix; ``solve`` returns its
 exact answer at once (``_rowless``).
@@ -162,14 +175,22 @@ def starting_point_x1(lp: StandardLP) -> np.ndarray:
 
 
 def starting_point_x2(lp: StandardLP) -> np.ndarray:
-    """Minimum-norm solution of Ax = b shifted into the open box."""
+    """Minimum-norm solution of Ax = b shifted by delta, with boxed columns off both walls.
+
+    Every coordinate is xhat + delta; a boxed one is then clipped into
+    [m_j, u_j - m_j] with m_j = min(u_j / 2, delta), so it starts at least
+    delta from either wall, and at the centre u_j / 2 of a box narrower than
+    2 delta.  That centre is where the box's mirrored gauge term
+    x^r + (u - x)^r is largest and h_j = x^(r-2) + (u - x)^(r-2) least.
+    """
     F = linalg.factor_normal(lp.plan, np.ones(lp.n))
     xhat = lp.rmatvec(linalg.solve(F, lp.b))
     xnorm = np.maximum.reduce(np.abs(xhat), initial=0.0)
     delta = max(-1.5 * float(np.minimum.reduce(xhat, initial=0.0)), 0.01 * (1.0 + xnorm))
     x = xhat + delta
     idx = lp.bounded
-    x[idx] = np.clip(x[idx], 0.01 * lp.upper_I, 0.99 * lp.upper_I)
+    margin = np.minimum(0.5 * lp.upper_I, delta)
+    x[idx] = np.clip(x[idx], margin, lp.upper_I - margin)
     return x
 
 

@@ -97,6 +97,45 @@ def test_starting_point_x2_respects_bounds():
     assert 0.0 < x[0] <= 0.99 * 2.0
 
 
+def shifted_min_norm(lp):
+    """x2's minimum-norm solution xhat of A x = b and its shift delta, by the solver's own kernels."""
+    F = linalg.factor_normal(lp.plan, np.ones(lp.n))
+    xhat = lp.rmatvec(linalg.solve(F, lp.b))
+    xnorm = np.maximum.reduce(np.abs(xhat), initial=0.0)
+    return xhat, max(-1.5 * float(np.minimum.reduce(xhat, initial=0.0)), 0.01 * (1.0 + xnorm))
+
+
+def wall_clipped_x2(lp):
+    """xhat + delta with each boxed coordinate clipped into [0.01 u, 0.99 u],
+    a fixed fraction of u from each wall, instead of x2's margin."""
+    xhat, delta = shifted_min_norm(lp)
+    x = xhat + delta
+    x[lp.bounded] = np.clip(x[lp.bounded], 0.01 * lp.upper_I, 0.99 * lp.upper_I)
+    return x
+
+
+@pytest.mark.parametrize("bounded", ["none", "some", "all"])
+def test_starting_point_x2_starts_boxes_off_both_walls(rng, bounded):
+    for scale in (1.0, 1e-3, 1e3):
+        lp = random_lp(rng, m=4, n=12, bounded=bounded)[0]
+        # scaling b scales xhat and delta with it, so the boxes, which keep
+        # their width, range from much wider than 2 delta to much narrower
+        lp = StandardLP(A=lp.A, b=scale * lp.b, c=lp.c, upper=lp.upper)
+        xhat, delta = shifted_min_norm(lp)
+        x = starting_point_x2(lp)
+        idx, u = lp.bounded, lp.upper_I
+        margin = np.minimum(u / 2, delta)
+        assert np.all(x[idx] >= margin) and np.all(x[idx] <= u - margin)
+        narrow = u < 2 * delta
+        assert np.array_equal(x[idx][narrow], u[narrow] / 2)
+        free = np.setdiff1d(np.arange(lp.n), idx)
+        assert np.array_equal(x[free], xhat[free] + delta)
+        if bounded == "none":
+            assert np.array_equal(x, wall_clipped_x2(lp))
+        if bounded == "all" and scale == 1e3:
+            assert narrow.all()  # every box is at its centre
+
+
 def test_choose_start_branches(monkeypatch):
     # min x1 = 2 >= 1 and min x2 = 0.515 < 2: keep x1
     lp = make_lp([[1.0, 1.0]], [1.0], [-1.0, -1.0])
@@ -372,10 +411,13 @@ def test_duals_lag_primal_by_one_move():
 @pytest.mark.parametrize("r", [0.0, 0.5])
 def test_non_finite_d2_keeps_the_linear_move(monkeypatch, rng, r, bad):
     # on a seeded all-boxed LP, at every feasible state up to the first where
-    # the arc beats the line, a d2 with one non-finite entry gives the line
+    # the arc beats the line, a d2 with one non-finite entry gives the line;
+    # the walk starts from wall_clipped_x2, where the arc beats the line
+    # before the walk converges (from x2 itself it converges first at r = 0,
+    # and would go on into a wall)
     lp = random_lp(rng, m=10, n=30, bounded="all")[0]
     cfg = SolverConfig(r=r)
-    state = _fresh_state(lp, choose_start(lp), r=r)
+    state = _fresh_state(lp, wall_clipped_x2(lp), r=r)
     seen = []
 
     def spoiled(*args):
@@ -384,6 +426,10 @@ def test_non_finite_d2_keeps_the_linear_move(monkeypatch, rng, r, bad):
         return d, np.where(np.arange(lp.n) == 3, bad, d2)
 
     for _ in range(100):
+        rec = state.record
+        assert not (rec.rf <= cfg.epsilon and abs(rec.rgap) <= cfg.epsilon), (
+            f"r = {r}: the walk converged at iteration {rec.iteration} before the arc beat the line"
+        )
         pt = pass_at(lp, state.x, r)
         arc = iterate_once(state, lp, cfg, pt)
         if state.record.rf <= cfg.epsilon:
