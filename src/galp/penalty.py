@@ -14,10 +14,7 @@ gradient diagonal g lives in ``penalty_gradient``.  Both form the slack
 u_I - x_I and its power only when the LP has upper-bounded columns
 (``upper_I.size``); for an LP without them, every LP of the netlib corpus,
 the pass is x's power and the clamp, and a boxed LP runs the same formulas
-with the box terms added.  For a boxed LP ``scaling_diagonals`` also returns
-the curvature weight x^(r-3) - (u_I - x_I)^(r-3), as x^(r-2)/x less
-(u_I - x_I)^(r-2)/(u_I - x_I), with no second power; h's derivative in x is
-(r - 2) times it, which the solver's second-order arc needs.
+with the box terms added.
 """
 
 from __future__ import annotations
@@ -66,15 +63,10 @@ class ScalingDiagonals:
     that downstream squaring stays within double range; ``clamp_events``
     counts how many were touched.  The gradient diagonal g is not here:
     ``penalty_gradient`` computes it.
-
-    ``curvature`` is x^(r-3), less (u_j - x_j)^(r-3) on I, unclamped, so
-    that dh/dx = (r - 2) * curvature away from the clamps; it is None when
-    I is empty.
     """
 
     h: np.ndarray
     clamp_events: int
-    curvature: np.ndarray | None
 
 
 def _in_domain(x, p):
@@ -117,7 +109,7 @@ def penalized_objective(x: np.ndarray, c: np.ndarray, mu: float, p: GaugeParams)
 
 
 def _wall_powers(x, p: GaugeParams, k: float):
-    """x^(r-k), (u_I - x_I)^(r-k) and u_I - x_I at a strictly interior x; the last two are None when I is empty."""
+    """x^(r-k) and (u_I - x_I)^(r-k) at a strictly interior x; the second is None when I is empty."""
     x = np.asarray(x, dtype=float)
     slack = p.upper_I - x[p.bounded] if p.upper_I.size else None
     # fmin skips NaN as the comparison x <= 0 does, so a NaN entry never trips
@@ -128,27 +120,21 @@ def _wall_powers(x, p: GaugeParams, k: float):
         raise NotInterior("point must satisfy 0 < x and x_I < u_I strictly")
     # near a wall a power may overflow to inf; every caller's clip bounds it
     with np.errstate(over="ignore"):
-        return x ** (p.r - k), None if slack is None else slack ** (p.r - k), slack
+        return x ** (p.r - k), None if slack is None else slack ** (p.r - k)
 
 
 def scaling_diagonals(x: np.ndarray, p: GaugeParams) -> ScalingDiagonals:
     """Hessian diagonal h at a strictly interior x; valid for every r in [0, 1)."""
-    h, slack_h, slack = _wall_powers(x, p, 2.0)
-    curvature = None
+    h, slack_h = _wall_powers(x, p, 2.0)
     if slack_h is not None:
-        # x^(r-3) - (u_I - x_I)^(r-3) from the powers at hand; inf - inf at a
-        # doubly tight wall is NaN, which keeps the solver's linear move
-        with np.errstate(over="ignore", invalid="ignore"):
-            curvature = h / x
-            curvature[p.bounded] -= slack_h / slack
         h[p.bounded] += slack_h
     clamped = np.minimum(np.maximum(h, CLAMP_LO), CLAMP_HI)  # np.clip's result, with less call overhead
-    return ScalingDiagonals(h=clamped, clamp_events=int(np.count_nonzero(clamped != h)), curvature=curvature)
+    return ScalingDiagonals(h=clamped, clamp_events=int(np.count_nonzero(clamped != h)))
 
 
 def penalty_gradient(x: np.ndarray, c: np.ndarray, mu: float, p: GaugeParams) -> np.ndarray:
     """grad F = c - mu * G e; g_j = x_j^(r-1), less (u_j - x_j)^(r-1) on I, clamped to +-1e32."""
-    g, slack_g, _ = _wall_powers(x, p, 1.0)
+    g, slack_g = _wall_powers(x, p, 1.0)
     if slack_g is not None:
         g[p.bounded] -= slack_g
     return np.asarray(c, dtype=float) - mu * np.clip(g, -CLAMP_HI, CLAMP_HI)

@@ -9,10 +9,9 @@ The feasibility direction, the descent direction and the dual estimates
 descent moves of the step from x_k; the start's pass serves the first
 iteration whole, and the final point gets none.  Each point's state, with
 its trace record and its expected relative duality gap Rgap, is built in
-one place (``_state``).  On the linear path the gap alone triggers
-reprojection of the descent direction: once the entering point's Rgap is
-below REPROJECT_GAP, which costs one more solve with the pass's factor; an
-arc iteration (below) always reprojects, in the arc's own solve.
+one place (``_state``).  The gap alone triggers reprojection of the descent
+direction: once the entering point's Rgap is below REPROJECT_GAP, which
+costs one more solve with the pass's factor.
 
 The start x2 is the minimum-norm solution of A x = b shifted by delta
 (``starting_point_x2``), with every boxed coordinate then clipped into
@@ -21,9 +20,10 @@ and at the box centre u_j / 2 where the box is narrower than 2 delta.  Each
 boxed coordinate's term of the gauge, x^r + (u - x)^r, is largest at that
 centre, where its share of H, x^(r-2) + (u - x)^(r-2), is least.  A clip
 to a fixed fraction of u_j, such as [0.01 u, 0.99 u], leaves most of
-box-heavy's coordinates about 1% from a wall, and the solves then take 3.5
-times as many iterations.  Columns without an upper bound start at
-xhat + delta.
+box-heavy's coordinates about 1% from a wall, and then only 4 of its 18
+solves (seeds 0-5 at r 0, 0.2 and 0.5) end Optimal within 1e-6 of HiGHS,
+in 3977 iterations against 442 from x2.  Columns without an upper bound
+start at xhat + delta.
 
 Each quantity is computed once, at the scope where it changes.  Per LP: the
 start, which does not depend on r (``choose_start`` keeps it as
@@ -46,26 +46,7 @@ Rf and the feasibility right-hand side of the point's pass.
 The feasibility move uses step factor STEP_AGGRESSIVE while the residual is
 large and STEP_CONSERVATIVE once it is small; the descent move swaps the two
 factors.  Reported duals therefore lag the reported primal point by one move.
-
-On an LP with upper bounds, the descent move may follow a second-order arc
-of the affine scaling trajectory x' = d(x) (Adler & Monteiro, Math. Program.
-50, 1991; Karmarkar, Lagarias, Slutsman & Wang, AT&T Tech. J. 68(3), 1989).
-It runs once the entering point is feasible (Rf <= epsilon), and only
-there.  The pass carries the curvature weight x^(r-3) - [(u - x)^(r-3) on
-I] (``ScalingDiagonals.curvature``, None when I is empty, which is the one
-test a box-free LP pays); with it, g = H^-1 hdot d, hdot = (r - 2) weight d,
-and d2 = -g + H^-1 A^t ydot with (A H^-1 A^t) ydot = A g, the derivative of
-d along d, so A d2 = 0.  A g is a second column beside reprojection's A d
-in one two-column solve with the pass's factor (``arc_direction``): an arc
-iteration always reprojects d, and makes no extra solve call.  The arc
-x + t d + (t^2/2) d2 is taken at 0.95 of the least t at which it meets a
-wall (``arc_step``), and replaces the linear move only where
-t <c, d> + (t^2/2) <c, d2> is below the linear move's t_lin <c, d>; a
-non-finite <c, d2> keeps the linear move.  The trace's step_desc is then
-the arc's t.  On perfbench's box-heavy LPs (seeds 0-5 at r 0, 0.2 and 0.5)
-every solve ends Optimal within 1e-6 of HiGHS's objective, in 445
-iterations with the arc and 442 with the linear move alone; from a start
-clipped into [0.01 u, 0.99 u] the arc took 1560 against 3977.
+Every LP, boxed or not, takes the same two linear moves.
 
 An LP with no rows (m = 0) has no normal matrix; ``solve`` returns its
 exact answer at once (``_rowless``).
@@ -90,7 +71,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .directions import arc_direction, arc_step, descent_direction, feasibility_direction, max_step, reproject
+from .directions import descent_direction, feasibility_direction, max_step, reproject
 from .model import StandardLP, primal_infeasibility
 from .penalty import GaugeParams, NotInterior, scaling_diagonals
 
@@ -215,8 +196,8 @@ def choose_start(lp: StandardLP) -> np.ndarray:
 
 class PointPass(NamedTuple):
     """One pass at a point x: H^-1, the factor of A H^-1 A^t, the feasibility
-    direction dx, the descent direction d, the dual estimates (y, w, s), the
-    clamp count of H and the arc's curvature weight (None when I is empty)."""
+    direction dx, the descent direction d, the dual estimates (y, w, s) and
+    the clamp count of H."""
 
     hinv: np.ndarray
     F: linalg.CholeskyFactor
@@ -226,7 +207,6 @@ class PointPass(NamedTuple):
     w: np.ndarray
     s: np.ndarray
     clamps: int
-    curvature: np.ndarray | None
 
 
 def recover_duals(lp: StandardLP, x, p: GaugeParams, resid) -> PointPass:
@@ -253,7 +233,7 @@ def recover_duals(lp: StandardLP, x, p: GaugeParams, resid) -> PointPass:
         idx = lp.bounded
         w[idx] = -(x[idx] / lp.upper_I) * reduced[idx]
     # the add stays when I is empty: it turns each -0.0 of s~ into the +0.0 s reports
-    return PointPass(hinv, F, dx, d, y, w, reduced + w, sd.clamp_events, sd.curvature)
+    return PointPass(hinv, F, dx, d, y, w, reduced + w, sd.clamp_events)
 
 
 def _state(lp: StandardLP, x, resid, pt: PointPass, iteration=0, step_feas=0.0, step_desc=0.0) -> IterateState:
@@ -291,14 +271,10 @@ def iterate_once(state: IterateState, lp: StandardLP, cfg: SolverConfig, pt: Poi
     rec = state.record
 
     d = pt.d
-    infeasible = rec.rf > cfg.epsilon
-    arc = pt.curvature is not None and not infeasible
-    if arc:
-        with np.errstate(invalid="ignore"):  # a weight at +-inf may make d2 NaN, which keeps the linear move
-            g = ((cfg.r - 2.0) * pt.hinv) * pt.curvature * d * d
-            d, d2 = arc_direction(d, g, lp, pt.F, pt.hinv)
-    elif rec.rgap < REPROJECT_GAP:
+    if rec.rgap < REPROJECT_GAP:
         d = reproject(d, lp, pt.F, pt.hinv)
+
+    infeasible = rec.rf > cfg.epsilon
 
     t_feas = (STEP_AGGRESSIVE if infeasible else STEP_CONSERVATIVE) * max_step(
         x, lp.upper, pt.dx, cap=1.0
@@ -314,13 +290,6 @@ def iterate_once(state: IterateState, lp: StandardLP, cfg: SolverConfig, pt: Poi
         t_desc = (STEP_CONSERVATIVE if infeasible else STEP_AGGRESSIVE) * (
             tmax if math.isfinite(tmax) else 0.0
         )
-    if arc and math.isfinite(t_desc):
-        # the arc x + t d + (t^2/2) d2 = x + t (d + (t/2) d2), where it lowers
-        # <c, x> more than the linear move; a non-finite <c, d2> keeps the line
-        cd, cd2 = float(lp.c @ d), float(lp.c @ d2)
-        t = STEP_AGGRESSIVE * arc_step(x, lp.upper, d, d2) if math.isfinite(cd2) else math.inf
-        if math.isfinite(t) and t * cd + 0.5 * t * t * cd2 < t_desc * cd:
-            t_desc, d = t, d + (0.5 * t) * d2
     x = x + t_desc * d
 
     return _state(lp, x, lp.b - lp.matvec(x), pt, rec.iteration + 1, step_feas=t_feas, step_desc=t_desc)
@@ -339,7 +308,7 @@ def _rowless(lp: StandardLP) -> tuple[IterateState, Status]:
     w[idx] = np.maximum(-lp.c[idx], 0.0)
     x = np.zeros(lp.n)
     x[idx] = np.where(lp.c[idx] < 0, lp.upper_I, 0.0)
-    pt = PointPass(None, linalg.CholeskyFactor(np.zeros((0, 0)), 0.0), None, None, np.zeros(0), w, lp.c + w, 0, None)
+    pt = PointPass(None, linalg.CholeskyFactor(np.zeros((0, 0)), 0.0), None, None, np.zeros(0), w, lp.c + w, 0)
     ray = np.count_nonzero((lp.c < 0) & (lp.upper == np.inf))
     return _state(lp, x, lp.b - lp.matvec(x), pt), Status.UNBOUNDED if ray else Status.OPTIMAL
 

@@ -407,47 +407,40 @@ def test_duals_lag_primal_by_one_move():
     assert_allclose(out.s, pre.s)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("r", [0.0, 0.5])
-def test_non_finite_d2_keeps_the_linear_move(monkeypatch, rng, r, bad):
-    # on a seeded all-boxed LP, at every feasible state up to the first where
-    # the arc beats the line, a d2 with one non-finite entry gives the line;
-    # the walk starts from wall_clipped_x2, where the arc beats the line
-    # before the walk converges (from x2 itself it converges first at r = 0,
-    # and would go on into a wall)
+def test_boxed_lp_takes_the_linear_move(monkeypatch, rng, r):
+    # on a seeded all-boxed LP walked from choose_start to convergence, d is
+    # reprojected exactly when the entering rgap is below REPROJECT_GAP, and
+    # every feasible state's move is the linear one: STEP_AGGRESSIVE times
+    # the ratio test after the feasibility move, to a new x strictly inside
     lp = random_lp(rng, m=10, n=30, bounded="all")[0]
     cfg = SolverConfig(r=r)
-    state = _fresh_state(lp, wall_clipped_x2(lp), r=r)
-    seen = []
+    state = _fresh_state(lp, choose_start(lp), r=r)
+    reprojected, near, feasible = [], set(), 0
 
-    def spoiled(*args):
-        d, d2 = directions.arc_direction(*args)
-        seen.append(d)
-        return d, np.where(np.arange(lp.n) == 3, bad, d2)
+    def counted(*args):
+        reprojected.append(state.record.iteration)
+        return directions.reproject(*args)
 
-    for _ in range(100):
+    monkeypatch.setattr(galp.solver, "reproject", counted)
+    while not (state.record.rf <= cfg.epsilon and abs(state.record.rgap) <= cfg.epsilon):
         rec = state.record
-        assert not (rec.rf <= cfg.epsilon and abs(rec.rgap) <= cfg.epsilon), (
-            f"r = {r}: the walk converged at iteration {rec.iteration} before the arc beat the line"
-        )
+        assert rec.iteration < cfg.max_iterations, f"r = {r}: the walk did not converge"
         pt = pass_at(lp, state.x, r)
-        arc = iterate_once(state, lp, cfg, pt)
-        if state.record.rf <= cfg.epsilon:
-            with monkeypatch.context() as patch:
-                patch.setattr(galp.solver, "arc_direction", spoiled)
-                line = iterate_once(state, lp, cfg, pt)
-            x = state.x + line.record.step_feas * pt.dx
-            t = STEP_AGGRESSIVE * max_step(x, lp.upper, seen[-1])
-            assert line.record.step_desc == t
-            assert np.array_equal(line.x, x + t * seen[-1])
-            if arc.record.step_desc != t:
-                # the arc won: a lower objective than the line's, strictly inside the box
-                assert arc.record.objective < line.record.objective
-                assert arc.x.min() > 0.0 and (lp.upper - arc.x).min() > 0.0
-                break
-        state = arc
-    else:
-        raise AssertionError("the arc never beat the line")
+        out = iterate_once(state, lp, cfg, pt)
+        near.add(rec.rgap < REPROJECT_GAP)
+        assert reprojected.count(rec.iteration) == (rec.rgap < REPROJECT_GAP), rec.iteration
+        if rec.rf <= cfg.epsilon:
+            feasible += 1
+            d = directions.reproject(pt.d, lp, pt.F, pt.hinv) if rec.rgap < REPROJECT_GAP else pt.d
+            x = state.x + out.record.step_feas * pt.dx
+            t = STEP_AGGRESSIVE * max_step(x, lp.upper, d)
+            assert out.record.step_desc == t, rec.iteration
+            assert np.array_equal(out.x, x + t * d), rec.iteration
+            assert out.x.min() > 0.0 and (lp.upper - out.x).min() > 0.0, rec.iteration
+        state = out
+    # the walk saw both sides of REPROJECT_GAP, and most of it was feasible
+    assert near == {False, True} and feasible > state.record.iteration // 2
 
 
 def rowless_lp(c, upper):
@@ -840,7 +833,7 @@ def python_wrapper_calls(fn):
     return result, hits
 
 
-def test_warm_solve_skips_python_wrappers(monkeypatch, rng):
+def test_warm_solve_skips_python_wrappers(rng):
     # a dense A within linalg.PAIR_BUDGET pairs, as 10 x 30, has no dense
     # block; the dense-column LP's block goes through dsyrk
     boxed = random_lp(rng, m=10, n=30, bounded="all")[0]
@@ -849,17 +842,9 @@ def test_warm_solve_skips_python_wrappers(monkeypatch, rng):
         solve(lp, SolverConfig(r=0.2))
     assert [lp.plan.block_cols.size > 0 for lp in lps] == [False] * (len(lps) - 1) + [True]
     assert boxed.bounded.size == boxed.n
-    arcs = Counter()  # the two boxed LPs run the arc path, and no corpus LP does
-
-    def counted(d, g, lp, *args):
-        arcs[id(lp)] += 1
-        return directions.arc_direction(d, g, lp, *args)
-
-    monkeypatch.setattr(galp.solver, "arc_direction", counted)
     reports, hits = python_wrapper_calls(lambda: [solve(lp, SolverConfig(r=0.2)) for lp in lps])
     assert all(rep.iterations > 0 for rep in reports)
     assert hits == Counter()
-    assert all(arcs[id(lp)] > 0 for lp in lps[-2:]) and len(arcs) == 2
     # the spy sees each watched function when it is called
     probe = np.ones(3)
     _, seen = python_wrapper_calls(lambda: (probe.min(), probe.max(), probe.all(), np.full(2, 0.0), lps[0].A.shape))
