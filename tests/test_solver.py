@@ -137,9 +137,17 @@ def test_starting_point_x2_starts_boxes_off_both_walls(rng, bounded):
 
 
 def test_choose_start_branches(monkeypatch):
-    # min x1 = 2 >= 1 and min x2 = 0.515 < 2: keep x1
+    # x1 = [2, 2] lies wholly above x2 = [0.515, 0.515]: min x1 > max x2,
+    # so x1 is off x2's scale, not more interior, and the start is x2
     lp = make_lp([[1.0, 1.0]], [1.0], [-1.0, -1.0])
-    assert_allclose(choose_start(lp), starting_point_x1(lp))
+    assert starting_point_x1(lp).min() > starting_point_x2(lp).max()
+    assert_allclose(choose_start(lp), starting_point_x2(lp))
+    # x1 = [2, 4/3] and x2 = [1.025, 1.525]: min x2 <= min x1 <= max x2 and
+    # min x1 >= 1, so x1 is the more interior start on x2's scale: keep x1
+    lp = make_lp([[1.0, 1.5]], [3.25], [1.0, 1.0])
+    x1, x2 = starting_point_x1(lp), starting_point_x2(lp)
+    assert x2.min() <= x1.min() <= x2.max() and x1.min() >= 1.0
+    assert np.array_equal(choose_start(lp), x1)
     # min x2 ~ 5 beats min x1 = 2: switch to x2
     lp = make_lp([[1.0, 1.0]], [10.0], [-1.0, -1.0])
     assert_allclose(choose_start(lp), starting_point_x2(lp))
@@ -164,6 +172,15 @@ def test_choose_start_branches(monkeypatch):
         assert solve(lp, SolverConfig(r=r)).status == Status.NUMERICAL_FAILURE
     assert len(calls) == 1  # memoized: x2 is tried on the first solve only
     assert np.array_equal(lp.start, starting_point_x1(lp))
+
+
+@pytest.mark.parametrize(
+    "name, start", [("blend", "x1"), ("sc50a", "x1"), ("adlittle", "x2"), ("afiro", "x2"), ("sc50b", "x2")]
+)
+def test_corpus_start_choices_are_pinned(name, start):
+    lp = to_standard_form(read_mps(netlib_path(name)))[0]
+    pick = {"x1": starting_point_x1, "x2": starting_point_x2}[start]
+    assert np.array_equal(choose_start(lp), pick(lp))
 
 
 def test_recover_duals_unbounded_case():

@@ -3,8 +3,9 @@ that no solver setting was tuned on.
 
 Each family's iteration total over its cells is pinned at 1.25 times the
 total measured when the family was added (``MEASURED``), so a change that
-makes the boxed families slower fails here as well as one that makes them
-wrong.
+makes a family slower fails here as well as one that makes it wrong.  One
+held-out family has no upper bounds, so the start of LPs without boxes is
+gated too.
 """
 
 import numpy as np
@@ -30,6 +31,9 @@ MEASURED = {
     "far_wall": 219,
     "half_boxed": 198,
     "loose_big_m": 221,
+    # unboxed: x1 = n/||A_j|| lies wholly above x2 on every seed, so every
+    # seed starts from x2; while x1 won on min x1 alone they took 533
+    "unboxed_100x300": 402,
 }
 SEEDS = {
     "box_heavy": range(6, 12),  # the benchmark's panel uses seeds 0-5
@@ -38,14 +42,17 @@ SEEDS = {
     "far_wall": range(201, 204),
     "half_boxed": range(301, 304),
     "loose_big_m": range(401, 404),
+    "unboxed_100x300": range(6),
 }
+BOXED = tuple(f for f in MEASURED if f not in ("box_heavy", "unboxed_100x300"))
 
 
-def boxed_instance(gen, family, seed):
+def family_instance(gen, family, seed):
     """One LP of ``family``, built by perfbench/gen.py or in its pattern.
 
-    box_heavy and boxed_100x300 are ``gen.generate`` in the 200x600 and
-    100x300 boxed shapes.  The others share the 100x300 shape's pattern and
+    box_heavy, boxed_100x300 and unboxed_100x300 are ``gen.generate`` in the
+    200x600 and 100x300 boxed shapes and the 100x300 shape without upper
+    bounds.  The others share the 100x300 shape's pattern and
     entries, with b = A x_feas, and differ in where x_feas sits in its box:
     near_wall has u ~ U(1, 3.5) and x_feas = u U(0.02, 0.3), far_wall
     x_feas = u U(0.7, 0.98), both with c ~ U(-1, 1).  half_boxed boxes half
@@ -58,6 +65,8 @@ def boxed_instance(gen, family, seed):
         return gen.generate(seed, gen.Shape(m=200, n=600, density=0.02, boxed=True), f"{family}_{seed}")
     if family == "boxed_100x300":
         return gen.generate(seed, gen.Shape(m=100, n=300, density=0.03, boxed=True), f"{family}_{seed}")
+    if family == "unboxed_100x300":
+        return gen.generate(seed, gen.Shape(m=100, n=300, density=0.03, boxed=False), f"{family}_{seed}")
     m, n = 100, 300
     rng = np.random.default_rng(seed)
     rows, cols = gen._pattern(rng, m, n, 0.03)
@@ -87,7 +96,7 @@ def check_family(family):
     gen = load_perfbench_gen()
     wrong, total = [], 0
     for seed in SEEDS[family]:
-        inst = boxed_instance(gen, family, seed)
+        inst = family_instance(gen, family, seed)
         reference = gen.highs_reference(inst)
         lp = to_standard_form(parse_mps(inst.mps_text()))[0]
         for r in R_CELLS:
@@ -104,6 +113,10 @@ def test_box_heavy_held_out_seeds_are_optimal_and_true():
     check_family("box_heavy")
 
 
-@pytest.mark.parametrize("family", [f for f in MEASURED if f != "box_heavy"])
+@pytest.mark.parametrize("family", BOXED)
 def test_held_out_boxed_family_is_optimal_and_true(family):
     check_family(family)
+
+
+def test_held_out_unboxed_family_is_optimal_and_true():
+    check_family("unboxed_100x300")
