@@ -338,7 +338,8 @@ def _converged(state: IterateState, cfg: SolverConfig, safeguard: float) -> bool
 
 
 def solve(lp: StandardLP, cfg: SolverConfig | None = None, offset: float = 0.0) -> SolveReport:
-    """Run the full affine scaling iteration; never raises past this API."""
+    """Run the full affine scaling iteration; never raises past this API, except
+    ``ValueError`` on an LP with rows but no columns (m > 0, n = 0)."""
     cfg = cfg or SolverConfig()
     p = GaugeParams(r=cfg.r, upper=lp.upper)
     safeguard = -DUAL_SAFEGUARD * (1.0 + np.maximum.reduce(np.abs(lp.c), initial=0.0))

@@ -1,4 +1,3 @@
-import importlib.util
 import os
 import sys
 
@@ -8,13 +7,10 @@ import scipy.sparse as sp
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from families import DATA, FIXTURES, NETLIB  # noqa: F401  re-exported to the test modules
 from galp.model import StandardLP
 from galp.penalty import GaugeParams
 from galp.solver import recover_duals
-
-DATA = os.path.join(os.path.dirname(__file__), "data")
-NETLIB = os.path.join(DATA, "netlib")
-FIXTURES = os.path.join(DATA, "fixtures")
 
 NETLIB_PROBLEMS = ("afiro", "sc50a", "sc50b", "adlittle", "blend")
 
@@ -26,16 +22,6 @@ NETLIB_OPTIMA = {
     "adlittle": 225494.96316,
     "blend": -30.812149846,
 }
-
-
-def load_perfbench_gen():
-    """perfbench/gen.py, the generator of the sparse-large and box-heavy instances."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "gen.py")
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
 
 
 def netlib_path(name):

@@ -19,6 +19,7 @@ from galp.penalty import GaugeParams, penalized_objective, penalty_gradient, sca
 from galp.solver import SolverConfig, Status, solve
 
 from conftest import FIXTURES, NETLIB_PROBLEMS, netlib_path, pass_at, random_lp, random_interior_point
+from families import PANEL
 from simplex_oracle import simplex_solve
 
 # the gate's own reference grid, kept apart from the CLI's default
@@ -249,28 +250,18 @@ def test_criterion_6_random_bounded_solutions():
             assert margin.min() > STRICT_MARGIN * scale
 
 
-def highs_objective(lp):
-    """Optimal objective of the standard-form LP from scipy's HiGHS, or None."""
-    from scipy.optimize import linprog
-
-    bounds = [(0.0, u if np.isfinite(u) else None) for u in lp.upper]
-    res = linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=bounds, method="highs")
-    return float(res.fun) if res.status == 0 else None
-
-
 def test_fixture_solves_never_raise_and_optima_are_true():
     with criterion("fixture gate (no solve raises; every Optimal matches HiGHS)"):
         optimal = 0
-        for path in sorted(glob.glob(os.path.join(FIXTURES, "fix*.mps"))):
-            lp, _ = to_standard_form(read_mps(path))
-            reference = highs_objective(lp)
-            for r in (0.0, 0.2, 0.5):
+        fixtures = PANEL["fixtures"]
+        for member in fixtures.members:
+            lp = member.lp()
+            for r in fixtures.grid:
                 report = solve(lp, SolverConfig(r=r))
                 if report.status != Status.OPTIMAL:
                     continue
                 optimal += 1
-                assert reference is not None, (path, r)
-                assert report.objective == pytest.approx(reference, rel=OBJECTIVE_RTOL), (path, r)
+                assert report.objective == pytest.approx(member.highs, rel=OBJECTIVE_RTOL), (member.name, r)
         # fix06, fix08, fix09 and fix18 at every r, and fix16 at r = 0.5; a floor, not a target
         assert optimal >= 13
 

@@ -20,9 +20,10 @@ from galp.linalg import (
 )
 
 from galp.model import to_standard_form
-from galp.mps import parse_mps, read_mps
+from galp.mps import read_mps
 
-from conftest import NETLIB_PROBLEMS, load_perfbench_gen, netlib_path, sparse_product_normal
+from conftest import NETLIB_PROBLEMS, netlib_path, sparse_product_normal
+from families import PANEL
 
 
 def dense_triple_loop(A, dinv):
@@ -53,14 +54,13 @@ def kernel_test_matrices(rng):
 
 
 def blockless_matrices(rng):
-    """kernel_test_matrices, the corpus and the perfbench sparse-large and
-    box-heavy shapes: every A whose pair table fits without a dense block."""
+    """kernel_test_matrices, the corpus and seed 0 of sparse-large and
+    box-heavy: every A whose pair table fits without a dense block."""
     yield from kernel_test_matrices(rng)
     for name in NETLIB_PROBLEMS:
         yield to_standard_form(read_mps(netlib_path(name)))[0].A
-    gen = load_perfbench_gen()
-    for shape in (gen.Shape(m=600, n=1800, density=0.01, boxed=False), gen.Shape(m=200, n=600, density=0.02, boxed=True)):
-        yield to_standard_form(parse_mps(gen.generate(0, shape, "shape").mps_text()))[0].A
+    for family in ("sparse_large", "box_heavy"):
+        yield PANEL[family].members[0].lp().A
 
 
 def dense_column_matrix(rng, m=60, n=40, density=0.05, dense=8):

@@ -1,5 +1,3 @@
-import glob
-import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -22,7 +20,8 @@ from galp.model import (
 
 from galp.solver import SolverConfig, Status, solve
 
-from conftest import FIXTURES, NETLIB, NETLIB_PROBLEMS, load_perfbench_gen, netlib_path, random_lp
+from conftest import NETLIB_PROBLEMS, netlib_path, random_lp
+from families import PANEL
 
 
 def build(rows, columns, rhs="", extra=""):
@@ -714,25 +713,15 @@ def assert_map_back_matches_loop(vmap, old_map, n):
         assert_same_arrays(new, old)
 
 
-@pytest.mark.parametrize(
-    "path",
-    sorted(glob.glob(os.path.join(NETLIB, "*.mps"))) + sorted(glob.glob(os.path.join(FIXTURES, "fix*.mps"))),
-    ids=os.path.basename,
-)
-def test_standard_form_matches_loop_converter_on_files(path):
-    assert assert_matches_loop_converter(read_mps(path)) == "converted"
+@pytest.mark.parametrize("member", PANEL["corpus"].members + PANEL["fixtures"].members, ids=lambda m: f"{m.name}.mps")
+def test_standard_form_matches_loop_converter_on_files(member):
+    assert assert_matches_loop_converter(member.raw()) == "converted"
 
 
 def test_standard_form_matches_loop_converter_on_generated_instances():
-    gen = load_perfbench_gen()
-    shapes = {  # the sparse-large and box-heavy shapes of perfbench/workloads.py
-        "sparse": gen.Shape(m=600, n=1800, density=0.01, boxed=False),
-        "boxed": gen.Shape(m=200, n=600, density=0.02, boxed=True),
-    }
-    for label, shape in shapes.items():
-        for seed in (0, 1):
-            text = gen.generate(seed, shape, f"{label}_{seed}").mps_text()
-            assert assert_matches_loop_converter(parse_mps(text)) == "converted"
+    for family in ("sparse_large", "box_heavy"):
+        for member in PANEL[family].members[:2]:
+            assert assert_matches_loop_converter(member.raw()) == "converted"
 
 
 BOUND_VALUES = (-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0)

@@ -11,7 +11,6 @@ on netlib-sweep with and without tracing, on a copy of the files it reads.
 """
 
 import importlib
-import importlib.util
 import json
 import os
 import shutil
@@ -25,6 +24,7 @@ from galp.mps import read_mps
 from galp.solver import SolverConfig, Status, solve
 
 from conftest import netlib_path
+import tracing  # perfbench/tracing.py; see tests/families.py
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -40,17 +40,7 @@ def test_perfbench_selfcheck_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py")
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_traced_solve_spans_every_binding():
-    tracing = load_tracing()
     expected = {
         tracing.span_name(getattr(importlib.import_module(modname), attr))
         for modname, attrs in tracing.BINDINGS.items()
@@ -67,7 +57,6 @@ def test_traced_solve_spans_every_binding():
 def test_traced_solve_of_a_warm_lp_spans_every_binding():
     # perfbench solves each cell untraced before its traced twin, so the
     # traced solve meets an LP whose start is already memoized
-    tracing = load_tracing()
     lp = to_standard_form(read_mps(netlib_path("afiro")))[0]
     assert solve(lp, SolverConfig(r=0.2)).status == Status.OPTIMAL
     assert lp.start is not None

@@ -17,7 +17,7 @@ from galp import directions, linalg
 from galp.cli import R_GRID
 from galp.directions import max_step
 from galp.model import StandardLP, to_standard_form
-from galp.mps import parse_mps, read_mps
+from galp.mps import read_mps
 from galp.penalty import CLAMP_HI, CLAMP_LO, GaugeParams, NotInterior, penalty_gradient, scaling_diagonals
 from galp.solver import (
     REPROJECT_GAP,
@@ -42,7 +42,7 @@ from conftest import (
     random_lp,
     sparse_product_normal,
 )
-from test_acceptance import highs_objective
+from families import PANEL, highs_optimum
 from test_directions import masked_max_step
 
 
@@ -493,6 +493,13 @@ def test_rowless_lp_gets_its_exact_answer(rng):
     assert report.status == Status.OPTIMAL and report.objective == 0.0 and report.x.shape == (0,)
 
 
+@pytest.mark.xfail(raises=ValueError, strict=True, reason="choose_start reduces over an empty start")
+def test_column_free_lp_gets_a_report():
+    # rows but no columns: b = 0 is solved by the empty point, b = 1 is infeasible
+    for b in (0.0, 1.0):
+        assert solve(make_lp(np.zeros((1, 0)), [b], [])).status in set(Status), b
+
+
 def test_reproject_follows_the_gap_alone(monkeypatch):
     # blend at r=0.7 runs past iteration 20 with the entering rgap above REPROJECT_GAP
     lp = to_standard_form(read_mps(netlib_path("blend")))[0]
@@ -755,7 +762,7 @@ def test_dense_column_lps_match_highs(seed):
     # the dense block's rounding differs from the pair table's, so the family
     # is checked end to end against an independent solver at each r
     lp = dense_column_lp(np.random.default_rng(seed))
-    optimum = highs_objective(lp)
+    optimum = highs_optimum(lp)
     for r in (0.0, 0.2, 0.5):
         report = solve(lp, SolverConfig(r=r))
         assert report.status == Status.OPTIMAL, (r, report.status)
@@ -1025,21 +1032,11 @@ def test_box_free_pass_matches_general_formulas(monkeypatch, rng):
 
 
 def r_sweep_cases():
-    """(label, RawMps, r grid) for the corpus r-grid, the 20 fixtures and
-    2 generated instances of each perfbench workload shape."""
-    from test_model import load_perfbench_gen
-
-    gen = load_perfbench_gen()
-    cases = [(name, read_mps(netlib_path(name)), R_GRID) for name in NETLIB_PROBLEMS]
-    for k in range(1, 21):
-        cases.append((f"fix{k:02d}", read_mps(os.path.join(FIXTURES, f"fix{k:02d}.mps")), (0.0, 0.2, 0.5)))
-    shapes = {  # the sparse-large and box-heavy shapes and r grids of perfbench/workloads.py
-        "sparse": (gen.Shape(m=600, n=1800, density=0.01, boxed=False), (0.0, 0.5)),
-        "boxed": (gen.Shape(m=200, n=600, density=0.02, boxed=True), (0.0, 0.2, 0.5)),
-    }
-    for label, (shape, grid) in shapes.items():
-        for seed in (0, 1):
-            cases.append((f"{label}_{seed}", parse_mps(gen.generate(seed, shape, label).mps_text()), grid))
+    """(label, member, r grid) for the corpus, the 20 fixtures and the first
+    2 seeds of sparse-large (labelled sparse_0, sparse_1) and box-heavy (boxed_0, boxed_1)."""
+    cases = [(m.name, m, PANEL[f].grid) for f in ("corpus", "fixtures") for m in PANEL[f].members]
+    for label, f in (("sparse", "sparse_large"), ("boxed", "box_heavy")):
+        cases += [(f"{label}_{m.seed}", m, PANEL[f].grid) for m in PANEL[f].members[:2]]
     return cases
 
 
@@ -1054,11 +1051,7 @@ def solve_bytes(report):
 def sweep_runs():
     """r_sweep_cases() and the solve_bytes of each of its cells, each solved on a fresh LP."""
     cases = r_sweep_cases()
-    runs = {
-        (label, r): solve_bytes(solve(to_standard_form(raw)[0], SolverConfig(r=r)))
-        for label, raw, grid in cases
-        for r in grid
-    }
+    runs = {(label, r): solve_bytes(solve(m.lp(), SolverConfig(r=r))) for label, m, grid in cases for r in grid}
     return cases, runs
 
 
@@ -1074,8 +1067,8 @@ def test_memoized_start_is_bit_identical_across_an_r_sweep(monkeypatch, sweep_ru
 
     monkeypatch.setattr(galp.solver, "starting_point_x2", counted)
     lps = []
-    for label, raw, grid in cases:
-        lp = to_standard_form(raw)[0]
+    for label, member, grid in cases:
+        lp = member.lp()
         lps.append(lp)  # keeps every id() in calls distinct
         for r in grid:
             assert solve_bytes(solve(lp, SolverConfig(r=r))) == fresh_runs[label, r], (label, r)

@@ -1,6 +1,7 @@
 """Every status galp reports is true: checked against HiGHS on seeded families
 that no solver setting was tuned on.
 
+The families, their seeds and r grid are ``HELD_OUT`` in tests/families.py.
 Each family's iteration total over its cells is pinned at 1.25 times the
 total measured when the family was added (``MEASURED``), so a change that
 makes a family slower fails here as well as one that makes it wrong.  One
@@ -8,19 +9,13 @@ held-out family has no upper bounds, so the start of LPs without boxes is
 gated too.
 """
 
-import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from galp.model import to_standard_form
-from galp.mps import parse_mps
 from galp.solver import SolverConfig, Status, solve
 
-from conftest import load_perfbench_gen
+from families import HELD_OUT
 
-R_CELLS = (0.0, 0.2, 0.5)
-
-# iterations over each family's seeds x R_CELLS when it was pinned; the
+# iterations over each family's members x grid when it was pinned; the
 # parent of the start that clips boxed columns into [min(u/2, delta),
 # u - min(u/2, delta)] took 1426 on box_heavy, 1264 on boxed_100x300, 260 on
 # near_wall, 918 on far_wall, 484 on half_boxed and 621 on loose_big_m
@@ -35,78 +30,23 @@ MEASURED = {
     # seed starts from x2; while x1 won on min x1 alone they took 533
     "unboxed_100x300": 402,
 }
-SEEDS = {
-    "box_heavy": range(6, 12),  # the benchmark's panel uses seeds 0-5
-    "boxed_100x300": range(6),
-    "near_wall": range(101, 104),
-    "far_wall": range(201, 204),
-    "half_boxed": range(301, 304),
-    "loose_big_m": range(401, 404),
-    "unboxed_100x300": range(6),
-}
 BOXED = tuple(f for f in MEASURED if f not in ("box_heavy", "unboxed_100x300"))
 
 
-def family_instance(gen, family, seed):
-    """One LP of ``family``, built by perfbench/gen.py or in its pattern.
-
-    box_heavy, boxed_100x300 and unboxed_100x300 are ``gen.generate`` in the
-    200x600 and 100x300 boxed shapes and the 100x300 shape without upper
-    bounds.  The others share the 100x300 shape's pattern and
-    entries, with b = A x_feas, and differ in where x_feas sits in its box:
-    near_wall has u ~ U(1, 3.5) and x_feas = u U(0.02, 0.3), far_wall
-    x_feas = u U(0.7, 0.98), both with c ~ U(-1, 1).  half_boxed boxes half
-    the columns at x_feas + U(0.5, 2) and loose_big_m boxes all of them, half
-    at a u log-uniform on [1e4, 1e9]; in both c = A^t y + s with s > 0 on
-    the columns that are free or loosely boxed, so the LP is bounded, and
-    s ~ U(-1, 1) on the tightly boxed ones, whose bounds may bind.
-    """
-    if family == "box_heavy":
-        return gen.generate(seed, gen.Shape(m=200, n=600, density=0.02, boxed=True), f"{family}_{seed}")
-    if family == "boxed_100x300":
-        return gen.generate(seed, gen.Shape(m=100, n=300, density=0.03, boxed=True), f"{family}_{seed}")
-    if family == "unboxed_100x300":
-        return gen.generate(seed, gen.Shape(m=100, n=300, density=0.03, boxed=False), f"{family}_{seed}")
-    m, n = 100, 300
-    rng = np.random.default_rng(seed)
-    rows, cols = gen._pattern(rng, m, n, 0.03)
-    vals = rng.uniform(0.2, 1.0, size=rows.size) * rng.choice((-1.0, 1.0), size=rows.size)
-    A = sp.csc_matrix((vals, (rows, cols)), shape=(m, n))
-    if family in ("near_wall", "far_wall"):
-        upper = rng.uniform(1.0, 3.5, size=n)
-        lo, hi = (0.02, 0.3) if family == "near_wall" else (0.7, 0.98)
-        x_feas = upper * rng.uniform(lo, hi, size=n)
-        c = rng.uniform(-1.0, 1.0, size=n)
-    else:
-        x_feas = rng.uniform(0.5, 1.5, size=n)
-        tight = x_feas + rng.uniform(0.5, 2.0, size=n)
-        loose = rng.random(n) < 0.5
-        if family == "half_boxed":
-            upper = np.where(loose, np.inf, tight)
-        else:
-            upper = np.where(loose, 10.0 ** rng.uniform(4.0, 9.0, size=n), tight)
-        s = np.where(loose, rng.uniform(0.1, 1.0, size=n), rng.uniform(-1.0, 1.0, size=n))
-        c = A.T @ rng.standard_normal(m) + s
-    return gen.Instance(name=f"{family}_{seed}", A=A, b=A @ x_feas, c=c, upper=upper)
-
-
-def check_family(family):
-    """Every cell of ``family`` is Optimal within 1e-6 of HiGHS, in at most 1.25 times its measured iterations."""
-    # one LP per seed serves its three r, as repeated solves of one LP do
-    gen = load_perfbench_gen()
+def check_family(name):
+    """Every cell of ``name`` is Optimal within 1e-6 of HiGHS, in at most 1.25 times its measured iterations."""
+    family = HELD_OUT[name]
     wrong, total = [], 0
-    for seed in SEEDS[family]:
-        inst = family_instance(gen, family, seed)
-        reference = gen.highs_reference(inst)
-        lp = to_standard_form(parse_mps(inst.mps_text()))[0]
-        for r in R_CELLS:
+    for member in family.members:
+        lp = member.lp()  # one LP per member serves its grid, as repeated solves of one LP do
+        for r in family.grid:
             report = solve(lp, SolverConfig(r=r))
             total += report.iterations
-            error = abs(report.objective - reference) / (1.0 + abs(reference))
+            error = abs(report.objective - member.highs) / (1.0 + abs(member.highs))
             if report.status != Status.OPTIMAL or not error <= 1e-6:
-                wrong.append((seed, r, report.status.value, report.iterations, error))
+                wrong.append((member.seed, r, report.status.value, report.iterations, error))
     assert wrong == []
-    assert total <= 1.25 * MEASURED[family], total
+    assert total <= 1.25 * MEASURED[name], total
 
 
 def test_box_heavy_held_out_seeds_are_optimal_and_true():
