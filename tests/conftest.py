@@ -7,12 +7,10 @@ import scipy.sparse as sp
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from families import DATA, FIXTURES, NETLIB  # noqa: F401  re-exported to the test modules
+from families import DATA, FIXTURES, NETLIB, NETLIB_PROBLEMS  # noqa: F401  re-exported to the test modules
 from galp.model import StandardLP
 from galp.penalty import GaugeParams
 from galp.solver import recover_duals
-
-NETLIB_PROBLEMS = ("afiro", "sc50a", "sc50b", "adlittle", "blend")
 
 # Published optimal objectives for the mini-corpus.
 NETLIB_OPTIMA = {

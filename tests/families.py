@@ -3,17 +3,20 @@
 A family is its members, one LP each, and the r grid they are solved at.
 
 * ``PANEL`` is what tools/iterate_hash.py hashes, in that order: the corpus
-  (tests/data/netlib, by file name) at ``galp.cli.R_GRID``, fix01-fix20 at
-  ``FIXTURE_GRID``, and the benchmark's sparse_large and box_heavy, with
-  perfbench/py's shapes, seeds and grids and perfbench's names.
+  ``NETLIB_PROBLEMS`` (tests/data/netlib, by file name) at
+  ``galp.cli.R_GRID``, fix01-fix20 at ``FIXTURE_GRID``, and the benchmark's
+  sparse_large and box_heavy, with perfbench/workloads.py's shapes, seeds
+  and grids and perfbench's names.
 * ``HELD_OUT`` holds the families tests/test_status_truth.py gates, which no
   solver setting was tuned on: box_heavy's seeds after the benchmark's, two
   100x300 shapes, and four that place x_feas and u in their own ways.
 
 A member keeps only what cannot change, its MPS text and its HiGHS optimum,
 each computed on first use; ``raw()`` and ``lp()`` build a new object on
-every call, so no caller can change an LP that another one solves.  A new
-family goes here, with its digests in tests/data/family_digests.csv.
+every call, so no caller can change an LP that another one solves.  A
+generated member's HiGHS optimum is taken on its generator's own arrays,
+as perfbench takes it, and a file's on galp's standard form of the file.
+A new family goes here, with its digests in tests/data/family_digests.csv.
 
 This module does not import pytest, so tools/ can import it.  It puts
 perfbench/ on sys.path, where perfbench's modules import one another by bare
@@ -46,23 +49,24 @@ from gen import Instance, Shape, _pattern, generate, highs_reference  # noqa: E4
 from workloads import BOX_HEAVY, BOX_HEAVY_GRID, BOX_HEAVY_SEEDS  # noqa: E402
 from workloads import SPARSE_LARGE, SPARSE_LARGE_GRID, SPARSE_LARGE_SEEDS  # noqa: E402
 
+NETLIB_PROBLEMS = ("afiro", "sc50a", "sc50b", "adlittle", "blend")
 FIXTURE_GRID = (0.0, 0.2, 0.5)
 SMALL_BOXED = Shape(m=100, n=300, density=0.03, boxed=True)
 SMALL_UNBOXED = Shape(m=100, n=300, density=0.03, boxed=False)
 
 
 class Member:
-    """One LP of a family: ``name`` is its MPS NAME (a file's stem), ``seed``
-    its generator's seed, None for a file."""
+    """One LP of a family, read from an MPS file: ``name`` is the file's stem."""
 
-    def __init__(self, name, seed, make_text):
-        self.name = name
-        self.seed = seed
-        self._make_text = make_text
+    seed = None
+
+    def __init__(self, path):
+        self.path = path
+        self.name = path.stem
 
     @functools.cached_property
     def text(self) -> str:
-        return self._make_text()
+        return self.path.read_text(encoding="ascii", errors="replace")  # as galp.read_mps reads a file
 
     @functools.cached_property
     def highs(self) -> float:
@@ -73,6 +77,33 @@ class Member:
 
     def lp(self):
         return to_standard_form(self.raw())[0]
+
+
+class Generated(Member):
+    """One LP of a generated family: ``build(seed, spec, name)`` is its gen.Instance.
+
+    Its MPS text is the Instance's, and its HiGHS optimum is taken on the
+    Instance's own arrays, so a fault in galp's parser or converter cannot
+    move the reference along with the LP galp solves.
+    """
+
+    def __init__(self, name, seed, build, spec):
+        self.name = name
+        self.seed = seed
+        self._build = build
+        self._spec = spec
+
+    def instance(self) -> Instance:
+        """A new Instance on every call."""
+        return self._build(self.seed, self._spec, self.name)
+
+    @functools.cached_property
+    def text(self) -> str:
+        return self.instance().mps_text()
+
+    @functools.cached_property
+    def highs(self) -> float:
+        return highs_reference(self.instance())
 
 
 @dataclass(frozen=True)
@@ -88,15 +119,12 @@ def highs_optimum(lp, name="lp") -> float:
 
 
 def _files(name, paths, grid):
-    # each read as galp.read_mps reads a file
-    members = (Member(p.stem, None, lambda p=p: p.read_text(encoding="ascii", errors="replace")) for p in paths)
-    return Family(name, tuple(members), grid)
+    return Family(name, tuple(Member(path) for path in paths), grid)
 
 
 def _generated(name, build, spec, seeds, grid):
-    """The family whose member of seed s is ``build(s, spec, name_s).mps_text()``."""
-    members = (Member(f"{name}_{s}", s, lambda s=s: build(s, spec, f"{name}_{s}").mps_text()) for s in seeds)
-    return Family(name, tuple(members), grid)
+    """The family whose member of seed s is ``build(s, spec, name_s)``."""
+    return Family(name, tuple(Generated(f"{name}_{s}", s, build, spec) for s in seeds), grid)
 
 
 def _placed(seed, family, name):
@@ -133,7 +161,7 @@ def _placed(seed, family, name):
 
 
 PANEL = {family.name: family for family in (
-    _files("corpus", sorted(pathlib.Path(NETLIB).glob("*.mps")), R_GRID),
+    _files("corpus", [pathlib.Path(NETLIB, f"{name}.mps") for name in sorted(NETLIB_PROBLEMS)], R_GRID),
     _files("fixtures", [pathlib.Path(FIXTURES, f"fix{k:02d}.mps") for k in range(1, 21)], FIXTURE_GRID),
     _generated("sparse_large", generate, SPARSE_LARGE, SPARSE_LARGE_SEEDS, SPARSE_LARGE_GRID),
     _generated("box_heavy", generate, BOX_HEAVY, BOX_HEAVY_SEEDS, BOX_HEAVY_GRID),

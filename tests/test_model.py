@@ -713,7 +713,11 @@ def assert_map_back_matches_loop(vmap, old_map, n):
         assert_same_arrays(new, old)
 
 
-@pytest.mark.parametrize("member", PANEL["corpus"].members + PANEL["fixtures"].members, ids=lambda m: f"{m.name}.mps")
+@pytest.mark.parametrize(
+    "member",
+    PANEL["corpus"].members + PANEL["fixtures"].members,
+    ids=lambda member: f"{member.name}.mps",
+)
 def test_standard_form_matches_loop_converter_on_files(member):
     assert assert_matches_loop_converter(member.raw()) == "converted"
 

@@ -495,9 +495,12 @@ def test_rowless_lp_gets_its_exact_answer(rng):
 
 @pytest.mark.xfail(raises=ValueError, strict=True, reason="choose_start reduces over an empty start")
 def test_column_free_lp_gets_a_report():
-    # rows but no columns: b = 0 is solved by the empty point, b = 1 is infeasible
-    for b in (0.0, 1.0):
-        assert solve(make_lp(np.zeros((1, 0)), [b], [])).status in set(Status), b
+    # rows but no columns: b = 0 is solved by the empty point, and b = 1 is
+    # infeasible, with y = sign(b_1) e_1 as its certificate
+    report = solve(make_lp(np.zeros((1, 0)), [0.0], []))
+    assert report.status == Status.OPTIMAL and report.objective == 0.0 and report.x.shape == (0,)
+    report = solve(make_lp(np.zeros((1, 0)), [1.0], []))
+    assert report.status != Status.OPTIMAL and np.array_equal(report.y, [1.0])
 
 
 def test_reproject_follows_the_gap_alone(monkeypatch):
@@ -1034,9 +1037,13 @@ def test_box_free_pass_matches_general_formulas(monkeypatch, rng):
 def r_sweep_cases():
     """(label, member, r grid) for the corpus, the 20 fixtures and the first
     2 seeds of sparse-large (labelled sparse_0, sparse_1) and box-heavy (boxed_0, boxed_1)."""
-    cases = [(m.name, m, PANEL[f].grid) for f in ("corpus", "fixtures") for m in PANEL[f].members]
-    for label, f in (("sparse", "sparse_large"), ("boxed", "box_heavy")):
-        cases += [(f"{label}_{m.seed}", m, PANEL[f].grid) for m in PANEL[f].members[:2]]
+    cases = []
+    for family in ("corpus", "fixtures"):
+        for member in PANEL[family].members:
+            cases.append((member.name, member, PANEL[family].grid))
+    for label, family in (("sparse", "sparse_large"), ("boxed", "box_heavy")):
+        for member in PANEL[family].members[:2]:
+            cases.append((f"{label}_{member.seed}", member, PANEL[family].grid))
     return cases
 
 
@@ -1051,7 +1058,11 @@ def solve_bytes(report):
 def sweep_runs():
     """r_sweep_cases() and the solve_bytes of each of its cells, each solved on a fresh LP."""
     cases = r_sweep_cases()
-    runs = {(label, r): solve_bytes(solve(m.lp(), SolverConfig(r=r))) for label, m, grid in cases for r in grid}
+    runs = {
+        (label, r): solve_bytes(solve(member.lp(), SolverConfig(r=r)))
+        for label, member, grid in cases
+        for r in grid
+    }
     return cases, runs
 
 

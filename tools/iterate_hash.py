@@ -41,7 +41,8 @@ import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read when numpy loads OpenBLAS, below
 
 from families import PANEL  # noqa: E402
@@ -80,7 +81,12 @@ def iterate_hash(limit=None):
     the first ``limit`` solves of the panel."""
     digest = hashlib.sha256()
     families = {family: [hashlib.sha256(), 0] for family in PANEL}
-    cells = [(name, member, r) for name, family in PANEL.items() for member in family.members for r in family.grid]
+    cells = [
+        (name, member, r)
+        for name, family in PANEL.items()
+        for member in family.members
+        for r in family.grid
+    ]
     count = 0
     for family, member, r in cells[:limit]:
         report = solve(member.lp(), SolverConfig(r=r))
