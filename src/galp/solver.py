@@ -153,8 +153,20 @@ class UnboundedDirection(Exception):
 
 
 def starting_point_x1(lp: StandardLP) -> np.ndarray:
-    """Column-norm heuristic start, pushed toward the cheap side of the box."""
-    norms = np.sqrt(np.asarray(lp.A.multiply(lp.A).sum(axis=0)).ravel())
+    """Column-norm heuristic start, pushed toward the cheap side of the box.
+
+    A column whose squares overflow (an entry above about 1.3e154) has its
+    norm taken again with the column scaled by its largest |entry|, so the
+    norm is finite wherever it is representable and x1_j > 0; every other
+    norm is the plain one.  The overflow raises no warning.
+    """
+    A = lp.A
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.asarray(A.multiply(A).sum(axis=0)).ravel())
+        for j in np.flatnonzero(np.isinf(norms)):
+            col = A.data[A.indptr[j]:A.indptr[j + 1]]
+            scale = np.abs(col).max()
+            norms[j] = scale * np.sqrt(np.sum((col / scale) ** 2))
     denom = np.maximum(norms, 1.0)  # zero columns fall back to n/1
     base = lp.n / denom
     frac = np.where(lp.c < 0, 0.9, 0.1)

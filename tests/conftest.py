@@ -8,9 +8,10 @@ import scipy.sparse as sp
 sys.path.insert(0, os.path.dirname(__file__))
 
 from families import DATA, FIXTURES, NETLIB, NETLIB_PROBLEMS  # noqa: F401  re-exported to the test modules
+from families import PANEL
 from galp.model import StandardLP
 from galp.penalty import GaugeParams
-from galp.solver import recover_duals
+from galp.solver import SolverConfig, recover_duals, solve
 
 # Published optimal objectives for the mini-corpus.
 NETLIB_OPTIMA = {
@@ -20,10 +21,6 @@ NETLIB_OPTIMA = {
     "adlittle": 225494.96316,
     "blend": -30.812149846,
 }
-
-
-def netlib_path(name):
-    return os.path.join(NETLIB, f"{name}.mps")
 
 
 def sparse_product_normal(A, dinv):
@@ -84,6 +81,31 @@ def random_interior_point(rng, lp):
     idx = lp.bounded
     x[idx] = lp.upper[idx] * rng.uniform(0.1, 0.9, size=len(idx))
     return x
+
+
+@pytest.fixture(scope="session")
+def sweep_runs():
+    """The r sweep of the corpus, the 20 fixtures and the first 2 seeds of
+    sparse-large (labelled sparse_0, sparse_1) and box-heavy (boxed_0, boxed_1).
+
+    ``(cases, reports)``: ``cases`` lists (label, member, r grid), and
+    ``reports[label, r]`` is the SolveReport of each cell, solved on a fresh
+    ``member.lp()`` at the default SolverConfig.  The reports are shared by
+    every test that takes them, so none may change one.
+    """
+    cases = []
+    for family in ("corpus", "fixtures"):
+        for member in PANEL[family].members:
+            cases.append((member.name, member, PANEL[family].grid))
+    for label, family in (("sparse", "sparse_large"), ("boxed", "box_heavy")):
+        for member in PANEL[family].members[:2]:
+            cases.append((f"{label}_{member.seed}", member, PANEL[family].grid))
+    reports = {
+        (label, r): solve(member.lp(), SolverConfig(r=r))
+        for label, member, grid in cases
+        for r in grid
+    }
+    return cases, reports
 
 
 @pytest.fixture

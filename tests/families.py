@@ -7,6 +7,8 @@ A family is its members, one LP each, and the r grid they are solved at.
   ``galp.cli.R_GRID``, fix01-fix20 at ``FIXTURE_GRID``, and the benchmark's
   sparse_large and box_heavy, with perfbench/workloads.py's shapes, seeds
   and grids and perfbench's names.
+* ``NAMED`` looks up a corpus or fixture member by name (``NAMED["afiro"]``),
+  for the tests that pick one file.
 * ``HELD_OUT`` holds the families tests/test_status_truth.py gates, which no
   solver setting was tuned on: box_heavy's seeds after the benchmark's, two
   100x300 shapes, and four that place x_feas and u in their own ways.
@@ -166,6 +168,8 @@ PANEL = {family.name: family for family in (
     _generated("sparse_large", generate, SPARSE_LARGE, SPARSE_LARGE_SEEDS, SPARSE_LARGE_GRID),
     _generated("box_heavy", generate, BOX_HEAVY, BOX_HEAVY_SEEDS, BOX_HEAVY_GRID),
 )}
+
+NAMED = {member.name: member for family in ("corpus", "fixtures") for member in PANEL[family].members}
 
 HELD_OUT = {family.name: family for family in (
     _generated("box_heavy", generate, BOX_HEAVY, range(6, 12), FIXTURE_GRID),  # the benchmark takes 0-5

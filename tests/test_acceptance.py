@@ -13,13 +13,12 @@ from numpy.testing import assert_allclose
 
 import galp.cli
 from galp.directions import newton_direction
-from galp.model import to_standard_form
 from galp.mps import MpsError, parse_mps, read_mps, write_mps
 from galp.penalty import GaugeParams, penalized_objective, penalty_gradient, scaling_diagonals
 from galp.solver import SolverConfig, Status, solve
 
-from conftest import FIXTURES, NETLIB_PROBLEMS, netlib_path, pass_at, random_lp, random_interior_point
-from families import PANEL
+from conftest import FIXTURES, NETLIB_PROBLEMS, pass_at, random_lp, random_interior_point
+from families import NAMED, PANEL
 from simplex_oracle import simplex_solve
 
 # the gate's own reference grid, kept apart from the CLI's default
@@ -56,27 +55,13 @@ def criterion(label):
     print(f"\n{label}: PASS")
 
 
-def _solve_corpus():
-    """Solve every corpus problem at every r once; cached across criteria."""
-    if not hasattr(_solve_corpus, "cache"):
-        cache = {}
-        for name in NETLIB_PROBLEMS:
-            lp, vmap = to_standard_form(read_mps(netlib_path(name)))
-            for r in R_GRID:
-                cache[(name, r)] = solve(
-                    lp, SolverConfig(r=r, epsilon=1e-8, max_iterations=300), offset=vmap.offset
-                )
-        _solve_corpus.cache = cache
-    return _solve_corpus.cache
-
-
 def test_r_grid_is_the_cli_default():
     assert R_GRID == galp.cli.R_GRID
 
 
-def test_criterion_1_corpus_iteration_counts():
+def test_criterion_1_corpus_iteration_counts(sweep_runs):
     with criterion("criterion 1 (corpus convergence, iteration band)"):
-        reports = _solve_corpus()
+        _, reports = sweep_runs
         for name in NETLIB_PROBLEMS:
             for r, ref in zip(R_GRID, REFERENCE_ITERATIONS[name]):
                 report = reports[(name, r)]
@@ -89,11 +74,11 @@ def test_criterion_1_corpus_iteration_counts():
                 )
 
 
-def test_criterion_2_corpus_objectives_match_simplex():
+def test_criterion_2_corpus_objectives_match_simplex(sweep_runs):
     with criterion("criterion 2 (corpus objectives vs simplex oracle)"):
-        reports = _solve_corpus()
+        _, reports = sweep_runs
         for name in NETLIB_PROBLEMS:
-            lp, _ = to_standard_form(read_mps(netlib_path(name)))
+            lp = NAMED[name].lp()
             upper = lp.upper if len(lp.bounded) else None
             _, oracle_obj = simplex_solve(lp.A.toarray(), lp.b, lp.c, upper=upper)
             for r in (0.0, 0.2, 0.5):
@@ -101,9 +86,9 @@ def test_criterion_2_corpus_objectives_match_simplex():
                 assert got == pytest.approx(oracle_obj, rel=OBJECTIVE_RTOL), (name, r)
 
 
-def test_criterion_3_low_r_at_least_as_robust():
+def test_criterion_3_low_r_at_least_as_robust(sweep_runs):
     with criterion("criterion 3 (r = 0.2 solves at least as many as r = 0.7)"):
-        reports = _solve_corpus()
+        _, reports = sweep_runs
         solved = {
             r: sum(reports[(name, r)].status == Status.OPTIMAL for name in NETLIB_PROBLEMS)
             for r in R_GRID
@@ -270,10 +255,9 @@ def test_criterion_7_parser_round_trip_and_rejection():
     with criterion("criterion 7 (parser round-trip and malformed rejection)"):
         clean = sorted(glob.glob(os.path.join(FIXTURES, "fix*.mps")))
         assert len(clean) == 20
-        corpus = clean + [netlib_path(name) for name in NETLIB_PROBLEMS]
-        for path in corpus:
-            raw = read_mps(path)
-            assert parse_mps(write_mps(raw)) == raw, path
+        for member in PANEL["fixtures"].members + PANEL["corpus"].members:
+            raw = member.raw()
+            assert parse_mps(write_mps(raw)) == raw, member.name
         malformed = sorted(
             p for p in glob.glob(os.path.join(FIXTURES, "*.mps")) if p not in clean
         )

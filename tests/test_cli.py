@@ -15,7 +15,8 @@ import galp.cli
 from galp.cli import main
 from galp.solver import SolverConfig, Status, TraceRecord
 
-from conftest import DATA, NETLIB, netlib_path
+from conftest import DATA, NETLIB
+from families import NAMED
 from harness import cli_cell  # perfbench/harness.py; see tests/families.py
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -39,7 +40,7 @@ def read_csv(path):
 
 
 def test_solve_afiro(capsys):
-    assert main(["solve", netlib_path("afiro"), "--r", "0.2"]) == 0
+    assert main(["solve", str(NAMED["afiro"].path), "--r", "0.2"]) == 0
     out = capsys.readouterr().out
     assert "status:     Optimal" in out
     assert "-464.753" in out
@@ -372,7 +373,7 @@ def test_bench_empty_dir_warns(tmp_path, capsys):
 def test_bench_isolates_bad_file(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
-    shutil.copy(netlib_path("afiro"), corpus / "afiro.mps")
+    shutil.copy(NAMED["afiro"].path, corpus / "afiro.mps")
     (corpus / "broken.mps").write_text("NAME X\nGARBAGE\n")
     out = tmp_path / "table.csv"
     timing = tmp_path / "times.csv"
@@ -389,7 +390,7 @@ def test_bench_isolates_bad_file(tmp_path, capsys):
 
 def test_non_ascii_comment_is_read(tmp_path, capsys):
     # a latin-1 byte in a comment line: solve and bench read the file like afiro
-    head, rest = open(netlib_path("afiro"), "rb").read().split(b"\n", 1)
+    head, rest = NAMED["afiro"].path.read_bytes().split(b"\n", 1)
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "afiro.mps").write_bytes(head + b"\n* caf\xe9\n" + rest)
@@ -403,7 +404,7 @@ def test_non_ascii_comment_is_read(tmp_path, capsys):
 def test_bench_stdout_default(tmp_path, capsys, monkeypatch):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
-    shutil.copy(netlib_path("afiro"), corpus / "afiro.mps")
+    shutil.copy(NAMED["afiro"].path, corpus / "afiro.mps")
     assert main(["bench", str(corpus), "--r-grid", "0.2"]) == 0
     out = capsys.readouterr().out
     reader = csv.reader(io.StringIO(out))
@@ -462,7 +463,7 @@ def test_console_script_installed(tmp_path):
     )
     assert entry_point.load() is galp.cli.main
 
-    solved = run_wrapper(entry_point, "solve", os.path.abspath(netlib_path("afiro")), cwd=tmp_path)
+    solved = run_wrapper(entry_point, "solve", str(NAMED["afiro"].path), cwd=tmp_path)
     assert solved.returncode == 0, solved.stderr
     assert "status:     Optimal" in solved.stdout
 
@@ -487,7 +488,7 @@ def test_console_script_on_path():
     }
     assert installed.get("galp") == declared_script()
     proc = subprocess.run(
-        ["galp", "solve", os.path.abspath(netlib_path("afiro")), "--quiet"],
+        ["galp", "solve", str(NAMED["afiro"].path), "--quiet"],
         capture_output=True,
         text=True,
         timeout=120,

@@ -19,11 +19,8 @@ from galp.linalg import (
     solve,
 )
 
-from galp.model import to_standard_form
-from galp.mps import read_mps
-
-from conftest import NETLIB_PROBLEMS, netlib_path, sparse_product_normal
-from families import PANEL
+from conftest import NETLIB_PROBLEMS, sparse_product_normal
+from families import NAMED, PANEL
 
 
 def dense_triple_loop(A, dinv):
@@ -58,7 +55,7 @@ def blockless_matrices(rng):
     box-heavy: every A whose pair table fits without a dense block."""
     yield from kernel_test_matrices(rng)
     for name in NETLIB_PROBLEMS:
-        yield to_standard_form(read_mps(netlib_path(name)))[0].A
+        yield NAMED[name].lp().A
     for family in ("sparse_large", "box_heavy"):
         yield PANEL[family].members[0].lp().A
 

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from galp import parse_mps, read_mps
+from galp import parse_mps
 from galp.mps import RawMps
 from galp.model import (
     InfeasibleBounds,
@@ -20,8 +20,8 @@ from galp.model import (
 
 from galp.solver import SolverConfig, Status, solve
 
-from conftest import NETLIB_PROBLEMS, netlib_path, random_lp
-from families import PANEL
+from conftest import NETLIB_PROBLEMS, random_lp
+from families import NAMED, PANEL
 
 
 def build(rows, columns, rhs="", extra=""):
@@ -151,7 +151,7 @@ def product_oracle_holds(lp, rng):
 @pytest.mark.parametrize("name", NETLIB_PROBLEMS)
 def test_products_match_scipy_on_corpus(name, rng):
     # a scipy release that changes _sparsetools, or the order of its sums, fails here
-    product_oracle_holds(to_standard_form(read_mps(netlib_path(name)))[0], rng)
+    product_oracle_holds(NAMED[name].lp(), rng)
 
 
 def test_products_match_scipy_with_empty_row_and_column(rng):

@@ -1,4 +1,3 @@
-import glob
 import math
 import os
 
@@ -19,7 +18,8 @@ from galp.mps import (
     write_mps,
 )
 
-from conftest import FIXTURES, NETLIB, netlib_path
+from conftest import FIXTURES
+from families import NAMED, PANEL
 
 TINY = """NAME          TINY
 ROWS
@@ -228,10 +228,10 @@ def test_infinite_bound_means_no_bound():
 
 def test_read_mps_replaces_non_ascii_bytes(tmp_path):
     # one latin-1 byte in a comment line must not stop the read
-    head, rest = open(netlib_path("afiro"), "rb").read().split(b"\n", 1)
+    head, rest = NAMED["afiro"].path.read_bytes().split(b"\n", 1)
     path = tmp_path / "afiro.mps"
     path.write_bytes(head + b"\n* caf\xe9\n" + rest)
-    assert read_mps(path) == read_mps(netlib_path("afiro"))
+    assert read_mps(path) == NAMED["afiro"].raw()
 
 
 def test_errors_subclass_mps_error():
@@ -248,13 +248,12 @@ def test_errors_subclass_mps_error():
 
 
 @pytest.mark.parametrize(
-    "path",
-    sorted(glob.glob(os.path.join(FIXTURES, "fix*.mps")))
-    + sorted(glob.glob(os.path.join(NETLIB, "*.mps"))),
-    ids=os.path.basename,
+    "member",
+    PANEL["fixtures"].members + PANEL["corpus"].members,
+    ids=lambda member: f"{member.name}.mps",
 )
-def test_round_trip(path):
-    raw = read_mps(path)
+def test_round_trip(member):
+    raw = member.raw()
     assert parse_mps(write_mps(raw)) == raw
 
 

@@ -19,11 +19,9 @@ import sys
 
 import pytest
 
-from galp.model import to_standard_form
-from galp.mps import read_mps
 from galp.solver import SolverConfig, Status, solve
 
-from conftest import netlib_path
+from families import NAMED
 import tracing  # perfbench/tracing.py; see tests/families.py
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -47,7 +45,7 @@ def test_traced_solve_spans_every_binding():
         for attr in attrs
     }
     assert len(expected) == 12
-    lp = to_standard_form(read_mps(netlib_path("afiro")))[0]
+    lp = NAMED["afiro"].lp()
     tracer = tracing.Tracer()
     with tracing.patched(tracer):
         assert solve(lp, SolverConfig(r=0.2)).status == Status.OPTIMAL
@@ -57,7 +55,7 @@ def test_traced_solve_spans_every_binding():
 def test_traced_solve_of_a_warm_lp_spans_every_binding():
     # perfbench solves each cell untraced before its traced twin, so the
     # traced solve meets an LP whose start is already memoized
-    lp = to_standard_form(read_mps(netlib_path("afiro")))[0]
+    lp = NAMED["afiro"].lp()
     assert solve(lp, SolverConfig(r=0.2)).status == Status.OPTIMAL
     assert lp.start is not None
     tracer = tracing.Tracer()

@@ -8,11 +8,9 @@ import subprocess
 import sys
 
 from galp.cli import R_GRID
-from galp.model import to_standard_form
-from galp.mps import read_mps
 from galp.solver import SolverConfig, solve
 
-from conftest import netlib_path
+from families import NAMED
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -47,9 +45,8 @@ def test_iterate_hash_smoke():
     assert families, proc.stderr
     assert families.group(1) == match.group(1)
     digest = hashlib.sha256()
-    raw = read_mps(netlib_path("adlittle"))
     for r in R_GRID[:2]:
-        report = solve(to_standard_form(raw)[0], SolverConfig(r=r))
+        report = solve(NAMED["adlittle"].lp(), SolverConfig(r=r))
         digest.update(report.status.value.encode())
         digest.update(repr([dataclasses.astuple(t) for t in report.trace]).encode())
         for field in ("x", "y", "w", "s"):
