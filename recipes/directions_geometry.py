@@ -30,7 +30,7 @@ lp = StandardLP(
 
 def pass_at(x, r):
     """The solver's pass at x: both directions and the duals from one factor."""
-    return recover_duals(lp, x, GaugeParams(r=r, upper=lp.upper), lp.b - lp.A @ x)
+    return recover_duals(lp, x, GaugeParams(r, lp.bounded, lp.upper_I), lp.b - lp.A @ x)
 
 
 x = np.array([0.5, 0.5])
@@ -47,7 +47,7 @@ print("\nresidual before:", lp.b - lp.A @ x_bad)
 print("residual after a full step:", lp.b - lp.A @ (x_bad + dx))
 
 # the Newton direction approaches the descent direction as mu -> 0
-p5 = GaugeParams(r=0.5, upper=lp.upper)
+p5 = GaugeParams(0.5, lp.bounded, lp.upper_I)
 print("\nr = 0.5 descent:", pass_at(x, 0.5).d)
 for mu in (1.0, 1e-2, 1e-4):
     dn = newton_direction(lp, x, mu, p5)

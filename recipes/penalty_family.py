@@ -14,10 +14,11 @@ import numpy as np
 from galp import GaugeParams, scaling_diagonals, xi_r
 from galp.penalty import penalty_g_r, penalty_gradient
 
-no_bounds = np.full(2, np.inf)
+# the box set I and its bounds u_I: empty, no upper bounds
+no_bounds = (np.zeros(0, dtype=int), np.zeros(0))
 
 # the gauge is positively homogeneous of degree 1
-p = GaugeParams(r=0.5, upper=no_bounds)
+p = GaugeParams(0.5, *no_bounds)
 x = np.array([1.0, 4.0])
 print("xi_0.5(1, 4) =", xi_r(x, p))
 print("xi_0.5(2, 8) =", xi_r(2 * x, p), "(doubles with x)")
@@ -42,12 +43,12 @@ def g_diagonal(x, p):
 print("\nscaling diagonals at x = (0.5, 2.0):")
 x = np.array([0.5, 2.0])
 for r in (0.0, 0.2, 0.5, 0.8):
-    p = GaugeParams(r=r, upper=no_bounds)
+    p = GaugeParams(r, *no_bounds)
     h = scaling_diagonals(x, p).h
     print(f"  r = {r:3.1f}   h = {np.round(h, 4)}   g = {np.round(g_diagonal(x, p), 4)}")
 
 # with an upper bound both walls contribute; at the midpoint the first-order
-# term cancels
-p = GaugeParams(r=0.0, upper=np.array([2.0, np.inf]))
+# term cancels; I = {x1} with u = 2, and x2 has no upper bound
+p = GaugeParams(0.0, np.array([0]), np.array([2.0]))
 x = np.array([1.0, 1.0])
 print("\nmidpoint of [0, 2]:  h =", scaling_diagonals(x, p).h, " g =", g_diagonal(x, p))

@@ -9,8 +9,9 @@ in a last ``setup`` column, go to a separate CSV so the main table is
 byte-reproducible.  Solver options default to ``SolverConfig``'s fields.
 
 Exit codes and cells (``STATUS_TABLE``): Optimal 0 and the iteration count,
-IterationLimit 2 and "**", Unbounded 3 and "err", NumericalFailure 4 and
-"err".  Any other error exits 4; a file that cannot be read gets "err".
+IterationLimit 2 and "**", Unbounded 3 and "err", Infeasible 5 and "err",
+NumericalFailure 4 and "err".  Any other error exits 4; a file that cannot
+be read gets "err".
 """
 
 from __future__ import annotations
@@ -31,12 +32,14 @@ EXIT_OPTIMAL = 0
 EXIT_ITERATION_LIMIT = 2
 EXIT_UNBOUNDED = 3
 EXIT_ERROR = 4
+EXIT_INFEASIBLE = 5
 
 # status -> (galp solve exit code, galp bench cell with "{}" for the iteration count)
 STATUS_TABLE = {
     Status.OPTIMAL: (EXIT_OPTIMAL, "{}"),
     Status.ITERATION_LIMIT: (EXIT_ITERATION_LIMIT, "**"),
     Status.UNBOUNDED: (EXIT_UNBOUNDED, "err"),
+    Status.INFEASIBLE: (EXIT_INFEASIBLE, "err"),
     Status.NUMERICAL_FAILURE: (EXIT_ERROR, "err"),
 }
 R_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)  # galp bench's default r grid

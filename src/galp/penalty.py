@@ -9,6 +9,10 @@ interior.  At r = 0 the gauge degenerates to the normalized geometric mean
 and the scaling diagonal to the classical affine scaling weights; both
 limits are implemented directly.
 
+The box set I and u_I belong to the LP: ``StandardLP`` derives them once
+from its upper bounds, and ``GaugeParams`` holds the LP's own read-only
+``bounded`` and ``upper_I`` with r, so nothing here derives them again.
+
 ``scaling_diagonals`` returns H's diagonal only, all the solver reads; the
 gradient diagonal g lives in ``penalty_gradient``.  Both form the slack
 u_I - x_I and its power only when the LP has upper-bounded columns
@@ -37,21 +41,25 @@ class NotInterior(Exception):
 
 @dataclass
 class GaugeParams:
-    """Penalty exponent r in [0, 1) plus the upper-bound data of the LP.
+    """Penalty exponent r in [0, 1) plus the box set of the LP.
 
-    ``bounded`` indexes the set I, as ``StandardLP.bounded`` does, and
-    ``upper_I`` holds u_I, gathered once.
+    ``bounded`` indexes the set I and ``upper_I`` holds u_I, in that order:
+    for an LP, its own ``StandardLP.bounded`` and ``StandardLP.upper_I``,
+    held by reference.  With no upper bounds both are empty.  The two must
+    have one length (``ValueError``, naming both).
     """
 
     r: float
-    upper: np.ndarray
+    bounded: np.ndarray
+    upper_I: np.ndarray
 
     def __post_init__(self):
         if not 0.0 <= self.r < 1.0:
             raise ValueError(f"r must lie in [0, 1), got {self.r}")
-        self.upper = np.asarray(self.upper, dtype=float)
-        self.bounded = np.flatnonzero(np.isfinite(self.upper))
-        self.upper_I = self.upper[self.bounded]
+        if len(self.bounded) != len(self.upper_I):
+            raise ValueError(
+                f"bounded has {len(self.bounded)} entries and upper_I {len(self.upper_I)}; they must match"
+            )
 
 
 @dataclass

@@ -37,25 +37,27 @@ start, which does not depend on r (``choose_start`` keeps it as
 plan of A H^-1 A^t (``StandardLP.plan``), and Rf's denominator
 1 + ||b||_inf (``StandardLP.b_scale``), each built on the LP's first solve,
 and the products A x and A^t y (``lp.matvec``, ``lp.rmatvec``), bound to
-scipy's compiled kernels when the LP is constructed, which also gathers u_I
-(``lp.upper_I``) and sets m and n as plain ints.  The box terms, w_I in the
-pass and <u_I, w_I> in the gap, are formed only when I is nonempty
-(``lp.upper_I.size``): for an LP without upper bounds w stays zero and the
-gap has no box term, so the iterates are the general formulas' bit for bit.
-Every reduction on the path calls ``np.minimum.reduce`` or
-``np.maximum.reduce`` directly, not numpy's Python wrappers behind
-``ndarray.min`` and ``max``.  Per solve: the penalty
-parameters and the bound of the sign safeguard.  Per point: whoever creates
-the point (the start, or ``iterate_once``) forms b - A x once; it gives both
-Rf and the feasibility right-hand side of the point's pass.
+scipy's compiled kernels when the LP is constructed, which also derives the
+box set I and u_I (``lp.bounded``, ``lp.upper_I``) and sets m and n as plain
+ints.  The penalty parameters are per LP too: ``GaugeParams`` holds the
+LP's own ``bounded`` and ``upper_I`` by reference, and takes only r from the
+solve's config.  The box terms, w_I in the pass and <u_I, w_I> in the gap,
+are formed only when I is nonempty (``lp.upper_I.size``): for an LP without
+upper bounds w stays zero and the gap has no box term, so the iterates are
+the general formulas' bit for bit.  Every reduction on the path calls
+``np.minimum.reduce`` or ``np.maximum.reduce`` directly, not numpy's Python
+wrappers behind ``ndarray.min`` and ``max``.  Per solve: the bound of the
+sign safeguard.  Per point: whoever creates the point (the start, or
+``iterate_once``) forms b - A x once; it gives both Rf and the feasibility
+right-hand side of the point's pass.
 
 The feasibility move uses step factor STEP_AGGRESSIVE while the residual is
 large and STEP_CONSERVATIVE once it is small; the descent move swaps the two
 factors.  Reported duals therefore lag the reported primal point by one move.
 Every LP, boxed or not, takes the same two linear moves.
 
-An LP with no rows (m = 0) has no normal matrix; ``solve`` returns its
-exact answer at once (``_rowless``).
+An LP with no rows (m = 0) or no columns (n = 0) has no normal matrix;
+``solve`` returns its exact answer at once (``_rowless``, ``_columnless``).
 
 Stopping declares optimality only when the feasibility measure Rf, the
 expected relative duality gap Rgap, and a sign safeguard on s all hold;
@@ -92,6 +94,7 @@ class Status(enum.Enum):
     OPTIMAL = "Optimal"
     ITERATION_LIMIT = "IterationLimit"
     UNBOUNDED = "Unbounded"
+    INFEASIBLE = "Infeasible"
     NUMERICAL_FAILURE = "NumericalFailure"
 
 
@@ -338,6 +341,21 @@ def _rowless(lp: StandardLP) -> tuple[IterateState, Status]:
     return _state(lp, x, lp.b - lp.matvec(x), pt), Status.UNBOUNDED if ray else Status.OPTIMAL
 
 
+def _columnless(lp: StandardLP) -> tuple[IterateState, Status]:
+    """The exact answer of an LP with rows but no columns (m > 0, n = 0), where A x = b reads 0 = b.
+
+    Optimal at the empty point when b = 0, with y = 0.  Otherwise Infeasible,
+    with y = sign(b_i) e_i at the first nonzero b_i: A^t y is empty and
+    <b, y> = |b_i| > 0, so y is an exact Farkas ray.
+    """
+    first = np.flatnonzero(lp.b)[:1]  # the first nonzero b_i, or none
+    y = np.zeros(lp.m)
+    y[first] = np.sign(lp.b[first])
+    empty = np.zeros(0)
+    pt = PointPass(None, linalg.CholeskyFactor(np.zeros((0, 0)), 0.0), None, None, y, empty, empty, 0)
+    return _state(lp, empty, lp.b - lp.matvec(empty), pt), Status.INFEASIBLE if first.size else Status.OPTIMAL
+
+
 def _converged(state: IterateState, cfg: SolverConfig, safeguard: float) -> bool:
     """The stopping test; ``safeguard`` is -DUAL_SAFEGUARD * (1 + ||c||_inf), the least s_j accepted."""
     # |rgap|: a strongly negative gap means the dual estimate is infeasible
@@ -350,10 +368,13 @@ def _converged(state: IterateState, cfg: SolverConfig, safeguard: float) -> bool
 
 
 def solve(lp: StandardLP, cfg: SolverConfig | None = None, offset: float = 0.0) -> SolveReport:
-    """Run the full affine scaling iteration; never raises past this API, except
-    ``ValueError`` on an LP with rows but no columns (m > 0, n = 0)."""
+    """Run the full affine scaling iteration; never raises past this API.
+
+    The statuses are Optimal, IterationLimit, Unbounded, Infeasible (only on
+    an LP with rows but no columns, with its Farkas ray as y) and
+    NumericalFailure."""
     cfg = cfg or SolverConfig()
-    p = GaugeParams(r=cfg.r, upper=lp.upper)
+    p = GaugeParams(cfg.r, lp.bounded, lp.upper_I)
     safeguard = -DUAL_SAFEGUARD * (1.0 + np.maximum.reduce(np.abs(lp.c), initial=0.0))
     trace: list[TraceRecord] = []
 
@@ -376,8 +397,8 @@ def solve(lp: StandardLP, cfg: SolverConfig | None = None, offset: float = 0.0) 
     state = None
     with np.errstate(over="ignore"):  # overflow is reported as a status, not warned about
         try:
-            if lp.m == 0:
-                state, status = _rowless(lp)
+            if lp.m == 0 or lp.n == 0:
+                state, status = _rowless(lp) if lp.m == 0 else _columnless(lp)
                 trace.append(state.record)
                 return report(state, status)
             x0 = choose_start(lp)

@@ -49,7 +49,7 @@ def make_lp(A, b, c, upper=None):
 def pass_at(lp, x, r):
     """The solver's pass at x for exponent r (``recover_duals``): H^-1, the
     factor of A H^-1 A^t, both directions and the duals."""
-    p = GaugeParams(r=r, upper=lp.upper)
+    p = GaugeParams(r, lp.bounded, lp.upper_I)
     return recover_duals(lp, x, p, lp.b - lp.A @ x)
 
 

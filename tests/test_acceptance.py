@@ -105,7 +105,7 @@ def test_criterion_4_directions_match_dense_oracles():
             lp, _ = random_lp(rng, m=m, n=n)
             x = random_interior_point(rng, lp)
             r = float(rng.uniform(0.05, 0.9))
-            p = GaugeParams(r=r, upper=lp.upper)
+            p = GaugeParams(r, lp.bounded, lp.upper_I)
             d = pass_at(lp, x, r).d
 
             # dense projector oracle
@@ -131,8 +131,9 @@ def test_criterion_5_solver_invariants():
         # finite-difference gradient check for the penalized objective
         for _ in range(25):
             n = 5
-            upper = np.where(rng.random(n) < 0.5, rng.uniform(2.0, 4.0, n), np.inf)
-            p = GaugeParams(r=float(rng.uniform(0.1, 0.9)), upper=upper)
+            boxed = rng.random(n) < 0.5
+            upper = np.where(boxed, rng.uniform(2.0, 4.0, n), np.inf)
+            p = GaugeParams(float(rng.uniform(0.1, 0.9)), np.flatnonzero(boxed), upper[boxed])
             x = np.minimum(rng.uniform(0.3, 1.5, n), 0.9 * upper)
             c = rng.normal(size=n)
             mu = float(rng.uniform(0.1, 2.0))

@@ -188,6 +188,30 @@ def test_solve_without_rows_matches_highs(tmp_path, capsys, text):
     assert [float(printed[f"X{k}"]) for k in range(1, 5)] == pytest.approx(ref.x, rel=1e-12)
 
 
+# one equality row and no columns: 0 = 1 has no solution
+NOCOLUMNS = """NAME NOCOLS
+ROWS
+ N  COST
+ E  R1
+COLUMNS
+RHS
+    RHS  R1  1.0
+ENDATA
+"""
+
+
+def test_solve_without_columns_is_infeasible(tmp_path, capsys):
+    p = tmp_path / "nocols.mps"
+    p.write_text(NOCOLUMNS)
+    assert main(["solve", str(p)]) == 5
+    out, err = capsys.readouterr()
+    assert "status:     Infeasible" in out and err == ""
+    # with b = 0 the empty point is optimal
+    p.write_text(NOCOLUMNS.replace("    RHS  R1  1.0\n", ""))
+    assert main(["solve", str(p)]) == 0
+    assert "status:     Optimal" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -308,6 +332,7 @@ def test_every_status_has_an_exit_code_and_a_cell():
         Status.OPTIMAL: (0, "17"),
         Status.ITERATION_LIMIT: (2, "**"),
         Status.UNBOUNDED: (3, "err"),
+        Status.INFEASIBLE: (5, "err"),
         Status.NUMERICAL_FAILURE: (4, "err"),
     }
     assert set(galp.cli.STATUS_TABLE) == set(Status) == set(expected)

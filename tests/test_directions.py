@@ -10,7 +10,7 @@ from conftest import make_lp, pass_at, random_interior_point, random_lp
 
 def dense_projected_direction(lp, x, r):
     """Dense oracle: d = -H^(-1/2) P H^(-1/2) c with an explicit projector."""
-    h = scaling_diagonals(x, GaugeParams(r=r, upper=lp.upper)).h
+    h = scaling_diagonals(x, GaugeParams(r, lp.bounded, lp.upper_I)).h
     hs = np.sqrt(h)
     B = lp.A.toarray() / hs  # A H^(-1/2)
     P = np.eye(lp.n) - B.T @ np.linalg.pinv(B @ B.T) @ B
@@ -112,7 +112,7 @@ def test_newton_limit_recovers_descent(rng):
     d = pass_at(lp, x, r).d
     errs = []
     for mu in (1e-4, 1e-6):
-        dn = newton_direction(lp, x, mu, GaugeParams(r=r, upper=lp.upper))
+        dn = newton_direction(lp, x, mu, GaugeParams(r, lp.bounded, lp.upper_I))
         errs.append(np.linalg.norm(mu * (1.0 - r) * dn - d, np.inf))
     assert errs[1] <= 1e-4 * (1.0 + np.linalg.norm(d, np.inf))
     # the gap to the limit closes at first order in mu
@@ -123,7 +123,7 @@ def test_newton_three_point_collinearity(rng):
     # mu (1-r) d(mu) is affine in mu, so three samples are collinear
     lp, _ = random_lp(rng, m=3, n=6)
     x = random_interior_point(rng, lp)
-    p = GaugeParams(r=0.5, upper=lp.upper)
+    p = GaugeParams(0.5, lp.bounded, lp.upper_I)
     mus = (0.5, 1.0, 1.5)
     pts = [mu * (1.0 - p.r) * newton_direction(lp, x, mu, p) for mu in mus]
     midpoint = 0.5 * (pts[0] + pts[2])
@@ -134,9 +134,9 @@ def test_newton_rejects_bad_parameters(rng):
     lp, _ = random_lp(rng, m=2, n=4)
     x = random_interior_point(rng, lp)
     with pytest.raises(ValueError):
-        newton_direction(lp, x, 1.0, GaugeParams(r=0.0, upper=lp.upper))
+        newton_direction(lp, x, 1.0, GaugeParams(0.0, lp.bounded, lp.upper_I))
     with pytest.raises(ValueError):
-        newton_direction(lp, x, 0.0, GaugeParams(r=0.5, upper=lp.upper))
+        newton_direction(lp, x, 0.0, GaugeParams(0.5, lp.bounded, lp.upper_I))
 
 
 def masked_max_step(x, upper, dir, cap=None):

@@ -14,11 +14,17 @@ from galp.penalty import (
     xi_r,
 )
 
-NO_UB = np.full(2, np.inf)
+def params(r, bounded=(), upper_I=()):
+    """GaugeParams with I = ``bounded`` and u_I = ``upper_I``; no upper bounds by default."""
+    return GaugeParams(r, np.asarray(bounded, dtype=np.intp), np.asarray(upper_I, dtype=float))
 
 
-def params(r, upper):
-    return GaugeParams(r=r, upper=np.asarray(upper, dtype=float))
+def test_params_check_r_and_the_pair():
+    with pytest.raises(ValueError, match="r must lie"):
+        params(1.0)
+    # the pair gives I and u_I, one entry per bounded column
+    with pytest.raises(ValueError, match="bounded has 2 entries and upper_I 1"):
+        GaugeParams(0.5, np.array([0, 1]), np.array([2.0]))
 
 
 def g_diagonal(x, p):
@@ -27,18 +33,18 @@ def g_diagonal(x, p):
 
 
 def test_gauge_value():
-    p = params(0.5, NO_UB)
+    p = params(0.5)
     assert xi_r(np.array([1.0, 4.0]), p) == pytest.approx(9.0)
 
 
 def test_gauge_out_of_domain_sentinel():
     for r in (0.0, 0.3, 0.7):
-        p = params(r, NO_UB)
+        p = params(r)
         assert xi_r(np.array([-1.0, 1.0]), p) == -np.inf
 
 
 def test_gauge_positive_homogeneity():
-    p = params(0.5, NO_UB)
+    p = params(0.5)
     base = xi_r(np.array([1.0, 4.0]), p)
     for t in (0.5, 2.0, 7.0):
         assert xi_r(t * np.array([1.0, 4.0]), p) == pytest.approx(t * base)
@@ -47,50 +53,49 @@ def test_gauge_positive_homogeneity():
 def test_gauge_homogeneity_with_bounds(rng):
     # scaling u along with x preserves degree-1 homogeneity
     x = rng.uniform(0.2, 0.8, 3)
-    u = np.array([1.0, 2.0, np.inf])
+    u = np.array([1.0, 2.0])  # on x_0 and x_1; x_2 has no upper bound
     for r in (0.2, 0.5, 0.8):
         for t in (0.5, 3.0):
-            v1 = xi_r(t * x, GaugeParams(r=r, upper=t * u))
-            v0 = xi_r(x, GaugeParams(r=r, upper=u))
+            v1 = xi_r(t * x, params(r, [0, 1], t * u))
+            v0 = xi_r(x, params(r, [0, 1], u))
             assert v1 == pytest.approx(t * v0, rel=1e-12)
 
 
 def test_gauge_r_zero_geometric_mean():
-    p = params(0.0, NO_UB)
+    p = params(0.0)
     assert xi_r(np.array([1.0, 4.0]), p) == pytest.approx(2.0)
     assert xi_r(np.array([0.0, 4.0]), p) == 0.0
-    u = np.array([2.0, np.inf])
-    p = GaugeParams(r=0.0, upper=u)
+    p = params(0.0, [0], [2.0])  # x1 <= 2, x2 unbounded
     # (x1 * x2 * (u1 - x1))^(1/3)
     assert xi_r(np.array([1.0, 8.0]), p) == pytest.approx(2.0)
 
 
 def test_penalty_value():
-    p = params(0.5, NO_UB)
+    p = params(0.5)
     assert penalty_g_r(np.array([1.0, 1.0]), p) == pytest.approx(-4.0)
     assert penalized_objective(np.array([1.0, 1.0]), np.array([1.0, 0.0]), 1.0, p) == pytest.approx(-3.0)
 
 
 def test_penalty_finite_on_boundary():
     # differential barrier: the value stays finite where the gradient blows up
-    p = params(0.5, NO_UB)
+    p = params(0.5)
     assert np.isfinite(penalty_g_r(np.array([0.0, 1.0]), p))
 
 
 def test_penalty_rejects_r_zero():
-    p = params(0.0, NO_UB)
+    p = params(0.0)
     with pytest.raises(RZeroUnsupported):
         penalty_g_r(np.array([1.0, 1.0]), p)
 
 
 def test_penalty_off_domain_sentinel():
-    p = params(0.5, NO_UB)
+    p = params(0.5)
     assert penalty_g_r(np.array([-1.0, 1.0]), p) == np.inf
     assert penalized_objective(np.array([-1.0, 1.0]), np.zeros(2), 1.0, p) == np.inf
 
 
 def test_scaling_diagonals_classic():
-    p = GaugeParams(r=0.0, upper=np.array([np.inf]))
+    p = params(0.0)
     sd = scaling_diagonals(np.array([0.5]), p)
     assert_allclose(sd.h, [4.0])
     assert_allclose(g_diagonal(np.array([0.5]), p), [2.0])
@@ -98,14 +103,14 @@ def test_scaling_diagonals_classic():
 
 def test_scaling_diagonals_bounded_midpoint():
     for r in (0.5, 0.0):
-        p = GaugeParams(r=r, upper=np.array([2.0]))
+        p = params(r, [0], [2.0])
         sd = scaling_diagonals(np.array([1.0]), p)
         assert_allclose(sd.h, [2.0])
         assert_allclose(g_diagonal(np.array([1.0]), p), [0.0])
 
 
 def test_scaling_diagonals_not_interior():
-    p = GaugeParams(r=0.3, upper=np.array([2.0, np.inf]))
+    p = params(0.3, [0], [2.0])
     with pytest.raises(NotInterior):
         scaling_diagonals(np.array([0.0, 1.0]), p)
     with pytest.raises(NotInterior):
@@ -113,7 +118,7 @@ def test_scaling_diagonals_not_interior():
 
 
 def test_scaling_diagonals_clamped():
-    p = GaugeParams(r=0.0, upper=np.array([np.inf]))
+    p = params(0.0)
     # x^-2 = 1e40 clamps; x^-2 = 1e400 overflows to inf first, which must not warn
     for x in (1e-20, 1e-200):
         sd = scaling_diagonals(np.array([x]), p)
@@ -122,13 +127,13 @@ def test_scaling_diagonals_clamped():
 
 
 def test_gradient_hand_value():
-    p = params(0.5, NO_UB)
+    p = params(0.5)
     grad = penalty_gradient(np.array([1.0, 1.0]), np.array([1.0, 0.0]), 1.0, p)
     assert_allclose(grad, [0.0, -1.0])
 
 
 def test_hessian_hand_value():
-    p = params(0.5, NO_UB)
+    p = params(0.5)
     h = penalty_hessian_diag(np.array([1.0, 1.0]), 2.0, p)
     assert_allclose(h, [1.0, 1.0])
 
@@ -149,8 +154,9 @@ def test_gradient_matches_finite_differences(rng):
     n = 4
     for _ in range(100):
         r = rng.uniform(0.1, 0.9)
-        upper = np.where(rng.random(n) < 0.5, rng.uniform(2.0, 4.0, n), np.inf)
-        p = GaugeParams(r=r, upper=upper)
+        boxed = rng.random(n) < 0.5
+        upper = np.where(boxed, rng.uniform(2.0, 4.0, n), np.inf)
+        p = params(r, np.flatnonzero(boxed), upper[boxed])
         x = rng.uniform(0.3, 1.5, n)
         x = np.minimum(x, 0.9 * upper)
         c = rng.normal(size=n)
@@ -164,7 +170,7 @@ def test_hessian_matches_gradient_differences(rng):
     n = 3
     for _ in range(100):
         r = rng.uniform(0.1, 0.9)
-        p = GaugeParams(r=r, upper=np.full(n, np.inf))
+        p = params(r)
         x = rng.uniform(0.3, 1.5, n)
         c = rng.normal(size=n)
         mu = rng.uniform(0.1, 2.0)
@@ -181,7 +187,7 @@ def test_hessian_matches_gradient_differences(rng):
 
 def test_differential_barrier_gradient_blowup():
     # gradient norm grows without bound as one coordinate approaches 0
-    p = params(0.5, NO_UB)
+    p = params(0.5)
     norms = []
     for k in range(2, 13):
         x = np.array([10.0**-k, 1.0])
@@ -192,9 +198,11 @@ def test_differential_barrier_gradient_blowup():
 
 def test_r_continuity_of_diagonals(rng):
     n = 5
-    upper = np.where(rng.random(n) < 0.5, rng.uniform(2.0, 4.0, n), np.inf)
+    boxed = rng.random(n) < 0.5
+    upper = np.where(boxed, rng.uniform(2.0, 4.0, n), np.inf)
     x = rng.uniform(0.3, 1.5, n)
     x = np.minimum(x, 0.9 * upper)
-    small, zero = GaugeParams(r=1e-6, upper=upper), GaugeParams(r=0.0, upper=upper)
+    bounded, upper_I = np.flatnonzero(boxed), upper[boxed]
+    small, zero = params(1e-6, bounded, upper_I), params(0.0, bounded, upper_I)
     assert_allclose(scaling_diagonals(x, small).h, scaling_diagonals(x, zero).h, rtol=1e-4)
     assert_allclose(g_diagonal(x, small), g_diagonal(x, zero), rtol=1e-4, atol=1e-4)

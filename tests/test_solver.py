@@ -39,7 +39,7 @@ from conftest import (
     random_lp,
     sparse_product_normal,
 )
-from families import NAMED, highs_optimum
+from families import NAMED, PANEL, highs_optimum
 from test_directions import masked_max_step
 
 
@@ -506,14 +506,38 @@ def test_rowless_lp_gets_its_exact_answer(rng):
     assert report.status == Status.OPTIMAL and report.objective == 0.0 and report.x.shape == (0,)
 
 
-@pytest.mark.xfail(raises=ValueError, strict=True, reason="choose_start reduces over an empty start")
 def test_column_free_lp_gets_a_report():
-    # rows but no columns: b = 0 is solved by the empty point, and b = 1 is
-    # infeasible, with y = sign(b_1) e_1 as its certificate
+    # rows but no columns: A x = b reads 0 = b, so b = 0 is solved by the
+    # empty point, and any other b is infeasible, with y = sign(b_i) e_i at
+    # its first nonzero b_i as an exact Farkas ray (A^t y is empty, <b, y> > 0)
     report = solve(make_lp(np.zeros((1, 0)), [0.0], []))
     assert report.status == Status.OPTIMAL and report.objective == 0.0 and report.x.shape == (0,)
+    assert np.array_equal(report.y, [0.0]) and report.rf == 0.0 and report.rgap == 0.0
     report = solve(make_lp(np.zeros((1, 0)), [1.0], []))
-    assert report.status != Status.OPTIMAL and np.array_equal(report.y, [1.0])
+    assert report.status == Status.INFEASIBLE and np.array_equal(report.y, [1.0])
+    for r in (0.0, 0.5):
+        report = solve(make_lp(np.zeros((3, 0)), [0.0, -2.0, 5.0], []), SolverConfig(r=r))
+        assert report.status == Status.INFEASIBLE and np.array_equal(report.y, [0.0, -1.0, 0.0])
+        assert report.iterations == 0 and len(report.trace) == 1 and report.x.shape == (0,)
+        assert report.s.shape == report.w.shape == (0,) and report.rf == 5.0 / 6.0
+
+
+def test_solve_hands_the_pass_the_lps_own_box_set(monkeypatch):
+    # GaugeParams holds the LP's own read-only I and u_I: solve derives no copy
+    seen = []
+
+    def spy(x, p):
+        seen.append(p)
+        return scaling_diagonals(x, p)
+
+    monkeypatch.setattr(galp.solver, "scaling_diagonals", spy)
+    boxed = next(member for member in PANEL["box_heavy"].members if member.seed == 0).lp()
+    plain = NAMED["afiro"].lp()
+    assert boxed.upper_I.size == boxed.n and plain.upper_I.size == 0  # I full and I empty
+    for lp in (boxed, plain):
+        seen.clear()
+        solve(lp, SolverConfig(r=0.2, max_iterations=2))
+        assert len(seen) == 2 and all(p.bounded is lp.bounded and p.upper_I is lp.upper_I for p in seen)
 
 
 @pytest.mark.xfail(raises=AssertionError, strict=True, reason="an empty column's free ray is not detected")
@@ -1047,7 +1071,7 @@ def test_box_free_pass_matches_general_formulas(monkeypatch, rng):
     assert points[True] > 800 and points[False] > 8
 
     # the interior check on x holds without I: a 0 entry raises, a NaN does not
-    p = GaugeParams(r=0.5, upper=np.full(3, np.inf))
+    p = GaugeParams(0.5, np.zeros(0, dtype=np.intp), np.zeros(0))
     for fn in (lambda x: scaling_diagonals(x, p).h, lambda x: penalty_gradient(x, np.ones(3), 1.0, p)):
         with pytest.raises(NotInterior):
             fn(np.array([1.0, 0.0, 2.0]))
