@@ -97,9 +97,7 @@ class RawMps:
 
     ``rows`` lists (row-name, kind) in file order; ``objective_row`` is the
     first N row.  ``columns`` keeps the (column, row, coefficient) triples in
-    file order, likewise ``rhs``, ``ranges`` and ``bounds``.  ``warnings``
-    collects non-fatal oddities (e.g. a negative UP bound) and is excluded
-    from equality comparisons.
+    file order, likewise ``rhs``, ``ranges`` and ``bounds``.
     """
 
     name: str = ""
@@ -109,7 +107,6 @@ class RawMps:
     rhs: list = field(default_factory=list)
     ranges: list = field(default_factory=list)
     bounds: list = field(default_factory=list)
-    warnings: list = field(default_factory=list, compare=False)
 
     def column_names(self):
         """Column names in order of first appearance."""
@@ -236,10 +233,6 @@ def parse_mps(source) -> RawMps:
                 col, value = tokens[-1], None
             if col not in col_rows:
                 raise UndeclaredName(f"bound references unknown column {col!r}", lineno)
-            if kind == "UP" and value is not None and value < 0:
-                raw.warnings.append(
-                    f"line {lineno}: negative UP bound {value} on {col!r}; lower bound kept at 0"
-                )
             raw.bounds.append((kind, col, value))
 
         else:

@@ -57,7 +57,7 @@ factors.  Reported duals therefore lag the reported primal point by one move.
 Every LP, boxed or not, takes the same two linear moves.
 
 An LP with no rows (m = 0) or no columns (n = 0) has no normal matrix;
-``solve`` returns its exact answer at once (``_rowless``, ``_columnless``).
+``solve`` returns its exact answer at once (``_exact``).
 
 Stopping declares optimality only when the feasibility measure Rf, the
 expected relative duality gap Rgap, and a sign safeguard on s all hold;
@@ -323,37 +323,28 @@ def iterate_once(state: IterateState, lp: StandardLP, cfg: SolverConfig, pt: Poi
     return _state(lp, x, lp.b - lp.matvec(x), pt, rec.iteration + 1, step_feas=t_feas, step_desc=t_desc)
 
 
-def _rowless(lp: StandardLP) -> tuple[IterateState, Status]:
-    """The exact answer of an LP with no rows (m = 0), which has no normal matrix to factor.
+def _exact(lp: StandardLP) -> tuple[IterateState, Status]:
+    """The exact answer of an LP with no rows (m = 0) or no columns (n = 0), which has no normal matrix to factor.
 
-    x_j = u_j where c_j < 0 and u_j is finite, else 0; the LP is Unbounded
-    when some c_j < 0 has u_j = +inf, whose x_j is left at 0.  The duals are
-    those of the pass's formulas at that point: y is empty, w_I = max(-c_I, 0)
-    and s = c + w.
+    x_j = u_j where c_j < 0 and u_j is finite, else 0, and the duals are
+    the pass's formulas there: w_I = max(-c_I, 0), s = c + w, and y =
+    sign(b_i) e_i at the first nonzero b_i, else 0.  Such a b_i needs n = 0,
+    where A x = b reads 0 = b: the LP is Infeasible, and y is an exact
+    Farkas ray (A^t y is empty, <b, y> = |b_i| > 0).  Otherwise the LP is
+    Unbounded when some c_j < 0 has u_j = +inf, whose x_j stays 0, else Optimal.
     """
     idx = lp.bounded
     w = np.zeros(lp.n)
     w[idx] = np.maximum(-lp.c[idx], 0.0)
     x = np.zeros(lp.n)
     x[idx] = np.where(lp.c[idx] < 0, lp.upper_I, 0.0)
-    pt = PointPass(None, linalg.CholeskyFactor(np.zeros((0, 0)), 0.0), None, None, np.zeros(0), w, lp.c + w, 0)
-    ray = np.count_nonzero((lp.c < 0) & (lp.upper == np.inf))
-    return _state(lp, x, lp.b - lp.matvec(x), pt), Status.UNBOUNDED if ray else Status.OPTIMAL
-
-
-def _columnless(lp: StandardLP) -> tuple[IterateState, Status]:
-    """The exact answer of an LP with rows but no columns (m > 0, n = 0), where A x = b reads 0 = b.
-
-    Optimal at the empty point when b = 0, with y = 0.  Otherwise Infeasible,
-    with y = sign(b_i) e_i at the first nonzero b_i: A^t y is empty and
-    <b, y> = |b_i| > 0, so y is an exact Farkas ray.
-    """
     first = np.flatnonzero(lp.b)[:1]  # the first nonzero b_i, or none
     y = np.zeros(lp.m)
     y[first] = np.sign(lp.b[first])
-    empty = np.zeros(0)
-    pt = PointPass(None, linalg.CholeskyFactor(np.zeros((0, 0)), 0.0), None, None, y, empty, empty, 0)
-    return _state(lp, empty, lp.b - lp.matvec(empty), pt), Status.INFEASIBLE if first.size else Status.OPTIMAL
+    pt = PointPass(None, linalg.CholeskyFactor(np.zeros((0, 0)), 0.0), None, None, y, w, lp.c + w, 0)
+    ray = np.count_nonzero((lp.c < 0) & (lp.upper == np.inf))
+    status = Status.INFEASIBLE if first.size else Status.UNBOUNDED if ray else Status.OPTIMAL
+    return _state(lp, x, lp.b - lp.matvec(x), pt), status
 
 
 def _converged(state: IterateState, cfg: SolverConfig, safeguard: float) -> bool:
@@ -371,14 +362,41 @@ def solve(lp: StandardLP, cfg: SolverConfig | None = None, offset: float = 0.0) 
     """Run the full affine scaling iteration; never raises past this API.
 
     The statuses are Optimal, IterationLimit, Unbounded, Infeasible (only on
-    an LP with rows but no columns, with its Farkas ray as y) and
-    NumericalFailure."""
+    an LP with rows but no columns, from ``_exact``, with its Farkas ray as
+    y) and NumericalFailure; each leaves through the one report at the end."""
     cfg = cfg or SolverConfig()
     p = GaugeParams(cfg.r, lp.bounded, lp.upper_I)
     safeguard = -DUAL_SAFEGUARD * (1.0 + np.maximum.reduce(np.abs(lp.c), initial=0.0))
     trace: list[TraceRecord] = []
 
-    def report(state, status):
+    state = None
+    with np.errstate(over="ignore"):  # overflow is reported as a status, not warned about
+        try:
+            if lp.m == 0 or lp.n == 0:
+                state, status = _exact(lp)
+                trace.append(state.record)
+            else:
+                x0 = choose_start(lp)
+                resid = lp.b - lp.matvec(x0)
+                pt = recover_duals(lp, x0, p, resid)
+                state = _state(lp, x0, resid, pt)
+                trace.append(state.record)
+                status = Status.OPTIMAL
+                while not _converged(state, cfg, safeguard):
+                    if state.record.iteration >= cfg.max_iterations:
+                        status = Status.ITERATION_LIMIT
+                        break
+                    if state.record.iteration > 0:  # the start's pass serves iteration 1
+                        pt = recover_duals(lp, state.x, p, state.resid)
+                    state = iterate_once(state, lp, cfg, pt)
+                    trace.append(state.record)
+        except UnboundedDirection:
+            status = Status.UNBOUNDED
+        except (linalg.FactorizationFailed, linalg.NonFiniteInput, NotInterior):
+            status = Status.NUMERICAL_FAILURE
+            if state is None:  # no point reached: NaN arrays and record, rf an np.float64 as on every report
+                rec = TraceRecord(0, math.nan, np.float64(math.nan), math.nan, 0.0, 0.0, math.nan, 0, 0.0)
+                state = IterateState(*(np.full(k, np.nan) for k in (lp.n, lp.m, lp.n, lp.n)), rec, None)
         rec = state.record
         return SolveReport(
             status=status,
@@ -393,33 +411,3 @@ def solve(lp: StandardLP, cfg: SolverConfig | None = None, offset: float = 0.0) 
             rgap=rec.rgap,
             trace=trace,
         )
-
-    state = None
-    with np.errstate(over="ignore"):  # overflow is reported as a status, not warned about
-        try:
-            if lp.m == 0 or lp.n == 0:
-                state, status = _rowless(lp) if lp.m == 0 else _columnless(lp)
-                trace.append(state.record)
-                return report(state, status)
-            x0 = choose_start(lp)
-            resid = lp.b - lp.matvec(x0)
-            pt = recover_duals(lp, x0, p, resid)
-            state = _state(lp, x0, resid, pt)
-            trace.append(state.record)
-
-            while not _converged(state, cfg, safeguard):
-                if state.record.iteration >= cfg.max_iterations:
-                    return report(state, Status.ITERATION_LIMIT)
-                if state.record.iteration > 0:  # the start's pass serves iteration 1
-                    pt = recover_duals(lp, state.x, p, state.resid)
-                state = iterate_once(state, lp, cfg, pt)
-                trace.append(state.record)
-            return report(state, Status.OPTIMAL)
-
-        except UnboundedDirection:
-            return report(state, Status.UNBOUNDED)
-        except (linalg.FactorizationFailed, linalg.NonFiniteInput, NotInterior):
-            if state is None:  # no point reached: NaN arrays and record, rf an np.float64 as on every report
-                rec = TraceRecord(0, math.nan, np.float64(math.nan), math.nan, 0.0, 0.0, math.nan, 0, 0.0)
-                state = IterateState(*(np.full(k, np.nan) for k in (lp.n, lp.m, lp.n, lp.n)), rec, None)
-            return report(state, Status.NUMERICAL_FAILURE)

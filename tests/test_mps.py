@@ -57,11 +57,10 @@ def test_bounds_transcription():
     assert raw.bounds == [("UP", "X1", 4.0)]
 
 
-def test_negative_upper_bound_warns():
+def test_negative_upper_bound_transcribed():
     text = TINY.replace("ENDATA", "BOUNDS\n UP BND X1 -4.0\nENDATA")
     raw = parse_mps(text)
     assert raw.bounds == [("UP", "X1", -4.0)]
-    assert len(raw.warnings) == 1
 
 
 def test_valueless_bounds():

@@ -417,6 +417,42 @@ def test_solve_trace_schema_and_offset():
         assert rec.regularization in (0.0,) + tuple(linalg.REGULARIZATIONS)
 
 
+# one case for each way solve can end: (build the LP, config, status, iterations or None)
+ENDINGS = {
+    "optimal": (lambda: NAMED["afiro"].lp(), SolverConfig(), Status.OPTIMAL, None),
+    "iteration_limit": (lambda: NAMED["afiro"].lp(), SolverConfig(max_iterations=3), Status.ITERATION_LIMIT, 3),
+    "unbounded_in_the_loop": (
+        lambda: make_lp([[1.0, -1.0]], [0.0], [-1.0, 0.0]), SolverConfig(), Status.UNBOUNDED, None
+    ),
+    "unbounded_without_rows": (
+        lambda: rowless_lp([1.0, -1.0], [2.0, np.inf]), SolverConfig(), Status.UNBOUNDED, 0
+    ),
+    "infeasible_without_columns": (
+        lambda: make_lp(np.zeros((2, 0)), [0.0, 3.0], []), SolverConfig(), Status.INFEASIBLE, 0
+    ),
+    "failure_mid_solve": (lambda: NAMED["fix02"].lp(), SolverConfig(r=0.0), Status.NUMERICAL_FAILURE, 248),
+    "failure_before_a_point": (lambda: NAMED["fix01"].lp(), SolverConfig(), Status.NUMERICAL_FAILURE, 0),
+}
+
+
+@pytest.mark.parametrize("ending", ENDINGS)
+def test_every_ending_reports_shapes_offset_and_last_record(ending):
+    build, cfg, status, iterations = ENDINGS[ending]
+    lp = build()
+    report = solve(lp, cfg, offset=2.5)
+    assert report.status == status
+    assert iterations is None or report.iterations == iterations
+    assert [a.shape for a in (report.x, report.y, report.w, report.s)] == [(lp.n,), (lp.m,), (lp.n,), (lp.n,)]
+    assert np.array_equal(report.objective_original, report.objective + 2.5, equal_nan=True)
+    if ending == "failure_before_a_point":
+        assert report.trace == [] and np.isnan(report.objective)
+    else:
+        rec = report.trace[-1]
+        assert (report.iterations, report.objective, report.rf, report.rgap) == (
+            rec.iteration, rec.objective, rec.rf, rec.rgap
+        )
+
+
 def test_solve_is_deterministic(rng):
     lp, _ = random_lp(rng, m=3, n=7, bounded="some")
     a = solve(lp, SolverConfig(r=0.2))
@@ -616,7 +652,8 @@ def test_solve_bit_identical_to_sparse_product_kernel(monkeypatch, r):
         old = solve(fresh(lp), cfg)
         assert new.status == old.status == Status.OPTIMAL
         assert [dataclasses.astuple(t) for t in new.trace] == [dataclasses.astuple(t) for t in old.trace]
-        assert np.array_equal(new.x, old.x)
+        for name in ("x", "y", "w", "s"):
+            assert np.array_equal(getattr(new, name), getattr(old, name)), name
 
 
 def test_rung_path_bit_identical_to_sparse_product_kernel(monkeypatch):
@@ -854,7 +891,8 @@ def test_solve_bit_identical_to_masked_ratio_test(monkeypatch, rng, r):
         old = solve(lp, cfg)
         assert new.status == old.status
         assert [dataclasses.astuple(t) for t in new.trace] == [dataclasses.astuple(t) for t in old.trace]
-        assert np.array_equal(new.x, old.x)
+        for name in ("x", "y", "w", "s"):
+            assert np.array_equal(getattr(new, name), getattr(old, name)), name
 
 
 def test_overflowing_direction_solve_keeps_its_report(monkeypatch):
@@ -949,8 +987,8 @@ def test_solve_bit_identical_to_one_column_solves(monkeypatch, rng, r):
         old = solve(fresh(lp), cfg)
         assert new.status == old.status
         assert [dataclasses.astuple(t) for t in new.trace] == [dataclasses.astuple(t) for t in old.trace]
-        for field in ("x", "y", "w", "s"):
-            assert np.array_equal(getattr(new, field), getattr(old, field)), field
+        for name in ("x", "y", "w", "s"):
+            assert np.array_equal(getattr(new, name), getattr(old, name)), name
 
 
 def test_plan_is_built_once_per_lp(monkeypatch):

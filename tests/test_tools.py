@@ -52,3 +52,22 @@ def test_iterate_hash_smoke():
         for field in ("x", "y", "w", "s"):
             digest.update(getattr(report, field).tobytes())
     assert match.group(1) == digest.hexdigest()
+
+
+def test_make_fixtures_writes_the_committed_fixtures(tmp_path):
+    # tools/make_fixtures.py is the provenance of tests/data/fixtures: run
+    # afresh, it writes the same 30 files, byte for byte
+    proc = subprocess.run(
+        [sys.executable, os.path.join("tools", "make_fixtures.py"), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    committed = os.path.join(ROOT, "tests", "data", "fixtures")
+    names = sorted(os.listdir(committed))
+    assert len(names) == 30 and sorted(os.listdir(tmp_path)) == names
+    for name in names:
+        with open(os.path.join(committed, name), "rb") as want:
+            assert (tmp_path / name).read_bytes() == want.read(), name
