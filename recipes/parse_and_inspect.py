@@ -35,7 +35,11 @@ print("problem name:", raw.name)
 print("objective row:", raw.objective_row)
 print("rows:", raw.rows)
 print("columns:", raw.column_names())
-print("coefficients:", raw.columns)
+# COLUMNS is kept as three parallel lists: coefficient k is coef_values[k]
+# at row coef_rows[k] of column coef_cols[k]
+print("coefficient columns:", raw.coef_cols)
+print("coefficient rows:", raw.coef_rows)
+print("coefficient values:", raw.coef_values)
 print("rhs:", raw.rhs)
 print("bounds:", raw.bounds)
 

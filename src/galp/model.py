@@ -200,10 +200,15 @@ def to_standard_form(raw: RawMps):
     ranges = dict(raw.ranges)
 
     # Coefficients in file order: original column, row code and value.
-    nent = len(raw.columns)
-    ent_col = np.fromiter(map(col_index.__getitem__, [col for col, _, _ in raw.columns]), np.intp, nent)
-    ent_row = np.fromiter(map(row_code.get, [rname for _, rname, _ in raw.columns], repeat(-2)), np.intp, nent)
-    ent_val = np.array([value for _, _, value in raw.columns], dtype=float)
+    nent = len(raw.coef_cols)
+    if len(raw.coef_rows) != nent or len(raw.coef_values) != nent:
+        raise ValueError(
+            f"coefficient lists differ in length: {nent} columns, "
+            f"{len(raw.coef_rows)} rows, {len(raw.coef_values)} values"
+        )
+    ent_col = np.fromiter(map(col_index.__getitem__, raw.coef_cols), np.intp, nent)
+    ent_row = np.fromiter(map(row_code.get, raw.coef_rows, repeat(-2)), np.intp, nent)
+    ent_val = np.array(raw.coef_values, dtype=float)
     on_obj = ent_row == -1
     obj = np.zeros(ncols)
     np.add.at(obj, ent_col[on_obj], ent_val[on_obj])
@@ -281,8 +286,11 @@ def to_standard_form(raw: RawMps):
     upper[first[split] + 1] = np.inf
     upper[norig:] = slack_width[slack_rows]
 
-    # COO -> CSC keeps each column's entries in input order, so every column
-    # of A receives its coefficients in file order, duplicates included.
+    # COO -> CSC sorts each column's entries by row and sums duplicates, so A
+    # is canonical (sorted indices, no duplicates), as normal_plan needs.  A
+    # parsed file has no duplicates; a hand-built RawMps's are summed in file
+    # order in a column of at most 16 entries, which scipy sorts by insertion,
+    # and in no set order in a longer one.
     kept_ent = np.flatnonzero(on_row & kept[ent_col])
     twin_ent = kept_ent[split[ent_col[kept_ent]]]
     j_ent = first[ent_col]

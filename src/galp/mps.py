@@ -10,8 +10,12 @@ are read in two stages.  While a section is read, each line's tokens are
 appended to a few flat lists, one item per entry (column, row and value
 strings for COLUMNS, kind, column and value for BOUNDS), with no check and
 no tuple per entry.  When the section ends, it is checked at once with set
-algebra over its names and one ``map(float, ...)`` over its values, and
-only then are its entries built.  ROWS is checked line by line.
+algebra over its names and one ``map(float, ...)`` over its values.
+COLUMNS is then kept as it was split, with its values parsed: three
+parallel lists (``RawMps.coef_cols``, ``coef_rows``, ``coef_values``) and
+no tuple per coefficient.  RHS, RANGES and BOUNDS, which hold O(m + n)
+entries, are built into pairs and triples.
+ROWS is checked line by line.
 
 Errors name the first offender in file order, with the class and message
 of a line-by-line check.  A section is checked before anything on the line
@@ -112,21 +116,26 @@ class RawMps:
     """Verbatim transcription of an MPS file.
 
     ``rows`` lists (row-name, kind) in file order; ``objective_row`` is the
-    first N row.  ``columns`` keeps the (column, row, coefficient) triples in
-    file order, likewise ``rhs``, ``ranges`` and ``bounds``.
+    first N row.  The COLUMNS coefficients are three parallel lists of equal
+    length in file order: coefficient k is ``coef_values[k]`` at row
+    ``coef_rows[k]`` of column ``coef_cols[k]``.  ``rhs`` and ``ranges``
+    keep their (row, value) pairs and ``bounds`` its (kind, column, value)
+    triples, in file order.
     """
 
     name: str = ""
     rows: list = field(default_factory=list)
     objective_row: str = ""
-    columns: list = field(default_factory=list)
+    coef_cols: list = field(default_factory=list)
+    coef_rows: list = field(default_factory=list)
+    coef_values: list = field(default_factory=list)
     rhs: list = field(default_factory=list)
     ranges: list = field(default_factory=list)
     bounds: list = field(default_factory=list)
 
     def column_names(self):
         """Column names in order of first appearance."""
-        return list(dict.fromkeys([col for col, _, _ in self.columns]))
+        return list(dict.fromkeys(self.coef_cols))
 
 
 def _number(token, lineno, admits=math.isfinite):
@@ -349,7 +358,7 @@ class _Parser:
             self.raw.objective_row = name
 
     def columns(self, split):
-        """Check a split COLUMNS section at once, then build ``raw.columns``; returns ``split.end``."""
+        """Check a split COLUMNS section at once, then keep its lists in ``raw``; returns ``split.end``."""
         cols, rows, vals, starts = split.fields
         row_names = self.row_names
         values = _floats(vals)
@@ -376,8 +385,8 @@ class _Parser:
                     raise DuplicateEntry(f"duplicate coefficient ({col!r}, {rname!r})", lineno)
                 rows_of_col.add(rname)
                 _number(token, lineno)
-        vals.clear()  # the value strings go before the triples are built
-        self.raw.columns = list(zip(cols, rows, values))
+        raw = self.raw
+        raw.coef_cols, raw.coef_rows, raw.coef_values = cols, rows, values
         self.col_names = set(cols)
         if split.bad:
             # a column before it that collides with a row has failed the checks
@@ -472,7 +481,7 @@ def write_mps(raw: RawMps) -> str:
     for name, kind in raw.rows:
         out.append(f" {kind}  {name}")
     out.append("COLUMNS")
-    for col, rname, value in raw.columns:
+    for col, rname, value in zip(raw.coef_cols, raw.coef_rows, raw.coef_values):
         out.append(f"    {col}  {rname}  {value!r}")
     out.append("RHS")
     for rname, value in raw.rhs:

@@ -29,6 +29,17 @@ def build(rows, columns, rhs="", extra=""):
     return parse_mps(text)
 
 
+def hand_built(coefficients, **fields):
+    """A RawMps whose COLUMNS are given as (column, row, value) triples."""
+    cols, rows, values = [list(f) for f in zip(*coefficients)] or ([], [], [])
+    return RawMps(coef_cols=cols, coef_rows=rows, coef_values=values, **fields)
+
+
+def coefficients(raw):
+    """A RawMps's COLUMNS as (column, row, value) triples, in file order."""
+    return zip(raw.coef_cols, raw.coef_rows, raw.coef_values)
+
+
 def test_equality_row_passthrough():
     raw = build(" E  R1\n", "    X1  COST  1.0  R1  1.0\n    X2  R1  1.0\n", "    RHS  R1  1.0\n")
     lp, vmap = to_standard_form(raw)
@@ -275,10 +286,10 @@ def test_objective_rhs_becomes_offset():
     ids=["row-after-l-row", "first-row", "integer-bound"],
 )
 def test_unknown_kind_in_hand_built_raw_mps_raises(rows, bounds, message):
-    raw = RawMps(
+    raw = hand_built(
+        [("X1", "COST", 1.0), ("X1", "R1", 1.0), ("X1", "R2", 2.0)],
         rows=rows,
         objective_row="COST",
-        columns=[("X1", "COST", 1.0), ("X1", "R1", 1.0), ("X1", "R2", 2.0)],
         bounds=bounds,
     )
     with pytest.raises(ValueError) as err:
@@ -297,10 +308,10 @@ NAN, INF = float("nan"), float("inf")
 def test_non_finite_bound_value_in_hand_built_raw_mps_raises(kind, value):
     # parse_mps rejects these values; a hand-built RawMps must not turn them
     # into a free, split or unbounded column
-    raw = RawMps(
+    raw = hand_built(
+        [("X1", "COST", 1.0), ("X1", "R1", 1.0), ("X2", "R1", 1.0)],
         rows=[("COST", "N"), ("R1", "E")],
         objective_row="COST",
-        columns=[("X1", "COST", 1.0), ("X1", "R1", 1.0), ("X2", "R1", 1.0)],
         rhs=[("R1", 1.0)],
         bounds=[(kind, "X1", value)],
     )
@@ -345,16 +356,48 @@ def test_overflowing_box_width_is_no_upper_bound():
 
 def test_no_bound_infinities_in_hand_built_raw_mps_convert():
     # UP +inf and LO -inf mean "no bound", as they do in a parsed file
-    raw = RawMps(
+    raw = hand_built(
+        [("X1", "COST", 1.0), ("X1", "R1", 1.0), ("X2", "R1", 1.0)],
         rows=[("COST", "N"), ("R1", "E")],
         objective_row="COST",
-        columns=[("X1", "COST", 1.0), ("X1", "R1", 1.0), ("X2", "R1", 1.0)],
         rhs=[("R1", 1.0)],
         bounds=[("UP", "X1", INF), ("LO", "X2", -INF)],
     )
     lp, vmap = to_standard_form(raw)
     assert vmap.split.tolist() == [False, True]
     assert np.all(np.isinf(lp.upper))
+
+
+def test_unequal_coefficient_lists_in_hand_built_raw_mps_raise():
+    raw = hand_built([("X1", "COST", 1.0), ("X1", "R1", 1.0)], rows=[("COST", "N"), ("R1", "E")], objective_row="COST")
+    raw.coef_values.pop()
+    with pytest.raises(ValueError, match="^coefficient lists differ in length: 2 columns, 2 rows, 1 values$"):
+        to_standard_form(raw)
+
+
+def test_a_is_canonical_whatever_the_file_order():
+    # a column's entries are sorted by row, whatever order the file lists them in
+    raw = build(" E  R1\n E  R2\n E  R3\n", "    X1  R3  1.0  R1  2.0\n    X1  COST  5.0  R2  3.0\n")
+    A = to_standard_form(raw)[0].A
+    assert A.has_canonical_format
+    assert A.indices.tolist() == [0, 1, 2]
+    assert A.data.tolist() == [2.0, 3.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "values, total",
+    [([1e16, 1.0, -1e16, 1.0], 1.0), ([1.0, 1.0, 1e16, -1e16], 2.0)],
+    ids=["big-first", "big-last"],
+)
+def test_duplicates_in_hand_built_raw_mps_sum_in_file_order(values, total):
+    # only a hand-built RawMps repeats a coefficient; each order has its own rounding
+    raw = hand_built(
+        [("X1", "R1", value) for value in values], rows=[("COST", "N"), ("R1", "E")], objective_row="COST"
+    )
+    A = to_standard_form(raw)[0].A
+    assert A.has_canonical_format
+    assert A.indices.tolist() == [0]
+    assert A.data.tolist() == [total]
 
 
 def test_standard_lp_arrays_are_read_only_copies():
@@ -430,7 +473,7 @@ def random_point_consistency(raw, seed):
         slack = {name: x[j] for j, name in vmap.slacks}
         for name, kind in constraint_rows:
             activity = sum(
-                value * x_orig[cols[col]] for col, rname, value in raw.columns if rname == name
+                value * x_orig[cols[col]] for col, rname, value in coefficients(raw) if rname == name
             )
             target = rhs.get(name, 0.0)
             if name in slack:
@@ -441,7 +484,7 @@ def random_point_consistency(raw, seed):
                 assert abs(activity - target) <= tol
         # objective of the mapped-back point equals standard objective + offset
         cobj = {col: 0.0 for col in cols}
-        for col, rname, value in raw.columns:
+        for col, rname, value in coefficients(raw):
             if rname == raw.objective_row:
                 cobj[col] += value
         direct = sum(cobj[col] * x_orig[k] for col, k in cols.items())
@@ -524,7 +567,7 @@ def loop_standard_form(raw):
     # Original column data, split into objective and constraint coefficients.
     obj = np.zeros(ncols)
     cols = [[] for _ in range(ncols)]  # per original column: (row, coef)
-    for col, rname, value in raw.columns:
+    for col, rname, value in coefficients(raw):
         k = col_index[col]
         if rname == raw.objective_row:
             obj[k] += value
@@ -769,11 +812,11 @@ def random_raw_mps(rng):
             kind = str(rng.choice(["UP", "LO", "FX", "FR", "MI", "PL"]))
             value = None if kind in ("FR", "MI", "PL") else float(rng.choice(BOUND_VALUES))
             bounds.append((kind, col, value))
-    return RawMps(
+    return hand_built(
+        columns,
         name="RANDOM",
         rows=rows,
         objective_row=objective_row,
-        columns=columns,
         rhs=rhs,
         ranges=ranges,
         bounds=bounds,

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 
@@ -40,7 +41,7 @@ def test_tiny_counts():
     assert len(raw.rows) == 2
     assert raw.objective_row == "COST"
     assert len(raw.column_names()) == 2
-    assert len(raw.columns) == 4
+    assert len(raw.coef_cols) == len(raw.coef_rows) == len(raw.coef_values) == 4
     assert raw.rhs == [("R1", 1.0)]
 
 
@@ -166,7 +167,9 @@ def test_columns_pair_walk_errors(line7, line9, error, message):
 
 def test_two_pair_columns_line():
     raw = parse_mps(PAIRS.format(line7="    X1  R1  1.5  R2  -2.0", line9="    X1  COST  3.0"))
-    assert raw.columns == [("X1", "R1", 1.5), ("X1", "R2", -2.0), ("X2", "R1", 1.0), ("X1", "COST", 3.0)]
+    assert raw.coef_cols == ["X1", "X1", "X2", "X1"]
+    assert raw.coef_rows == ["R1", "R2", "R1", "COST"]
+    assert raw.coef_values == [1.5, -2.0, 1.0, 3.0]
     assert raw.column_names() == ["X1", "X2"]
 
 
@@ -256,10 +259,30 @@ def test_round_trip(member):
     assert parse_mps(write_mps(raw)) == raw
 
 
+@pytest.mark.parametrize(
+    "member", [PANEL["sparse_large"].members[0], PANEL["box_heavy"].members[0]], ids=lambda m: m.name
+)
+def test_reader_makes_no_object_per_coefficient(tmp_path, member):
+    """Reading leaves the collector a few objects per ROWS, RHS, RANGES and BOUNDS entry, and none per coefficient."""
+    path = tmp_path / f"{member.name}.mps"
+    path.write_text(member.text, encoding="ascii")
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        raw = read_mps(path)
+        grown = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    entries = len(raw.rows) + len(raw.rhs) + len(raw.ranges) + len(raw.bounds)
+    assert grown <= entries + 32
+    assert len(raw.coef_cols) > 2 * (entries + 32)  # so a tuple per coefficient would not fit
+
+
 def test_round_trip_is_value_exact():
     raw = parse_mps(TINY.replace("1.0", "0.1"))
     again = parse_mps(write_mps(raw))
-    assert again.columns == raw.columns
+    assert (again.coef_cols, again.coef_rows, again.coef_values) == (raw.coef_cols, raw.coef_rows, raw.coef_values)
     assert again.rhs == raw.rhs
 
 
