@@ -48,9 +48,12 @@ becomes the factor, and its strict upper triangle is M's strict lower one,
 zero for an assembled M.  A read-only or non-contiguous M is copied first
 and left as it was.  ``solve`` hands the factor straight to ``dpotrs``,
 which reads only the lower triangle, for one right-hand side or for several
-columns at once; an m x 2 solve gives each column bit for bit as its own
-one-column solve.  The lower triangle is ``scipy.linalg.cholesky(M,
-lower=True)`` bit for bit.  ``factor_normal`` is the regularization ladder:
+columns at once.  On OpenBLAS's SkylakeX kernel, which the pinned tables
+were recorded on, an m x 2 solve gives each column bit for bit as its own
+one-column solve; on its Haswell kernel it does not, and
+``test_solve_bit_identical_to_one_column_solves`` fails there (ROADMAP
+item 12).  The lower triangle is ``scipy.linalg.cholesky(M, lower=True)``
+bit for bit.  ``factor_normal`` is the regularization ladder:
 it escalates the relative diagonal regularization rho in {0, 1e-12, 1e-10,
 1e-8, 1e-6} until every pivot is finite and its square stays above 1e-30,
 and each rung factors a fresh assembly, so a failed rung, which has

@@ -455,9 +455,12 @@ class _Parser:
 def parse_mps(source) -> RawMps:
     """Parse an MPS document from a string, bytes, or readable stream.
 
-    A string or bytes is split into lines as ``read_mps`` splits a file:
-    ``\\n``, ``\\r\\n`` and ``\\r`` each end a line.
+    A string, bytes, or binary stream, read whole and decoded as bytes are, is
+    split into lines as ``read_mps`` splits a file: ``\\n``, ``\\r\\n`` and
+    ``\\r`` each end a line.
     """
+    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        source = source.read()
     if isinstance(source, bytes):
         source = source.decode("ascii", errors="replace")
     if isinstance(source, str):

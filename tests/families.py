@@ -12,6 +12,9 @@ A family is its members, one LP each, and the r grid they are solved at.
 * ``HELD_OUT`` holds the families tests/test_status_truth.py gates, which no
   solver setting was tuned on: box_heavy's seeds after the benchmark's, two
   100x300 shapes, and four that place x_feas and u in their own ways.
+* ``solve_bytes`` and ``lp_bytes`` define the same solve and the same LP:
+  every bit-for-bit comparison of two solves or two LPs in the tests goes
+  through them, and tools/iterate_hash.py hashes ``solve_bytes``.
 
 A member keeps only what cannot change, its MPS text and its HiGHS optimum,
 each computed on first use; ``raw()`` and ``lp()`` build a new object on
@@ -26,6 +29,7 @@ name; tests/conftest.py imports it, so test modules import them that way too
 (``from harness import cli_cell``).
 """
 
+import dataclasses
 import functools
 import os
 import pathlib
@@ -118,6 +122,23 @@ class Family:
 def highs_optimum(lp, name="lp") -> float:
     """HiGHS's optimum of a StandardLP, as ``report.objective``; RuntimeError if it finds none."""
     return highs_reference(Instance(name, lp.A, lp.b, lp.c, lp.upper))
+
+
+def solve_bytes(report) -> tuple:
+    """A SolveReport as its status value, the repr of its trace records as
+    ``dataclasses.astuple``, and the bytes of x, y, w and s: equal tuples are the
+    same solve bit for bit, -0.0 apart from +0.0.  ``iterations`` is the last record's."""
+    trace = repr([dataclasses.astuple(t) for t in report.trace])
+    arrays = (getattr(report, f).tobytes() for f in ("x", "y", "w", "s"))
+    return (report.status.value.encode(), trace.encode(), *arrays)
+
+
+def lp_bytes(lp) -> tuple:
+    """A StandardLP as A's shape, then (name, dtype, bytes) for A's data,
+    indices and indptr, b, c and upper: equal tuples are the same LP bit for bit."""
+    A = lp.A
+    arrays = {"data": A.data, "indices": A.indices, "indptr": A.indptr, "b": lp.b, "c": lp.c, "upper": lp.upper}
+    return (A.shape, *((name, a.dtype.str, a.tobytes()) for name, a in arrays.items()))
 
 
 def _files(name, paths, grid):

@@ -6,9 +6,12 @@ one it meets.  tests/test_mps_oracle.py asserts that ``galp.mps.parse_mps``
 returns an equal ``RawMps``, or raises the same class with the same message,
 on every registry LP, every malformed fixture and seeded single-edit
 mutations of them.  Deliberately slow and simple; it shares only the result
-and exception types with the reader under test.  Its one change from that
-reader is the newline rule: a string goes through ``io.StringIO(source,
+and exception types with the reader under test.  It has two changes from
+that reader.  The newline rule: a string goes through ``io.StringIO(source,
 newline=None)``, so ``\\r\\n`` and ``\\r`` end lines as they do for a file.
+And COLUMNS: each coefficient is appended to ``RawMps``'s three lists,
+``coef_cols``, ``coef_rows`` and ``coef_values``, where that reader appended
+one (column, row, value) triple.
 """
 
 import io
@@ -57,7 +60,6 @@ def parse_mps(source) -> RawMps:
         source = io.StringIO(source, newline=None)
 
     raw = RawMps()
-    columns = raw.columns
     section = None
     seen_sections = []
     row_names = set()
@@ -89,7 +91,9 @@ def parse_mps(source) -> RawMps:
                 if rname in rows_of_col:
                     raise DuplicateEntry(f"duplicate coefficient ({col!r}, {rname!r})", lineno)
                 rows_of_col.add(rname)
-                columns.append((col, rname, _number(tokens[t + 1], lineno)))
+                raw.coef_cols.append(col)
+                raw.coef_rows.append(rname)
+                raw.coef_values.append(_number(tokens[t + 1], lineno))
             continue
 
         if not line[0].isspace():

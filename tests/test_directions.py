@@ -158,7 +158,7 @@ def masked_max_step(x, upper, dir, cap=None):
         candidates.append(float(cap))
     if np.isnan(candidates).any():
         return np.nan
-    return min(candidates) if candidates else np.inf
+    return float(min(candidates)) if candidates else np.inf
 
 
 def ratio_test_cases(rng):

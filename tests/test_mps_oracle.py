@@ -6,17 +6,17 @@ message.  The reader must also split lines the same way from every source,
 and name the first offender in file order whatever the string hash order.
 """
 
+import io
 import os
 import subprocess
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from galp.mps import MpsError, RawMps, parse_mps, read_mps
+from galp.mps import MpsError, parse_mps, read_mps
 
-import mps_oracle
+from mps_oracle import parse_mps as oracle
 from families import FIXTURES, HELD_OUT, NAMED, PANEL, ROOT
 from test_mps import PAIRS, TINY
 
@@ -29,31 +29,6 @@ def outcome(parse, source):
         return "ok", parse(source)
     except MpsError as err:
         return "error", type(err), str(err)
-
-
-@dataclass
-class TripleMps:
-    """The result type the oracle was written for: RawMps with COLUMNS as (column, row, value) triples."""
-
-    name: str = ""
-    rows: list = field(default_factory=list)
-    objective_row: str = ""
-    columns: list = field(default_factory=list)
-    rhs: list = field(default_factory=list)
-    ranges: list = field(default_factory=list)
-    bounds: list = field(default_factory=list)
-
-
-@pytest.fixture(autouse=True)
-def oracle_builds_triples(monkeypatch):
-    monkeypatch.setattr(mps_oracle, "RawMps", TripleMps)
-
-
-def oracle(source):
-    """The oracle's parse, its COLUMNS triples unzipped into RawMps's three coefficient lists."""
-    fields = vars(mps_oracle.parse_mps(source))
-    cols, rows, values = [list(f) for f in zip(*fields.pop("columns"))] or ([], [], [])
-    return RawMps(coef_cols=cols, coef_rows=rows, coef_values=values, **fields)
 
 
 # every registry member; NAMED holds PANEL's corpus and fixtures members
@@ -228,8 +203,10 @@ def test_every_source_splits_lines_alike(tmp_path, newline, text):
     text = text.replace("\n", newline)
     path = tmp_path / "tiny.mps"
     path.write_bytes(text.encode("ascii"))
-    results = [outcome(read_mps, path), outcome(parse_mps, text), outcome(parse_mps, text.encode("ascii"))]
-    assert results[0] == results[1] == results[2] == outcome(parse_mps, text.replace(newline, "\n"))
+    with open(path, "rb") as fh:
+        sources = [text, text.encode("ascii"), io.BytesIO(text.encode("ascii")), fh]
+        results = [outcome(read_mps, path)] + [outcome(parse_mps, source) for source in sources]
+    assert results == [outcome(parse_mps, text.replace(newline, "\n"))] * 5
 
 
 HASH_PROBE = """

@@ -44,6 +44,7 @@ def test_iterate_hash_smoke():
     )
     assert families, proc.stderr
     assert families.group(1) == match.group(1)
+    # not families.solve_bytes: this digest is built on its own, as the reference for the tool and for solve_bytes
     digest = hashlib.sha256()
     for r in R_GRID[:2]:
         report = solve(NAMED["adlittle"].lp(), SolverConfig(r=r))

@@ -6,9 +6,9 @@ the 8-value r grid, the 20 fixtures fix01-fix20 at r 0, 0.2 and 0.5, the
 sparse-large instances of seeds 0-3 at r 0 and 0.5, and the box-heavy
 instances of seeds 0-5 at r 0, 0.2 and 0.5 (both in the shapes of
 perfbench/workloads.py).  Each solve adds
-to the hash, in that order, its status value, the repr of the list of its
-trace records as ``dataclasses.astuple``, and then the bytes of x, y, w and
-s.
+to the hash the chunks of ``solve_bytes`` in tests/families.py, in order:
+its status value, the repr of the list of its trace records as
+``dataclasses.astuple``, and then the bytes of x, y, w and s.
 After the solves, stderr gets one line per family, ``FAMILY: DIGEST  N
 solves``, for corpus, fixtures, sparse_large and box_heavy in that order:
 the same hash over that family's solves alone (over none, when ``--limit``
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import dataclasses
 import glob
 import hashlib
 import os
@@ -45,7 +44,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read when numpy loads OpenBLAS, below
 
-from families import PANEL  # noqa: E402
+from families import PANEL, solve_bytes  # noqa: E402
 from galp.solver import SolverConfig, solve  # noqa: E402
 
 
@@ -81,23 +80,13 @@ def iterate_hash(limit=None):
     the first ``limit`` solves of the panel."""
     digest = hashlib.sha256()
     families = {family: [hashlib.sha256(), 0] for family in PANEL}
-    cells = [
-        (name, member, r)
-        for name, family in PANEL.items()
-        for member in family.members
-        for r in family.grid
-    ]
-    count = 0
+    cells = [(name, member, r) for name, family in PANEL.items() for member in family.members for r in family.grid]
     for family, member, r in cells[:limit]:
-        report = solve(member.lp(), SolverConfig(r=r))
-        chunks = [report.status.value.encode(), repr([dataclasses.astuple(t) for t in report.trace]).encode()]
-        chunks += [getattr(report, field).tobytes() for field in ("x", "y", "w", "s")]
-        for chunk in chunks:
+        for chunk in solve_bytes(solve(member.lp(), SolverConfig(r=r))):
             digest.update(chunk)
             families[family][0].update(chunk)
         families[family][1] += 1
-        count += 1
-    return digest.hexdigest(), count, {family: (h.hexdigest(), k) for family, (h, k) in families.items()}
+    return digest.hexdigest(), len(cells[:limit]), {family: (h.hexdigest(), k) for family, (h, k) in families.items()}
 
 
 def main(argv=None):
